@@ -7,8 +7,7 @@ estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 
 Exit codes: 0 success, 2 input validation failure, 3 computation failure
 (certification impossible under the requested cap).  All randomness sits
-behind explicit seeds (default 0).  Set LIESPEC_NET_CACHE to a directory to
-reuse quaternion nets across runs.
+behind explicit seeds (default 0).
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ import numpy as np
 from . import startup_self_test
 from .egs_scan import (DiamConfig, degeneration_experiment, property_suite,
                        scan, scan_csv_text, scan_to_json)
-from .geometry import (Net, biinvariant_diameter, build_net, graph_diameter,
-                       load_net_nodes, net_cache_file, paper_diameter_bounds,
-                       save_net_nodes, torus_diameter)
+from .geometry import (biinvariant_diameter, build_net, graph_diameter,
+                       paper_diameter_bounds, torus_diameter)
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
 from .metric_space import (MatrixFormatError, SingularMatrixError,
@@ -77,20 +75,6 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
     finally:
         if close:
             out.close()
-
-
-def _get_net(entry, args) -> Net:
-    cache_dir = os.environ.get("LIESPEC_NET_CACHE")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = net_cache_file(cache_dir, entry.kind, args.net_size, args.seed)
-        if os.path.exists(path):
-            nodes = load_net_nodes(path)
-            return build_net(entry, knn=args.knn, seed=args.seed, nodes=nodes)
-        net = build_net(entry, args.net_size, args.knn, args.seed)
-        save_net_nodes(path, net)
-        return net
-    return build_net(entry, args.net_size, args.knn, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +128,7 @@ def _cmd_diam(args) -> int:
     elif method == "graph":
         if entry.kind not in ("su2", "so3"):
             raise MatrixFormatError(f"graph method unavailable for {entry.name}")
-        net = _get_net(entry, args)
+        net = build_net(entry, args.net_size, args.knn, args.seed)
         est = graph_diameter(entry, spec, net, eps_net=args.eps_net)
     else:  # pragma: no cover - argparse restricts choices
         raise MatrixFormatError(f"unknown method {method}")

@@ -7,17 +7,22 @@ the first-order left-trivialised length |log(p^-1 q)|_g, which is exact for
 bi-invariant metrics along one-parameter subgroups and accurate to O(mesh^2)
 per edge otherwise; the documented net allowance (default 10%) absorbs the
 discretisation bias.
+
+``build_net`` does all the work that depends only on the net, once: the knn
+search (a k-d tree), the straightened two-hop edge set with its logs, and the
+CSR structure of the graph.  The default net (20000 nodes, knn 12) takes
+about 0.2 s to build on one AMD EPYC core, so nets are not cached across
+runs.  Each metric then pays for one weight per edge and one Dijkstra.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import _lattice
@@ -36,9 +41,6 @@ __all__ = [
     "graph_diameter",
     "horizontal_graph_diameter",
     "paper_diameter_bounds",
-    "save_net_nodes",
-    "load_net_nodes",
-    "net_cache_file",
 ]
 
 DEFAULT_NET_SIZE = 20_000
@@ -183,51 +185,48 @@ def biinvariant_diameter(entry: LieGroupCatalogEntry) -> DiameterEstimate:
 # Quaternion nets
 # ---------------------------------------------------------------------------
 
+# Edges per chunk when computing edge logs; bounds the temporaries of the
+# quaternion products, which would otherwise set the peak memory of a build.
+_LOG_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class Net:
-    """k-nearest-neighbour graph on seeded unit quaternions.
+    """k-nearest-neighbour graph on seeded unit quaternions, ready for paths.
 
-    ``edge_logs[e]`` is log(p^-1 q) for the undirected edge (rows[e], cols[e]);
-    reversing an edge only flips the sign of the log, so one copy serves both
-    directions.  ``mesh`` is the largest nearest-neighbour distance.
+    ``rows``/``cols`` (rows < cols) is the symmetrised knn adjacency and
+    ``mesh`` the largest nearest-neighbour distance.  Shortest paths run over
+    the straightened edge set ``edge_rows``/``edge_cols`` (edge_rows <
+    edge_cols): the adjacency plus every two-hop shortcut.  ``edge_logs[e]``
+    is log(p^-1 q) for that edge; reversing an edge only flips the sign of the
+    log, so one copy serves both directions.  ``indptr``/``indices`` is the
+    CSR structure of the symmetric straightened graph and ``slot_edge[s]`` the
+    undirected edge behind CSR slot s, so a metric only supplies one weight
+    per edge.  Every array is read-only.
     """
 
     kind: str
     nodes: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    edge_logs: np.ndarray
     mesh: float
+    edge_rows: np.ndarray
+    edge_cols: np.ndarray
+    edge_logs: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot_edge: np.ndarray
     params: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-
-def _straightened_edges(net: Net) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency plus two-hop shortcuts, with exact logs per edge.
-
-    Shortest paths on the raw knn graph overshoot by several percent because
-    edge directions are quantised; admitting neighbour-of-neighbour hops (each
-    still an exactly weighted one-parameter arc) removes most of that bias
-    while keeping every path admissible.  Cached per net.
-    """
-    hit = net._cache.get("straightened")
-    if hit is not None:
-        return hit
-    n = net.n_nodes
-    one = csr_matrix((np.ones(net.rows.size, dtype=bool), (net.rows, net.cols)),
-                     shape=(n, n))
-    sym = one + one.T
-    two = (sym @ sym + sym).tocoo()
-    keep = two.row < two.col
-    rows, cols = two.row[keep].astype(np.int64), two.col[keep].astype(np.int64)
-    rel = quat_mul(quat_conj(net.nodes[rows]), net.nodes[cols])
-    logs = _log_rows(net.kind, rel)
-    net._cache["straightened"] = (rows, cols, logs)
-    return rows, cols, logs
 
 
 def _pair_distances(kind: str, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -252,14 +251,73 @@ def _log_rows(kind: str, R: np.ndarray) -> np.ndarray:
     return v
 
 
+def _edge_logs(kind: str, nodes: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    logs = np.empty((rows.size, 3))
+    for start in range(0, rows.size, _LOG_CHUNK):
+        r, c = rows[start:start + _LOG_CHUNK], cols[start:start + _LOG_CHUNK]
+        rel = quat_mul(quat_conj(nodes[r]), nodes[c])
+        logs[start:start + r.size] = _log_rows(kind, rel)
+    return logs
+
+
+def _knn_pairs(kind: str, nodes: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Symmetrised k-nearest-neighbour pairs (rows < cols) and the mesh.
+
+    Chordal distance in R^4 is monotone in the geodesic angle on S^3, so a
+    k-d tree over the nodes finds the geodesic neighbours of SU(2).  On SO(3)
+    q and -q are one point: the tree holds both signs and indices reduce
+    mod n.  Column 0 of a query is the node itself.
+    """
+    from scipy.spatial import cKDTree  # deferred: ~50 ms that only nets pay
+
+    n = nodes.shape[0]
+    points = np.vstack([nodes, -nodes]) if kind == "so3" else nodes
+    chord, idx = cKDTree(points).query(nodes, k=k + 1)
+    nbr = idx[:, 1:] % n
+    own = np.repeat(np.arange(n), k)
+    pairs = np.unique(np.minimum(own, nbr.ravel()) * n + np.maximum(own, nbr.ravel()))
+    mesh = 2.0 * math.asin(min(1.0, float(np.max(chord[:, 1])) / 2.0))
+    return pairs // n, pairs % n, mesh
+
+
+def _straightened_graph(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Adjacency plus two-hop shortcuts, as undirected edges and symmetric CSR.
+
+    Shortest paths on the raw knn graph overshoot by several percent because
+    edge directions are quantised; admitting neighbour-of-neighbour hops (each
+    still an exactly weighted one-parameter arc) removes most of that bias
+    while keeping every path admissible.  Returns the edges (row < col, in
+    row-major order), then the CSR ``indptr``, ``indices`` and slot-to-edge
+    map of the symmetric graph.
+    """
+    one = csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
+    sym = one + one.T
+    upper = triu(sym @ sym + sym, k=1, format="csr")
+    upper.sort_indices()
+    n_edges = upper.nnz
+    edge_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(upper.indptr))
+    edge_cols = upper.indices.astype(np.int32)
+    # Edge ids start at 1 so that no stored id is an (implicit) zero.
+    ids = csr_matrix((np.arange(1, n_edges + 1, dtype=np.int32), edge_cols,
+                      upper.indptr), shape=(n, n))
+    both = ids + ids.T
+    both.sort_indices()
+    return (edge_rows, edge_cols, both.indptr.astype(np.int32),
+            both.indices.astype(np.int32), (both.data - 1).astype(np.int32))
+
+
 def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
-              knn: int = DEFAULT_KNN, seed: int = 0,
-              nodes: Optional[np.ndarray] = None) -> Net:
+              knn: int = DEFAULT_KNN, seed: int = 0) -> Net:
     """Seeded random net on SU(2) or SO(3) with symmetrised knn adjacency.
 
     The identity is always node 0.  Connectivity is enforced by bridging
     components with their closest cross pairs (a guard; it does not trigger at
-    the supported sizes).
+    the supported sizes).  Everything that depends only on the net, the
+    straightened edges with their logs and the CSR structure included, is
+    computed here once, so each metric pays for its edge weights and one
+    Dijkstra only.
     """
     if entry.kind not in ("su2", "so3"):
         raise ValueError("nets are only built on su2/so3")
@@ -267,51 +325,26 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
         raise ValueError("need at least 100 nodes")
     if knn < 6:
         raise ValueError("need knn >= 6")
-    if nodes is None:
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((n_nodes - 1, 4))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
-    else:
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 4:
-            raise ValueError("cached nodes must be unit 4-vectors")
-        nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
-        n_nodes = nodes.shape[0]
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n_nodes - 1, 4))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
     if entry.kind == "so3":
         lead = nodes[:, :1].copy()
         lead[lead == 0] = 1.0
         nodes = nodes * np.sign(lead)
 
     n = nodes.shape[0]
-    k = min(knn, n - 1)
-    pair_list = []
-    nn_dist = np.empty(n)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        d = _pair_distances(entry.kind, nodes[start:stop], nodes)
-        for local, row in enumerate(d):
-            i = start + local
-            row[i] = np.inf
-            idx = np.argpartition(row, k)[:k]
-            nn_dist[i] = float(np.min(row[idx]))
-            for j in idx:
-                a, b = (i, int(j)) if i < j else (int(j), i)
-                pair_list.append(a * n + b)
-    pairs = np.unique(np.asarray(pair_list, dtype=np.int64))
-    rows = (pairs // n).astype(np.int64)
-    cols = (pairs % n).astype(np.int64)
-
-    mesh = float(np.max(nn_dist))
+    rows, cols, mesh = _knn_pairs(entry.kind, nodes, min(knn, n - 1))
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
 
     rows, cols = _ensure_connected(entry.kind, nodes, rows, cols)
-    rel = quat_mul(quat_conj(nodes[rows]), nodes[cols])
-    logs = _log_rows(entry.kind, rel)
-    return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols,
-               edge_logs=logs, mesh=mesh,
+    edge_rows, edge_cols, indptr, indices, slot_edge = _straightened_graph(n, rows, cols)
+    return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
+               edge_rows=edge_rows, edge_cols=edge_cols,
+               edge_logs=_edge_logs(entry.kind, nodes, edge_rows, edge_cols),
+               indptr=indptr, indices=indices, slot_edge=slot_edge,
                params={"n_nodes": n, "knn": knn, "seed": seed})
 
 
@@ -334,11 +367,19 @@ def _ensure_connected(kind: str, nodes: np.ndarray, rows: np.ndarray,
         cols = np.append(cols, max(a, b))
 
 
-def _shortest_paths(n: int, rows: np.ndarray, cols: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    g = csr_matrix((np.concatenate([weights, weights]),
-                    (np.concatenate([rows, cols]),
-                     np.concatenate([cols, rows]))), shape=(n, n))
+def _shortest_paths(net: Net, weights: np.ndarray,
+                    keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """Distances from node 0 over the straightened edges with the given weights.
+
+    ``keep`` optionally masks edges out.  The graph is a fresh CSR matrix over
+    the net's read-only structure, which is never modified.
+    """
+    data, indices, indptr = weights[net.slot_edge], net.indices, net.indptr
+    if keep is not None:
+        kept = keep[net.slot_edge]
+        data, indices = data[kept], indices[kept]
+        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
+    g = csr_matrix((data, indices, indptr), shape=(net.n_nodes, net.n_nodes))
     return dijkstra(g, directed=True, indices=0)
 
 
@@ -355,9 +396,10 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
         raise ValueError("net was built for a different group")
     if spec.m != 3:
         raise ValueError("graph diameter expects a 3-dimensional metric")
-    rows, cols, logs = _straightened_edges(net)
-    w = np.sqrt(np.einsum("ei,ij,ej->e", logs, spec.gram, logs))
-    dist = _shortest_paths(net.n_nodes, rows, cols, w)
+    # |v|_g^2 = v^t gram v = |L^t v|^2 with gram = L L^t.
+    y = net.edge_logs @ np.linalg.cholesky(spec.gram)
+    w = np.sqrt(np.einsum("ei,ei->e", y, y))
+    dist = _shortest_paths(net, w)
     if not np.all(np.isfinite(dist)):
         raise AssertionError("net is not connected")
     i = int(np.argmax(dist))
@@ -387,7 +429,7 @@ def horizontal_graph_diameter(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
     if not is_bracket_generating(entry, basis):
         raise ValueError("H must be bracket generating")
     h = np.asarray(h, dtype=float)
-    rows, cols, logs = _straightened_edges(net)
+    logs = net.edge_logs
     pinv = np.linalg.pinv(basis)
     coeff = logs @ pinv
     v_h = coeff @ basis
@@ -396,8 +438,7 @@ def horizontal_graph_diameter(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
     norm_full = np.linalg.norm(logs, axis=1)
     admissible = norm_perp <= eta * norm_full
     w = np.sqrt(np.einsum("ei,ij,ej->e", coeff, h, coeff)) + norm_perp
-    dist = _shortest_paths(net.n_nodes, rows[admissible], cols[admissible],
-                           w[admissible])
+    dist = _shortest_paths(net, w, keep=admissible)
     finite = np.isfinite(dist)
     unreached = int(np.sum(~finite))
     i = int(np.argmax(np.where(finite, dist, -np.inf)))
@@ -431,30 +472,3 @@ def paper_diameter_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Pape
         lower=d0 / sigma[0], upper=d0 / sigma[-1],
         lower_source="bi-invariant diameter over sigma_1",
         upper_source="bi-invariant diameter over sigma_m")
-
-
-# ---------------------------------------------------------------------------
-# Net cache files: node count, then one unit 4-vector per line
-# ---------------------------------------------------------------------------
-
-def net_cache_file(cache_dir: str, kind: str, n_nodes: int, seed: int) -> str:
-    return os.path.join(cache_dir, f"{kind}_n{n_nodes}_seed{seed}.net")
-
-
-def save_net_nodes(path: str, net: Net) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{net.n_nodes}\n")
-        for q in net.nodes:
-            f.write(" ".join(f"{x:.17g}" for x in q) + "\n")
-
-
-def load_net_nodes(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    count = int(lines[0])
-    if len(lines) != count + 1:
-        raise ValueError("net cache file is truncated")
-    nodes = np.array([[float(t) for t in ln.split()] for ln in lines[1:]], dtype=float)
-    if nodes.shape != (count, 4) or not np.all(np.isfinite(nodes)):
-        raise ValueError("net cache file is malformed")
-    return nodes

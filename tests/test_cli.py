@@ -95,16 +95,6 @@ class TestDiam:
         assert code == 0
         assert "method=GeodesicGraph" in out
 
-    def test_net_cache_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("LIESPEC_NET_CACHE", str(tmp_path))
-        code, out1, _ = run(capsys, "diam", "--group", "su2", "--method", "graph",
-                            "--net-size", "500", "--knn", "8")
-        assert code == 0
-        assert list(tmp_path.glob("*.net"))
-        code, out2, _ = run(capsys, "diam", "--group", "su2", "--method", "graph",
-                            "--net-size", "500", "--knn", "8")
-        assert out1 == out2
-
     def test_graph_unavailable_for_torus(self, capsys):
         code, _, err = run(capsys, "diam", "--group", "t2", "--method", "graph")
         assert code == 2

@@ -1,14 +1,19 @@
 """Diameter estimators: covering radii, closed forms, geodesic graphs."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import liespec as ls
 from liespec import _lattice
-from liespec.geometry import (DiameterEstimate, _closest_lattice_distances,
-                              load_net_nodes, net_cache_file, save_net_nodes)
+from liespec.geometry import DiameterEstimate, _closest_lattice_distances, _log_rows
+from liespec.lie_core import quat_conj, quat_mul
 
 
 def bruteforce_lattice_distance(gram, points, radius=12):
@@ -16,6 +21,51 @@ def bruteforce_lattice_distance(gram, points, radius=12):
     diffs = points[:, None, :] - box[None, :, :]
     vals = np.einsum("pni,ij,pnj->pn", diffs, gram, diffs)
     return np.sqrt(np.min(vals, axis=1))
+
+
+def dense_knn_reference(kind, nodes, k):
+    """knn pairs (rows < cols) and mesh from dense geodesic angles."""
+    n = nodes.shape[0]
+    dots = nodes @ nodes.T
+    if kind == "so3":
+        dots = np.abs(dots)
+    d = np.arccos(np.clip(dots, -1.0, 1.0))
+    np.fill_diagonal(d, np.inf)
+    idx = np.argpartition(d, k, axis=1)[:, :k]
+    mesh = float(np.max(np.min(np.take_along_axis(d, idx, axis=1), axis=1)))
+    own = np.repeat(np.arange(n), k)
+    pairs = np.unique(np.minimum(own, idx.ravel()) * n + np.maximum(own, idx.ravel()))
+    return pairs // n, pairs % n, mesh
+
+
+def reference_edges(net):
+    """Straightened edges (rows < cols, row-major) and their logs."""
+    n = net.n_nodes
+    one = csr_matrix((np.ones(net.rows.size, dtype=bool), (net.rows, net.cols)),
+                     shape=(n, n))
+    sym = one + one.T
+    two = (sym @ sym + sym).tocoo()
+    keep = two.row < two.col
+    rows, cols = two.row[keep].astype(np.int64), two.col[keep].astype(np.int64)
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    return rows, cols, _log_rows(net.kind, quat_mul(quat_conj(net.nodes[rows]),
+                                                    net.nodes[cols]))
+
+
+def reference_distances(n, rows, cols, w):
+    """Dijkstra from node 0 on a graph built afresh from undirected edges."""
+    g = csr_matrix((np.concatenate([w, w]),
+                    (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                   shape=(n, n))
+    return dijkstra(g, directed=True, indices=0)
+
+
+def graph_diameter_reference(net, spec):
+    """Diameter with quadratic-form edge weights."""
+    rows, cols, logs = reference_edges(net)
+    w = np.sqrt(np.einsum("ei,ij,ej->e", logs, spec.gram, logs))
+    return float(np.max(reference_distances(net.n_nodes, rows, cols, w)))
 
 
 class TestTorusDiameter:
@@ -110,8 +160,8 @@ class TestNet:
 
     def test_edge_logs_are_exact_distances(self, su2, small_net):
         w = np.linalg.norm(small_net.edge_logs, axis=1)
-        p = small_net.nodes[small_net.rows]
-        q = small_net.nodes[small_net.cols]
+        p = small_net.nodes[small_net.edge_rows]
+        q = small_net.nodes[small_net.edge_cols]
         ref = np.arccos(np.clip(np.einsum("ni,ni->n", p, q), -1, 1))
         assert np.max(np.abs(w - ref)) < 1e-12
 
@@ -127,13 +177,37 @@ class TestNet:
         with pytest.raises(ValueError):
             ls.build_net(t2, 500, 8, seed=0)
 
-    def test_cache_roundtrip(self, su2, small_net, tmp_path):
-        path = net_cache_file(str(tmp_path), "su2", small_net.n_nodes, 0)
-        save_net_nodes(path, small_net)
-        nodes = load_net_nodes(path)
-        rebuilt = ls.build_net(su2, knn=12, seed=0, nodes=nodes)
-        assert np.allclose(rebuilt.nodes, small_net.nodes)
-        assert np.array_equal(rebuilt.rows, small_net.rows)
+    def test_knn_matches_dense_reference(self, su2, so3):
+        for entry in (su2, so3):
+            for seed in range(3):
+                net = ls.build_net(entry, 2000, 12, seed=seed)
+                rows, cols, mesh = dense_knn_reference(entry.kind, net.nodes, 12)
+                assert np.array_equal(net.rows, rows)
+                assert np.array_equal(net.cols, cols)
+                assert net.mesh == pytest.approx(mesh, rel=1e-12)
+
+    def test_straightened_edges_match_reference(self, small_net):
+        rows, cols, logs = reference_edges(small_net)
+        assert np.array_equal(small_net.edge_rows, rows)
+        assert np.array_equal(small_net.edge_cols, cols)
+        assert np.array_equal(small_net.edge_logs, logs)
+
+    def test_csr_slots_map_to_their_edges(self, small_net):
+        net = small_net
+        src = np.repeat(np.arange(net.n_nodes), np.diff(net.indptr))
+        e = net.slot_edge
+        assert net.indices.size == 2 * net.edge_rows.size
+        assert np.array_equal(np.minimum(src, net.indices), net.edge_rows[e])
+        assert np.array_equal(np.maximum(src, net.indices), net.edge_cols[e])
+        assert np.array_equal(np.bincount(e), np.full(net.edge_rows.size, 2))
+
+    def test_arrays_are_read_only(self, small_net):
+        with pytest.raises(ValueError):
+            small_net.nodes[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            small_net.edge_logs[0, 0] = 0.5
+        arrays = [v for v in vars(small_net).values() if isinstance(v, np.ndarray)]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestGraphDiameter:
@@ -165,6 +239,15 @@ class TestGraphDiameter:
                   for s in (1.0, 0.5, 0.25, 0.125)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_matches_reference_weights(self, su2, so3, small_net):
+        so3_net = ls.build_net(so3, 2000, 12, seed=0)
+        for entry, net in ((su2, small_net), (so3, so3_net)):
+            for seed in range(20):
+                spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+                est = ls.graph_diameter(entry, spec, net)
+                assert est.value == pytest.approx(graph_diameter_reference(net, spec),
+                                                  rel=1e-12)
+
     def test_wrong_group_rejected(self, so3, small_net):
         with pytest.raises(ValueError):
             ls.graph_diameter(so3, ls.metric_from_matrix(np.eye(3)), small_net)
@@ -188,6 +271,18 @@ class TestHorizontalGraph:
         pair = ls.horizontal_graph_diameter(su2, np.eye(3)[:2], np.eye(2), small_net)
         full = ls.horizontal_graph_diameter(su2, np.eye(3), np.eye(3), small_net)
         assert full.value <= pair.value + 1e-12
+
+    def test_masked_edges_match_reference(self, su2, small_net):
+        eta, h = 0.1, np.diag([1.0, 2.0])
+        est = ls.horizontal_graph_diameter(su2, np.eye(3)[:2], h, small_net, eta=eta)
+        rows, cols, logs = reference_edges(small_net)
+        perp = np.abs(logs[:, 2])
+        keep = perp <= eta * np.linalg.norm(logs, axis=1)
+        w = np.sqrt(np.einsum("ei,ij,ej->e", logs[:, :2], h, logs[:, :2])) + perp
+        dist = reference_distances(small_net.n_nodes, rows[keep], cols[keep], w[keep])
+        finite = np.isfinite(dist)
+        assert est.params["unreached"] == np.sum(~finite) > 0
+        assert est.value == pytest.approx(np.max(dist[finite]), rel=1e-12)
 
     def test_non_generating_rejected(self, su2, small_net):
         with pytest.raises(ValueError):
@@ -227,3 +322,15 @@ class TestDiameterEstimateInvariant:
     def test_bracket_ordering_enforced(self):
         with pytest.raises(ValueError):
             DiameterEstimate(value=1.0, lower=2.0, upper=3.0, method="x")
+
+
+def test_import_defers_scipy_spatial():
+    """Only net building pays for importing the k-d tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, liespec; print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env, timeout=60)
+    assert out.stdout.strip() == "False"
