@@ -95,6 +95,12 @@ class TestDiam:
         assert code == 0
         assert "method=GeodesicGraph" in out
 
+    def test_oversized_grid_exit_2(self, capsys):
+        code, _, err = run(capsys, "diam", "--group", "t2", "--method", "lattice",
+                           "--grid-resolution", "100000")
+        assert code == 2
+        assert "grid points" in err
+
     def test_graph_unavailable_for_torus(self, capsys):
         code, _, err = run(capsys, "diam", "--group", "t2", "--method", "graph")
         assert code == 2

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import liespec as ls
 from liespec import _lattice
-from liespec.geometry import DiameterEstimate, _closest_lattice_distances, _log_rows
+from liespec.geometry import (DiameterEstimate, _closest_lattice_distances, _grid_points,
+                              _log_rows)
 from liespec.lie_core import quat_conj, quat_mul
 
 
@@ -21,6 +23,24 @@ def bruteforce_lattice_distance(gram, points, radius=12):
     diffs = points[:, None, :] - box[None, :, :]
     vals = np.einsum("pni,ij,pnj->pn", diffs, gram, diffs)
     return np.sqrt(np.min(vals, axis=1))
+
+
+def torus_diameter_reference(spec, res):
+    """(lower, value, upper, farthest point) from a full-grid direct sweep."""
+    m, gram = spec.m, spec.gram
+    pts = _grid_points(res, m)
+    dists = _closest_lattice_distances(gram, pts)
+    i0 = int(np.argmax(dists))
+    coarse = float(dists[i0])
+    h = 1.0 / res
+    local = _grid_points(17, m) * (2 * h) - h + pts[i0]
+    ld = _closest_lattice_distances(gram, local)
+    j0 = int(np.argmax(ld))
+    value = max(coarse, float(ld[j0]))
+    best_x = local[j0] if ld[j0] >= coarse else pts[i0]
+    corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
+    upper = coarse + math.sqrt(max(float(c @ gram @ c) for c in corners))
+    return value, value, upper, np.mod(best_x, 1.0)
 
 
 def dense_knn_reference(kind, nodes, k):
@@ -110,6 +130,40 @@ class TestTorusDiameter:
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             ls.torus_diameter(ls.metric_from_matrix(np.eye(4)))
+
+    def test_grid_point_cap(self):
+        with pytest.raises(ValueError, match="grid points"):
+            ls.torus_diameter(ls.metric_from_matrix(np.eye(2)), grid_resolution=5000)
+
+    def test_matches_full_grid_sweep(self):
+        # t3 seeds 14 and 34 (full-grid screen) and 215 (half-grid screen
+        # without re-scoring) pick a different grid maximum than the direct
+        # sweep unless near-max points and their mirrors are re-scored.
+        cases = [(3, 64, seed) for seed in (14, 34, 215)]
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 3):
+            for res in (7, 33, 64):
+                n = 3 if (m, res) == (3, 64) else 8
+                cases += [(m, res, int(s)) for s in rng.integers(1 << 30, size=n)]
+        for m, res, seed in cases:
+            spec = ls.sample_metric(ls.torus_entry(m), 0.2, 5.0, seed=seed)
+            est = ls.torus_diameter(spec, grid_resolution=res)
+            *ref, ref_x = torus_diameter_reference(spec, res)
+            assert np.allclose([est.lower, est.value, est.upper], ref,
+                               rtol=1e-12, atol=0), (m, res, seed)
+            assert np.allclose(est.farthest_point.data, ref_x, rtol=0, atol=1e-12)
+
+    def test_sweep_memory(self, t3):
+        # A full-grid sweep peaks at 34 MiB on this call; the chunked half-grid
+        # sweep at about 10 MiB, mostly one chunk's offsets-by-points block.
+        spec = ls.sample_metric(t3, 0.2, 5.0, seed=0)
+        tracemalloc.start()
+        try:
+            ls.torus_diameter(spec, grid_resolution=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
 
 class TestBiInvariant:
