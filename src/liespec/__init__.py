@@ -20,14 +20,13 @@ from .lie_core import (GroupElement, LieGroupCatalogEntry, Subalgebra, bracket,
 from .metric_space import (DiagonalClass, MatrixFormatError, MetricSpec,
                            RotationBlockClass, SigmaRatioClass,
                            SingularMatrixError, canonical_form, class_build,
-                           class_member, jacobi_eigh, loewner_leq,
-                           metric_from_matrix, read_matrix, sample_metric,
-                           write_matrix)
+                           class_member, loewner_leq, metric_from_matrix,
+                           read_matrix, sample_metric, write_matrix)
 from .rep_theory import (Irrep, SpectralResult, assemble_minus_CA,
                          character_irrep, enumerate_irreps, invariant_dim,
                          lambda1_certified, lambda1_restricted,
                          lambda_min_hermitian, spin_irrep,
-                         sublaplacian_lambda1, torus_lambda1)
+                         sublaplacian_lambda1)
 from .geometry import (DiameterEstimate, Net, PaperBounds,
                        biinvariant_diameter, biinvariant_distance, build_net,
                        graph_diameter, horizontal_graph_diameter,

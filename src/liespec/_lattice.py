@@ -7,12 +7,9 @@ style) greedy reduction is enough to make enumeration boxes small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["greedy_reduce", "enumerate_box", "box_chunks", "ShortestVector",
-           "min_quadratic_form"]
+__all__ = ["greedy_reduce", "enumerate_box", "box_chunks"]
 
 
 def greedy_reduce(Q: np.ndarray, max_rounds: int = 200) -> np.ndarray:
@@ -66,47 +63,3 @@ def box_chunks(radius: int, m: int, chunk: int = 2_000_000):
     for lead in range(-radius, radius + 1):
         yield np.concatenate(
             [np.full((sub.shape[0], 1), lead, dtype=np.int64), sub], axis=1)
-
-
-@dataclass(frozen=True)
-class ShortestVector:
-    value: float          # minimal n^t Q n over nonzero n
-    witness: np.ndarray   # a minimising integer vector
-    radius: int           # certified exhaustive box radius
-    examined: int         # lattice points swept
-
-
-def min_quadratic_form(Q: np.ndarray) -> ShortestVector:
-    """Exact minimum of n^t Q n over nonzero integer vectors, with a witness.
-
-    Any candidate value v bounds the search box: a minimiser satisfies
-    |n_j| <= sqrt(v / lambda_min(Q)).  The box is seeded with the coordinate
-    vectors and the first vector of a greedy-reduced basis, then swept
-    exhaustively.
-    """
-    Q = np.asarray(Q, dtype=float)
-    m = Q.shape[0]
-    if m > 4:
-        raise ValueError("exhaustive lattice search is limited to m <= 4")
-    lam_min = float(np.linalg.eigvalsh(Q)[0])
-    if lam_min <= 0.0:
-        raise ValueError("form must be positive definite")
-
-    best = np.inf
-    witness = np.zeros(m, dtype=np.int64)
-    for cand in list(np.eye(m, dtype=np.int64)) + [greedy_reduce(Q)[:, 0]]:
-        val = float(cand @ Q @ cand)
-        if val < best:
-            best, witness = val, cand.astype(np.int64)
-
-    radius = int(np.floor(np.sqrt(best / lam_min) + 1e-12))
-    examined = 0
-    if radius >= 1:
-        for pts in box_chunks(radius, m):
-            vals = np.einsum("ni,ij,nj->n", pts, Q, pts)
-            vals[np.all(pts == 0, axis=1)] = np.inf
-            examined += pts.shape[0]
-            idx = int(np.argmin(vals))
-            if vals[idx] < best:
-                best, witness = float(vals[idx]), pts[idx].copy()
-    return ShortestVector(value=best, witness=witness, radius=radius, examined=examined)

@@ -5,9 +5,9 @@ parameters), ``lambda1`` (certified spectral gap), ``diam`` (diameter
 estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 ``degenerate`` (degeneration sweeps), ``verify`` (randomized invariant checks).
 
-Exit codes: 0 success, 2 input validation failure, 3 computation failure
-(certification impossible under the requested cap).  All randomness sits
-behind explicit seeds (default 0).
+Exit codes: 0 success, 2 input validation failure (including unreadable or
+unwritable paths), 3 computation failure (certification impossible under the
+requested cap).  All randomness sits behind explicit seeds (default 0).
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import startup_self_test
-from .egs_scan import (DiamConfig, degeneration_experiment, property_suite,
-                       scan, scan_csv_text, scan_to_json)
-from .geometry import (biinvariant_diameter, build_net, graph_diameter,
-                       paper_diameter_bounds, torus_diameter)
+from .egs_scan import (DiamConfig, _compute_diameter, degeneration_experiment,
+                       property_suite, scan, scan_csv_text, scan_to_json)
+from .geometry import paper_diameter_bounds
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
 from .metric_space import (MatrixFormatError, SingularMatrixError,
@@ -110,10 +109,7 @@ def _cmd_lambda1(args) -> int:
 def _cmd_diam(args) -> int:
     entry = entry_from_key(args.group)
     spec = metric_from_matrix(_parse_matrix(entry, args.matrix))
-    method = args.method
-    if method == "auto":
-        method = "lattice" if entry.kind == "torus" else "graph"
-    if method == "bounds":
+    if args.method == "bounds":
         b = paper_diameter_bounds(entry, spec)
         lines = [f"diam_lower={b.lower:.12g} ({b.lower_source})",
                  f"diam_upper={b.upper:.12g} ({b.upper_source})"]
@@ -121,17 +117,10 @@ def _cmd_diam(args) -> int:
                      "lower_source": b.lower_source, "upper_source": b.upper_source},
               lines)
         return 0
-    if method == "biinv":
-        est = biinvariant_diameter(entry)
-    elif method == "lattice":
-        est = torus_diameter(spec, grid_resolution=args.grid_resolution)
-    elif method == "graph":
-        if entry.kind not in ("su2", "so3"):
-            raise MatrixFormatError(f"graph method unavailable for {entry.name}")
-        net = build_net(entry, args.net_size, args.knn, args.seed)
-        est = graph_diameter(entry, spec, net, eps_net=args.eps_net)
-    else:  # pragma: no cover - argparse restricts choices
-        raise MatrixFormatError(f"unknown method {method}")
+    config = DiamConfig(method=args.method, net_size=args.net_size, knn=args.knn,
+                        grid_resolution=args.grid_resolution, eps_net=args.eps_net,
+                        net_seed=args.seed)
+    est = _compute_diameter(entry, spec, config, net=None)
     lines = [f"diam={est.value:.12g} lower={est.lower:.12g} upper={est.upper:.12g} "
              f"method={est.method}"]
     _emit(args, {"method": est.method, "value": est.value, "lower": est.lower,
@@ -305,7 +294,7 @@ def main(argv=None) -> int:
     try:
         startup_self_test()
         return args.fn(args)
-    except (MatrixFormatError, SingularMatrixError, ValueError) as e:
+    except (MatrixFormatError, SingularMatrixError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ComputationError, RuntimeError) as e:

@@ -63,13 +63,14 @@ class DiamConfig:
     net_seed: int = 0
 
     def resolve(self, entry: LieGroupCatalogEntry) -> str:
-        if self.method != "auto":
-            return self.method
-        if entry.kind == "torus":
-            return "lattice"
-        if entry.kind in ("su2", "so3"):
-            return "graph"
-        raise ValueError(f"no diameter estimator for {entry.name}")
+        """The method to run on entry; ValueError when it does not apply."""
+        method = self.method
+        if method == "auto":
+            method = "lattice" if entry.kind == "torus" else "graph"
+        if ((method == "lattice" and entry.kind != "torus")
+                or (method == "graph" and entry.kind not in ("su2", "so3"))):
+            raise ValueError(f"no {method} diameter estimator for {entry.name}")
+        return method
 
 
 @dataclass(frozen=True)

@@ -283,7 +283,8 @@ class Net:
     log, so one copy serves both directions.  ``indptr``/``indices`` is the
     CSR structure of the symmetric straightened graph and ``slot_edge[s]`` the
     undirected edge behind CSR slot s, so a metric only supplies one weight
-    per edge.  Every array is read-only.
+    per edge.  ``knn`` and ``seed`` are the build arguments.  Every array is
+    read-only.
     """
 
     kind: str
@@ -297,7 +298,8 @@ class Net:
     indptr: np.ndarray
     indices: np.ndarray
     slot_edge: np.ndarray
-    params: dict = field(default_factory=dict)
+    knn: int
+    seed: int
 
     def __post_init__(self):
         for f in fields(self):
@@ -426,7 +428,7 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
                edge_rows=edge_rows, edge_cols=edge_cols,
                edge_logs=_edge_logs(entry.kind, nodes, edge_rows, edge_cols),
                indptr=indptr, indices=indices, slot_edge=slot_edge,
-               params={"n_nodes": n, "knn": knn, "seed": seed})
+               knn=knn, seed=seed)
 
 
 def _ensure_connected(kind: str, nodes: np.ndarray, rows: np.ndarray,
@@ -488,8 +490,8 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
     return DiameterEstimate(
         value=value, lower=value * (1.0 - eps_net), upper=value,
         method="GeodesicGraph",
-        params={"net_size": net.n_nodes, "knn": net.params.get("knn"),
-                "eps_net": eps_net, "seed": net.params.get("seed")},
+        params={"net_size": net.n_nodes, "knn": net.knn, "eps_net": eps_net,
+                "seed": net.seed},
         farthest_point=GroupElement(net.kind, net.nodes[i]))
 
 

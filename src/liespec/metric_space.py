@@ -22,7 +22,6 @@ __all__ = [
     "MetricSpec",
     "SingularMatrixError",
     "MatrixFormatError",
-    "jacobi_eigh",
     "metric_from_matrix",
     "canonical_form",
     "loewner_leq",
@@ -45,58 +44,6 @@ class SingularMatrixError(ValueError):
 
 class MatrixFormatError(ValueError):
     """Matrix file/inline text is malformed or contains NaN/Inf."""
-
-
-def jacobi_eigh(S: np.ndarray, rel_tol: float = 1e-13,
-                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a real symmetric matrix.
-
-    Sweeps all (p, q) pairs, rotating away off-diagonal mass until its
-    Frobenius norm drops below ``rel_tol`` times the norm of the input.
-    Returns eigenvalues sorted descending (stable, so ties keep the rotation
-    output order) and the matching orthogonal eigenvector columns.
-    """
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if S.shape != (n, n) or np.max(np.abs(S - S.T)) > 1e-10 * max(1.0, np.max(np.abs(S))):
-        raise ValueError("jacobi_eigh expects a symmetric matrix")
-    A = 0.5 * (S + S.T)
-    V = np.eye(n)
-    norm0 = np.linalg.norm(A)
-    if norm0 == 0.0:
-        return np.zeros(n), V
-    thresh = rel_tol * norm0
-    for _ in range(max_sweeps):
-        # Off-diagonal mass summed directly; a subtraction of diagonal squares
-        # would cancel below machine precision and stall convergence.
-        off = math.sqrt(np.sum((A - np.diag(np.diag(A))) ** 2))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh / max(1, n):
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                A[p, q] = A[q, p] = 0.0
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
 
 
 @dataclass(frozen=True)
@@ -140,7 +87,11 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     if scale == 0.0 or abs(np.linalg.det(A)) <= 1e-10 * scale ** m:
         raise SingularMatrixError("matrix is singular or too ill-conditioned")
     AAt = A @ A.T
-    vals, vecs = jacobi_eigh(AAt)
+    vals, vecs = np.linalg.eigh(AAt)
+    # Descending; ties keep eigh's column order, so the identity keeps
+    # P_sort = I.
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
     if vals[-1] <= 0.0:
         raise SingularMatrixError("A A^t is not positive definite")
     sigma = np.sqrt(vals)
@@ -177,8 +128,7 @@ def loewner_leq(spec_a: MetricSpec, spec_b: MetricSpec) -> bool:
     if spec_a.m != spec_b.m:
         raise ValueError("metrics live on different dimensions")
     diff = spec_b.AAt - spec_a.AAt
-    vals, _ = jacobi_eigh(diff)
-    return bool(vals[-1] >= -1e-10 * spec_b.sigma[0] ** 2)
+    return bool(np.linalg.eigvalsh(diff)[0] >= -1e-10 * spec_b.sigma[0] ** 2)
 
 
 def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -271,8 +221,8 @@ def class_member(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
         top = M[:k - 1, :k - 1]
         mid = M[k - 1, k - 1]
         bot = M[k:, k:]
-        lo_top = jacobi_eigh(top)[0][-1] if top.size else math.inf
-        hi_bot = jacobi_eigh(bot)[0][0] if bot.size else 0.0
+        lo_top = np.linalg.eigvalsh(top)[0] if top.size else math.inf
+        hi_bot = np.linalg.eigvalsh(bot)[-1] if bot.size else 0.0
         return bool(lo_top >= mid - tol * scale and mid >= hi_bot - tol * scale)
     raise TypeError(f"unknown metric class {klass!r}")
 

@@ -41,7 +41,6 @@ __all__ = [
     "assemble_minus_CA",
     "lambda_min_hermitian",
     "lambda1_certified",
-    "torus_lambda1",
     "invariant_dim",
     "lambda1_restricted",
     "sublaplacian_lambda1",
@@ -376,21 +375,6 @@ def _torus_lambda1_certified(spec: MetricSpec, window_cap: float) -> SpectralRes
     return SpectralResult(lambda1=lam_hat, witness=label, certified=False,
                           window=FOUR_PI_SQ * radius * radius, evaluations=evals,
                           reason=reason)
-
-
-def torus_lambda1(spec: MetricSpec) -> SpectralResult:
-    """Exact torus spectral gap: 4 pi^2 min_{n != 0} n^t (A A^t) n.
-
-    Exhaustive integer search over the certified box, seeded by a greedy
-    reduced basis vector.
-    """
-    if spec.m > 4:
-        raise ValueError("torus enumeration is limited to m <= 4")
-    sv = _lattice.min_quadratic_form(spec.AAt)
-    label = "char(" + ",".join(str(int(v)) for v in sv.witness) + ")"
-    return SpectralResult(
-        lambda1=FOUR_PI_SQ * sv.value, witness=label, certified=True,
-        window=FOUR_PI_SQ * (sv.radius + 1) ** 2, evaluations=sv.examined + spec.m)
 
 
 # ---------------------------------------------------------------------------

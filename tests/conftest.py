@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,24 @@ def big_net(su2):
 
 def identity_spec(m):
     return ls.metric_from_matrix(np.eye(m))
+
+
+def torus_gap_bruteforce(spec):
+    """4 pi^2 min n^t (A A^t) n over nonzero integer n, by exhaustive sweep.
+
+    A minimiser satisfies lambda_min |n|^2 <= n^t (A A^t) n <= min_j (A A^t)_jj,
+    so the box of that radius holds it.
+    """
+    AAt = spec.AAt
+    radius = int(math.sqrt(np.min(np.diag(AAt)) / np.linalg.eigvalsh(AAt)[0]))
+    grids = np.meshgrid(*([np.arange(-radius, radius + 1)] * spec.m), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = pts[np.any(pts != 0, axis=1)]
+    vals = np.einsum("ni,ij,nj->n", pts, AAt, pts)
+    return 4 * math.pi ** 2 * float(np.min(vals))
+
+
+@pytest.fixture(scope="session")
+def torus_gap():
+    """The brute-force torus gap oracle, for tests in any module."""
+    return torus_gap_bruteforce

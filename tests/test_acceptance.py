@@ -66,17 +66,16 @@ def test_criterion_3_su2_diameter_constants(su2, big_net):
            f"30 metrics on 20000-node net in {elapsed:.1f}s")
 
 
-def test_criterion_4_torus_exactness(t2, t3):
+def test_criterion_4_torus_exactness(t2, t3, torus_gap):
     checked = 0
     for entry, res_grid in ((t2, 64), (t3, 32)):
         for seed in range(100):
             spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
-            exact = ls.torus_lambda1(spec)
             enum = ls.lambda1_certified(entry, spec)
-            assert enum.certified and exact.certified
-            assert abs(enum.lambda1 - exact.lambda1) <= TOL
+            assert enum.certified
+            assert abs(enum.lambda1 - torus_gap(spec)) <= TOL
             diam = ls.torus_diameter(spec, grid_resolution=res_grid)
-            assert exact.lambda1 * diam.lower ** 2 >= PI2_4 - 1e-6, \
+            assert enum.lambda1 * diam.lower ** 2 >= PI2_4 - 1e-6, \
                 f"{entry.name} seed {seed}: Li violated"
             checked += 1
         ident = ls.torus_diameter(ls.metric_from_matrix(np.eye(entry.dim)),
@@ -85,7 +84,7 @@ def test_criterion_4_torus_exactness(t2, t3):
         assert ident.lower <= truth <= ident.upper
     assert checked == 200
     report("4 (torus exactness)",
-           "200 metrics: gap enumeration == lattice minimum; Li holds")
+           "200 metrics: gap enumeration == brute-force oracle; Li holds")
 
 
 def test_criterion_5_monotonicity(su2, mid_net):

@@ -44,6 +44,17 @@ class TestSigma:
         code, _, _ = run(capsys, "sigma", "--group", "su2", "--matrix", "1,2,3")
         assert code == 2
 
+    def test_unreadable_matrix_path_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sigma", "--group", "su2", "--matrix", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_unwritable_out_path_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sigma", "--group", "su2",
+                           "--out", str(tmp_path / "missing" / "x.txt"))
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestLambda1:
     def test_su2_identity(self, capsys):
@@ -105,6 +116,12 @@ class TestDiam:
         code, _, err = run(capsys, "diam", "--group", "t2", "--method", "graph")
         assert code == 2
 
+    def test_lattice_unavailable_for_su2(self, capsys):
+        code, out, err = run(capsys, "diam", "--group", "su2", "--method", "lattice")
+        assert code == 2
+        assert out == ""
+        assert "no lattice diameter estimator" in err
+
 
 class TestEll:
     def test_examples(self, capsys):
@@ -144,6 +161,13 @@ class TestScan:
         payload = json.loads(out)
         assert payload["schema_version"] == 1
         assert len(payload["records"]) == 3
+
+    def test_lattice_unavailable_for_su2(self, capsys):
+        code, out, err = run(capsys, "scan", "--group", "su2", "--samples", "2",
+                             "--method", "lattice")
+        assert code == 2
+        assert out == ""
+        assert "no lattice diameter estimator" in err
 
 
 class TestDegenerate:

@@ -120,10 +120,11 @@ class TestTorusDiameter:
                 ref = bruteforce_lattice_distance(gram, pts, radius=14)
                 assert np.max(np.abs(got - ref)) <= 1e-10
 
-    def test_li_inequality_on_random_metrics(self, t2):
+    def test_li_inequality_on_random_metrics(self, t2, torus_gap):
         for seed in range(25):
             spec = ls.sample_metric(t2, 0.2, 5.0, seed=seed)
-            lam = ls.torus_lambda1(spec).lambda1
+            lam = ls.lambda1_certified(t2, spec).lambda1
+            assert abs(lam - torus_gap(spec)) <= 1e-9
             est = ls.torus_diameter(spec)
             assert lam * est.lower ** 2 >= math.pi ** 2 / 4 - 1e-6
 
@@ -262,6 +263,9 @@ class TestNet:
             small_net.edge_logs[0, 0] = 0.5
         arrays = [v for v in vars(small_net).values() if isinstance(v, np.ndarray)]
         assert not any(a.flags.writeable for a in arrays)
+        # Every other field is an immutable scalar, so nothing can be mutated.
+        assert all(isinstance(v, (np.ndarray, str, int, float))
+                   for v in vars(small_net).values())
 
 
 class TestGraphDiameter:
@@ -270,6 +274,7 @@ class TestGraphDiameter:
         assert abs(est.value - math.pi) / math.pi < 0.05
         assert est.lower <= est.value <= est.upper
         assert est.lower == pytest.approx(est.value * 0.9)
+        assert (est.params["knn"], est.params["seed"]) == (12, 0)
 
     def test_homothety_exact_on_fixed_net(self, su2, small_net):
         base = ls.graph_diameter(su2, ls.metric_from_matrix(np.eye(3)), small_net)

@@ -1,4 +1,4 @@
-"""Metric parameterisation, eigensolver, samplers, restricted classes, files."""
+"""Metric parameterisation, samplers, restricted classes, matrix files."""
 
 import io
 import math
@@ -8,37 +8,8 @@ import pytest
 
 import liespec as ls
 from liespec.metric_space import (DiagonalClass, RotationBlockClass,
-                                  SigmaRatioClass, jacobi_eigh,
-                                  parse_matrix_text, random_rotation)
-
-
-class TestJacobiEigh:
-    def test_against_numpy(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            S = rng.standard_normal((n, n))
-            S = S + S.T
-            vals, vecs = jacobi_eigh(S)
-            assert np.allclose(vals, np.linalg.eigvalsh(S)[::-1], atol=1e-11)
-            assert np.allclose(vecs @ np.diag(vals) @ vecs.T, S, atol=1e-11)
-            assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
-
-    def test_tiny_offdiagonal_regression(self):
-        # Matrices with off-diagonal mass near the cancellation floor of a
-        # norm-difference test must still be fully rotated away.
-        rng = np.random.default_rng(2)
-        sig = np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3))
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-        A = (q * np.sign(np.diag(r))) @ np.diag(np.sort(sig)[::-1])
-        S = A @ A.T
-        vals, vecs = jacobi_eigh(S)
-        resid = np.linalg.norm(S - vecs @ np.diag(vals) @ vecs.T)
-        assert resid <= 1e-12 * np.linalg.norm(S)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+                                  SigmaRatioClass, parse_matrix_text,
+                                  random_rotation)
 
 
 class TestMetricFromMatrix:
@@ -47,6 +18,24 @@ class TestMetricFromMatrix:
         assert np.allclose(spec.sigma, [3.0, 2.0, 1.0])
         assert np.allclose(spec.P_sort, np.eye(3))
         assert np.allclose(spec.gram, np.diag([1 / 9, 1 / 4, 1.0]))
+
+    def test_identity_keeps_basis_order(self):
+        # Tied eigenvalues keep their column order, so P_sort is exactly I.
+        for m in (3, 6):
+            spec = ls.metric_from_matrix(np.eye(m))
+            assert np.array_equal(spec.P_sort, np.eye(m))
+            assert np.array_equal(spec.sigma, np.ones(m))
+
+    def test_tiny_offdiagonal_reconstruction(self):
+        # Off-diagonal mass near the cancellation floor of a norm-difference
+        # test must still be resolved by the eigendecomposition.
+        rng = np.random.default_rng(2)
+        sig = np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3))
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        A = (q * np.sign(np.diag(r))) @ np.diag(np.sort(sig)[::-1])
+        spec = ls.metric_from_matrix(A)
+        recon = spec.P_sort @ np.diag(spec.sigma ** 2) @ spec.P_sort.T
+        assert np.linalg.norm(spec.AAt - recon) <= 1e-12 * np.linalg.norm(spec.AAt)
 
     def test_singular_values_from_svd_oracle(self):
         rng = np.random.default_rng(3)

@@ -23,16 +23,6 @@ def so3_gap_oracle(sigma):
     return 4 * (s2 * s2 + s3 * s3)
 
 
-def torus_gap_bruteforce(spec, radius=8):
-    best = math.inf
-    m = spec.m
-    grids = np.meshgrid(*([np.arange(-radius, radius + 1)] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    pts = pts[np.any(pts != 0, axis=1)]
-    vals = np.einsum("ni,ij,nj->n", pts, spec.AAt, pts)
-    return FOUR_PI_SQ * float(np.min(vals))
-
-
 class TestIrreps:
     @pytest.mark.parametrize("j", ["1/2", "1", "3/2", "2", "5/2"])
     def test_spin_invariants(self, su2, j):
@@ -227,39 +217,39 @@ class TestCertifiedGap:
 
 class TestTorusGap:
     def test_examples(self, t2):
-        res = ls.torus_lambda1(ls.metric_from_matrix(np.eye(2)))
+        res = ls.lambda1_certified(t2, ls.metric_from_matrix(np.eye(2)))
         assert res.lambda1 == pytest.approx(FOUR_PI_SQ, abs=1e-10)
         assert res.witness in ("char(1,0)", "char(-1,0)", "char(0,1)", "char(0,-1)")
-        res = ls.torus_lambda1(ls.metric_from_matrix(np.diag([10.0, 1.0])))
+        res = ls.lambda1_certified(t2, ls.metric_from_matrix(np.diag([10.0, 1.0])))
         assert res.lambda1 == pytest.approx(FOUR_PI_SQ, abs=1e-10)
         assert res.witness in ("char(0,1)", "char(0,-1)")
 
-    def test_homothety(self):
-        base = ls.torus_lambda1(ls.metric_from_matrix(np.eye(2))).lambda1
+    def test_homothety(self, t2):
+        base = ls.lambda1_certified(t2, ls.metric_from_matrix(np.eye(2))).lambda1
         for t in (0.5, 2.0, 7.0):
-            scaled = ls.torus_lambda1(ls.metric_from_matrix(t * np.eye(2))).lambda1
+            scaled = ls.lambda1_certified(t2, ls.metric_from_matrix(t * np.eye(2))).lambda1
             assert scaled == pytest.approx(t * t * base, rel=1e-12)
 
-    def test_bruteforce_oracle(self, t2, t3):
+    def test_bruteforce_oracle(self, t2, t3, torus_gap):
         for entry, n in ((t2, 40), (t3, 25)):
             for seed in range(n):
                 spec = ls.sample_metric(entry, 0.4, 2.5, seed=seed)
-                got = ls.torus_lambda1(spec).lambda1
-                assert got == pytest.approx(torus_gap_bruteforce(spec), rel=1e-12)
+                got = ls.lambda1_certified(entry, spec).lambda1
+                assert got == pytest.approx(torus_gap(spec), rel=1e-12)
 
-    def test_agrees_with_certified_enumeration(self, t2, t3):
-        # Two distinct code paths: greedy-reduced exhaustive box versus
-        # shell-ordered enumeration with the stopping rule.
+    def test_agrees_with_certified_enumeration(self, t2, t3, torus_gap):
+        # The shell-ordered enumeration with its stopping rule against an
+        # exhaustive sweep of the whole box that holds every minimiser.
         for entry in (t2, t3):
             for seed in range(50):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
-                a = ls.torus_lambda1(spec).lambda1
-                b = ls.lambda1_certified(entry, spec).lambda1
-                assert abs(a - b) <= 1e-9
+                res = ls.lambda1_certified(entry, spec)
+                assert res.certified
+                assert abs(res.lambda1 - torus_gap(spec)) <= 1e-9
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
-            ls.torus_lambda1(ls.metric_from_matrix(np.eye(5)))
+            ls.lambda1_certified(ls.torus_entry(5), ls.metric_from_matrix(np.eye(5)))
 
 
 class TestInvariantDim:
