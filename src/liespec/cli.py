@@ -124,7 +124,7 @@ def _cmd_diam(args) -> int:
     lines = [f"diam={est.value:.12g} lower={est.lower:.12g} upper={est.upper:.12g} "
              f"method={est.method}"]
     _emit(args, {"method": est.method, "value": est.value, "lower": est.lower,
-                 "upper": est.upper, "params": est.params}, lines)
+                 "upper": est.upper, "params": dict(est.params)}, lines)
     return 0
 
 

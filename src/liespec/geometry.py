@@ -27,8 +27,8 @@ reported figure, that of a full direct sweep.  t3 at grid 64 takes about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Any, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
@@ -71,18 +71,21 @@ class DiameterEstimate:
 
     Graph-based values over-approximate each pairwise distance but only see
     net nodes, so they carry the documented net allowance on the lower side.
+    ``params`` may be given as a mapping or as pairs; it is stored as a tuple
+    of ``(key, value)`` pairs, so ``dict(est.params)`` reads it back.
     """
 
     value: float
     lower: float
     upper: float
     method: str
-    params: dict = field(default_factory=dict)
+    params: tuple[tuple[str, Any], ...] = ()
     farthest_point: Optional[GroupElement] = None
 
     def __post_init__(self):
         if not (self.lower <= self.value <= self.upper):
             raise ValueError("need lower <= value <= upper")
+        object.__setattr__(self, "params", tuple(dict(self.params).items()))
 
 
 @dataclass(frozen=True)

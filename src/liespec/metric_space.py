@@ -50,7 +50,8 @@ class MatrixFormatError(ValueError):
 class MetricSpec:
     """An invertible matrix together with the cached metric data derived from it.
 
-    ``sigma`` is descending, ``AAt = P_sort diag(sigma^2) P_sort^t`` and
+    ``sigma`` is descending, ``AAt = P_sort diag(sigma^2) P_sort^t`` (each
+    column of ``P_sort`` has its largest-magnitude entry positive) and
     ``gram = (AAt)^{-1}`` is the Gram matrix of the metric in the reference
     basis.
     """
@@ -92,6 +93,11 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     # P_sort = I.
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
+    # Sign convention: the largest-magnitude entry of each column (the first
+    # on a tie) is positive, whatever signs LAPACK returned; adding 0.0 turns
+    # -0 into 0.
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)]
+    vecs = vecs * np.sign(lead) + 0.0
     if vals[-1] <= 0.0:
         raise SingularMatrixError("A A^t is not positive definite")
     sigma = np.sqrt(vals)

@@ -51,6 +51,12 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 DEFAULT_WINDOW_CAP = 1.0e6
 
 
+def _contract(G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_i G[i] @ W[i] for stacks of shape (m, d, d), as one matrix product."""
+    m, d, _ = G.shape
+    return G.transpose(1, 0, 2).reshape(d, m * d) @ W.reshape(m * d, d)
+
+
 @dataclass(frozen=True)
 class Irrep:
     """One irreducible unitary representation, differentiated at the identity.
@@ -75,14 +81,14 @@ class Irrep:
         skew = np.max(np.abs(G + np.conj(np.swapaxes(G, 1, 2))))
         if skew > 1e-12 * max(1.0, float(np.max(np.abs(G)))):
             raise ValueError(f"{self.label}: generators are not anti-hermitian")
-        cas = -np.einsum("iab,ibc->ac", G, G)
+        cas = -_contract(G, G)
         if np.max(np.abs(cas - self.casimir * np.eye(self.dim))) > 1e-10 * max(1.0, self.casimir):
             raise ValueError(f"{self.label}: Casimir does not act by the stated scalar")
 
     def check_commutators(self, entry: LieGroupCatalogEntry, tol: float = 1e-11) -> float:
         """Max residual of [pi(X_i), pi(X_j)] - sum_k c_ij^k pi(X_k)."""
         G = self.generators
-        comm = np.einsum("iab,jbc->ijac", G, G)
+        comm = np.matmul(G[:, None], G[None, :])
         comm = comm - np.swapaxes(comm, 0, 1)
         target = np.einsum("ijk,kab->ijab", entry.structure_constants, G)
         res = float(np.max(np.abs(comm - target)))
@@ -162,13 +168,16 @@ def character_irrep(n: Sequence[int]) -> Irrep:
 
 
 def _pair_irrep(a: Irrep, b: Irrep) -> Irrep:
+    # np.kron(g, I_b) and np.kron(I_a, g) for every generator, by broadcasting
+    # over the index order (gen, row_a, row_b, col_a, col_b).
     ia = np.eye(a.dim, dtype=complex)
     ib = np.eye(b.dim, dtype=complex)
+    d = a.dim * b.dim
     gens = np.concatenate([
-        np.stack([np.kron(g, ib) for g in a.generators]),
-        np.stack([np.kron(ia, g) for g in b.generators]),
+        (a.generators[:, :, None, :, None] * ib[None, None, :, None, :]).reshape(-1, d, d),
+        (ia[None, :, None, :, None] * b.generators[:, None, :, None, :]).reshape(-1, d, d),
     ])
-    return Irrep(label=f"pair({a.label},{b.label})", dim=a.dim * b.dim,
+    return Irrep(label=f"pair({a.label},{b.label})", dim=d,
                  generators=gens, casimir=a.casimir + b.casimir)
 
 
@@ -273,7 +282,7 @@ def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
     if G.shape[0] != spec.m:
         raise ValueError("irrep and metric have different dimensions")
     W = np.tensordot(spec.AAt, G, axes=(1, 0))
-    M = -np.einsum("iab,ibc->ac", G, W)
+    M = -_contract(G, W)
     herm = np.max(np.abs(M - M.conj().T))
     if herm > 1e-11 * max(1.0, float(np.max(np.abs(M)))):
         raise AssertionError("assembled operator is not hermitian")
@@ -460,7 +469,7 @@ def sublaplacian_lambda1(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
         if irrep.casimir > window:
             break
         B = np.tensordot(ortho, irrep.generators, axes=(1, 0))
-        M = -np.einsum("iab,ibc->ac", B, B)
+        M = -_contract(B, B)
         lm = lambda_min_hermitian(0.5 * (M + M.conj().T))
         evals += 1
         if lm < best:

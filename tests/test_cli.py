@@ -23,6 +23,13 @@ class TestSigma:
         assert code == 0
         assert "sigma= 3 2 1" in out
 
+    def test_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "sigma", "--group", "su2",
+                           "--matrix", "1,2,0,0,1,0,0,0,3")
+        assert code == 0
+        assert "-0" not in out.split()
+        assert "   1  0  0" in out.splitlines()
+
     def test_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "a.mat"
         ls.write_matrix(str(path), np.diag([3.0, 2.0, 1.0]))
@@ -105,6 +112,16 @@ class TestDiam:
                            "--net-size", "500", "--knn", "8")
         assert code == 0
         assert "method=GeodesicGraph" in out
+
+    def test_json_params_keys(self, capsys):
+        code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "graph",
+                           "--net-size", "500", "--knn", "8", "--format", "json")
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert params == {"net_size": 500, "knn": 8, "eps_net": 0.1, "seed": 0}
+        code, out, _ = run(capsys, "diam", "--group", "t2", "--method", "lattice",
+                           "--grid-resolution", "16", "--format", "json")
+        assert json.loads(out)["params"] == {"grid_resolution": 16}
 
     def test_oversized_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "diam", "--group", "t2", "--method", "lattice",

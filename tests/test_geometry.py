@@ -1,7 +1,9 @@
 """Diameter estimators: covering radii, closed forms, geodesic graphs."""
 
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -274,7 +276,7 @@ class TestGraphDiameter:
         assert abs(est.value - math.pi) / math.pi < 0.05
         assert est.lower <= est.value <= est.upper
         assert est.lower == pytest.approx(est.value * 0.9)
-        assert (est.params["knn"], est.params["seed"]) == (12, 0)
+        assert (dict(est.params)["knn"], dict(est.params)["seed"]) == (12, 0)
 
     def test_homothety_exact_on_fixed_net(self, su2, small_net):
         base = ls.graph_diameter(su2, ls.metric_from_matrix(np.eye(3)), small_net)
@@ -323,7 +325,7 @@ class TestHorizontalGraph:
         est = ls.horizontal_graph_diameter(su2, np.eye(3)[:2], np.eye(2), small_net)
         assert math.isfinite(est.value) and est.value > 0
         assert est.method == "HorizontalGraph"
-        assert est.params["heuristic"] is True
+        assert dict(est.params)["heuristic"] is True
         assert math.isinf(est.upper)  # no certified bracket
 
     def test_monotone_in_h(self, su2, small_net):
@@ -340,7 +342,7 @@ class TestHorizontalGraph:
         w = np.sqrt(np.einsum("ei,ij,ej->e", logs[:, :2], h, logs[:, :2])) + perp
         dist = reference_distances(small_net.n_nodes, rows[keep], cols[keep], w[keep])
         finite = np.isfinite(dist)
-        assert est.params["unreached"] == np.sum(~finite) > 0
+        assert dict(est.params)["unreached"] == np.sum(~finite) > 0
         assert est.value == pytest.approx(np.max(dist[finite]), rel=1e-12)
 
     def test_non_generating_rejected(self, su2, small_net):
@@ -381,6 +383,17 @@ class TestDiameterEstimateInvariant:
     def test_bracket_ordering_enforced(self):
         with pytest.raises(ValueError):
             DiameterEstimate(value=1.0, lower=2.0, upper=3.0, method="x")
+
+    def test_params_frozen_and_picklable(self):
+        est = ls.torus_diameter(ls.metric_from_matrix(np.eye(2)), grid_resolution=16)
+        assert est.params == (("grid_resolution", 16),)
+        with pytest.raises(TypeError):
+            est.params["grid_resolution"] = 32
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            est.params = ()
+        back = pickle.loads(pickle.dumps(est))
+        assert back.params == est.params
+        assert back.value == est.value
 
 
 def test_import_defers_scipy_spatial():

@@ -26,6 +26,26 @@ class TestMetricFromMatrix:
             assert np.array_equal(spec.P_sort, np.eye(m))
             assert np.array_equal(spec.sigma, np.ones(m))
 
+    def test_column_sign_convention(self):
+        # The largest-magnitude entry of each P_sort column (the first on a
+        # tie) is positive, and no entry is -0.
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            m = int(rng.integers(2, 7))
+            spec = ls.metric_from_matrix(rng.standard_normal((m, m)) + 2 * np.eye(m))
+            P = spec.P_sort
+            lead = P[np.argmax(np.abs(P), axis=0), np.arange(m)]
+            assert np.all(lead > 0)
+            assert not np.any(np.signbit(P) & (P == 0))
+            assert np.allclose(P @ np.diag(spec.sigma ** 2) @ P.T, spec.AAt)
+        spec = ls.metric_from_matrix([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        assert np.array_equal(spec.P_sort[:, 0], [0.0, 0.0, 1.0])
+        assert not np.any(np.signbit(spec.P_sort[2]))
+        # Both columns tie in magnitude; the first entry is the positive one.
+        P = ls.metric_from_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])).P_sort
+        r = math.sqrt(0.5)
+        assert np.allclose(P, [[r, r], [r, -r]], rtol=0, atol=1e-15)
+
     def test_tiny_offdiagonal_reconstruction(self):
         # Off-diagonal mass near the cancellation floor of a norm-difference
         # test must still be resolved by the eigendecomposition.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import liespec as ls
-from liespec.rep_theory import FOUR_PI_SQ, _irrep_stream
+from liespec.rep_theory import FOUR_PI_SQ, _irrep_stream, _pair_irrep
 
 # Closed-form gaps under the fixed normalisation, derived from the explicit
 # two-candidate structure of the low spins: the spin-1/2 assembly is always
@@ -21,6 +21,47 @@ def su2_gap_oracle(sigma):
 def so3_gap_oracle(sigma):
     _, s2, s3 = sigma
     return 4 * (s2 * s2 + s3 * s3)
+
+
+# Reference implementations of the generator contractions: explicit Kronecker
+# products and numpy's einsum loop over the generator index.
+def kron_pair_generators(a, b):
+    ia = np.eye(a.dim, dtype=complex)
+    ib = np.eye(b.dim, dtype=complex)
+    return np.concatenate([np.stack([np.kron(g, ib) for g in a.generators]),
+                           np.stack([np.kron(ia, g) for g in b.generators])])
+
+
+def assemble_reference(G, AAt):
+    W = np.tensordot(AAt, G, axes=(1, 0))
+    M = -np.einsum("iab,ibc->ac", G, W)
+    return 0.5 * (M + M.conj().T)
+
+
+def su2xsu2_gap_reference(spec, max_twice_spin=30):
+    """Certified gap on su2 x su2 by the stop rule over Kronecker-built pairs.
+
+    Pairs are walked in ascending Casimir order; the list is complete up to
+    Casimir 4 j (j + 1) at 2 j = max_twice_spin, and the walk must stop below.
+    """
+    spins = [ls.spin_irrep(Fraction(n, 2)) for n in range(max_twice_spin + 1)]
+    pairs = sorted(((a.casimir + b.casimir, ia, ib)
+                    for ia, a in enumerate(spins) for ib, b in enumerate(spins)
+                    if ia or ib), key=lambda t: t[0])
+    complete = spins[-1].casimir
+    sm2 = spec.sigma[-1] ** 2
+    best, witness, evals = math.inf, "", 0
+    for cas, ia, ib in pairs:
+        assert cas <= complete
+        if sm2 * cas > best:
+            return best, witness, evals
+        a, b = spins[ia], spins[ib]
+        M = assemble_reference(kron_pair_generators(a, b), spec.AAt)
+        lam = float(np.linalg.eigvalsh(M)[0])
+        evals += 1
+        if lam < best:
+            best, witness = lam, f"pair({a.label},{b.label})"
+    raise AssertionError("pair list too short for the stop rule")
 
 
 class TestIrreps:
@@ -48,6 +89,36 @@ class TestIrreps:
         pair = next(s for s in stream if s.dim == 6)
         pair.check_commutators(su2xsu2)
         assert abs(pair.casimir - (half.casimir + one.casimir)) < 1e-12
+
+    def test_pair_generators_equal_kron(self):
+        for ja, jb in (("0", "1/2"), ("1/2", "1"), ("3/2", "1"), ("2", "5/2"), ("9/2", "9/2")):
+            a, b = ls.spin_irrep(ja), ls.spin_irrep(jb)
+            pair = _pair_irrep(a, b)
+            assert pair.dim == a.dim * b.dim
+            assert np.array_equal(pair.generators, kron_pair_generators(a, b))
+
+    def test_validation_rejects_non_anti_hermitian(self):
+        # A non-unitary similarity keeps the Casimir scalar but breaks
+        # anti-hermiticity, so only that check can reject it.
+        G = ls.spin_irrep("1").generators
+        S = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        bent = S @ G @ np.linalg.inv(S)
+        with pytest.raises(ValueError, match="not anti-hermitian"):
+            ls.Irrep(label="bent", dim=3, generators=bent, casimir=8.0)
+
+    def test_validation_rejects_wrong_casimir(self):
+        G = ls.spin_irrep("1").generators
+        with pytest.raises(ValueError, match="Casimir does not act"):
+            ls.Irrep(label="x", dim=3, generators=G, casimir=7.0)
+        with pytest.raises(ValueError, match="Casimir does not act"):
+            ls.Irrep(label="x", dim=6, generators=kron_pair_generators(
+                ls.spin_irrep("1/2"), ls.spin_irrep("1")), casimir=8.0)
+
+    def test_validation_rejects_wrong_shape(self):
+        G = ls.spin_irrep("1").generators
+        for gens, dim in ((G, 2), (G[:, :, :2], 3), (G[0], 3), (G[None], 3)):
+            with pytest.raises(ValueError, match="wrong shape"):
+                ls.Irrep(label="x", dim=dim, generators=gens, casimir=8.0)
 
     def test_enumerate_su2(self, su2):
         out = ls.enumerate_irreps(su2, 4.0)
@@ -126,6 +197,22 @@ class TestAssembly:
                 rhs = -np.einsum("ij,iab,jbc->ac", B @ B.T, GA, GA)
                 scale = max(1.0, float(np.max(np.abs(lhs))))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+
+    def test_matches_einsum_reference(self):
+        rng = np.random.default_rng(28)
+        spins = [ls.spin_irrep(j) for j in ("1/2", "1", "3/2", "2", "5/2")]
+        pairs = [_pair_irrep(ls.spin_irrep(a), ls.spin_irrep(b))
+                 for a, b in (("0", "1"), ("1/2", "3/2"), ("2", "5/2"),
+                              ("9/2", "9/2"), ("11/2", "9/2"))]
+        assert max(p.dim for p in pairs) >= 100
+        for irreps, m in ((spins, 3), (pairs, 6)):
+            for _ in range(5):
+                spec = ls.metric_from_matrix(rng.standard_normal((m, m)) + 2 * np.eye(m))
+                for irr in irreps:
+                    got = ls.assemble_minus_CA(irr, spec)
+                    want = assemble_reference(irr.generators, spec.AAt)
+                    scale = float(np.max(np.abs(want)))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     def test_dimension_mismatch(self, t2):
         with pytest.raises(ValueError):
@@ -213,6 +300,17 @@ class TestCertifiedGap:
         lam_i = 3.0
         assert lam_i * spec.sigma[-1] ** 2 - 1e-9 <= res.lambda1
         assert res.lambda1 <= lam_i * spec.sigma[0] ** 2 + 1e-9
+
+
+    def test_product_matches_kron_einsum_reference(self, su2xsu2):
+        # Sample seeds whose certification takes at most 80 evaluations.
+        for seed in (0, 4, 5, 11):
+            spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=seed)
+            res = ls.lambda1_certified(su2xsu2, spec)
+            lam, witness, evals = su2xsu2_gap_reference(spec)
+            assert res.certified
+            assert res.lambda1 == pytest.approx(lam, rel=1e-12)
+            assert (res.witness, res.evaluations) == (witness, evals)
 
 
 class TestTorusGap:
@@ -319,6 +417,24 @@ class TestSubLaplacian:
     def test_window_validation(self, su2):
         with pytest.raises(ValueError):
             ls.sublaplacian_lambda1(su2, np.eye(3)[:2], np.eye(2), window=0.0)
+
+    def test_matches_einsum_reference(self, su2):
+        rng = np.random.default_rng(29)
+        for rows in (np.eye(3)[:2], rng.standard_normal((2, 3)), np.eye(3)):
+            k = rows.shape[0]
+            X = rng.standard_normal((k, k))
+            h = X @ X.T + k * np.eye(k)
+            res = ls.sublaplacian_lambda1(su2, rows, h, window=50.0)
+            ortho = np.linalg.solve(np.linalg.cholesky(h), rows)
+            best, witness = math.inf, ""
+            for irr in ls.enumerate_irreps(su2, 50.0):
+                B = np.tensordot(ortho, irr.generators, axes=(1, 0))
+                M = -np.einsum("iab,ibc->ac", B, B)
+                lam = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
+                if lam < best:
+                    best, witness = lam, irr.label
+            assert res.lambda1 == pytest.approx(best, rel=1e-12)
+            assert res.witness == witness
 
     def test_weighted_inner_product(self, su2):
         # h-orthonormalisation: doubling h scales the operator by 1/2.
