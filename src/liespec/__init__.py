@@ -23,9 +23,9 @@ from .metric_space import (DiagonalClass, MatrixFormatError, MetricSpec,
                            class_member, loewner_leq, metric_from_matrix,
                            read_matrix, sample_metric, write_matrix)
 from .rep_theory import (Irrep, SpectralResult, assemble_minus_CA,
-                         character_irrep, enumerate_irreps, invariant_dim,
-                         lambda1_certified, lambda1_restricted,
-                         lambda_min_hermitian, spin_irrep,
+                         biinvariant_lambda1, character_irrep,
+                         enumerate_irreps, invariant_dim, lambda1_certified,
+                         lambda1_restricted, lambda_min_hermitian, spin_irrep,
                          sublaplacian_lambda1)
 from .geometry import (DiameterEstimate, Net, PaperBounds,
                        biinvariant_diameter, biinvariant_distance, build_net,

@@ -12,7 +12,7 @@ import numpy as np
 __all__ = ["greedy_reduce", "enumerate_box", "box_chunks"]
 
 
-def greedy_reduce(Q: np.ndarray, max_rounds: int = 200) -> np.ndarray:
+def greedy_reduce(Q: np.ndarray) -> np.ndarray:
     """Unimodular U such that U^t Q U is pairwise-reduced with sorted diagonal.
 
     Repeated Lagrange steps: shave each basis vector by rounded projections on
@@ -26,7 +26,7 @@ def greedy_reduce(Q: np.ndarray, max_rounds: int = 200) -> np.ndarray:
     def form(u, v):
         return float(u @ Q @ v)
 
-    for _ in range(max_rounds):
+    while True:
         changed = False
         order = np.argsort([form(U[:, j], U[:, j]) for j in range(m)], kind="stable")
         U = U[:, order]
@@ -42,8 +42,7 @@ def greedy_reduce(Q: np.ndarray, max_rounds: int = 200) -> np.ndarray:
                         U[:, j] = new
                         changed = True
         if not changed:
-            break
-    return U
+            return U
 
 
 def enumerate_box(radius: int, m: int) -> np.ndarray:
@@ -53,10 +52,10 @@ def enumerate_box(radius: int, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def box_chunks(radius: int, m: int, chunk: int = 2_000_000):
-    """Yield the box in pieces small enough to keep memory flat."""
+def box_chunks(radius: int, m: int):
+    """Yield the box whole up to 2e6 points, else in slices along the first axis."""
     total = (2 * radius + 1) ** m
-    if total <= chunk or m == 1:
+    if total <= 2_000_000 or m == 1:
         yield enumerate_box(radius, m)
         return
     sub = enumerate_box(radius, m - 1)

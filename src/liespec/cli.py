@@ -6,8 +6,9 @@ estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 ``degenerate`` (degeneration sweeps), ``verify`` (randomized invariant checks).
 
 Exit codes: 0 success, 2 input validation failure (including unreadable or
-unwritable paths), 3 computation failure (certification impossible under the
-requested cap).  All randomness sits behind explicit seeds (default 0).
+unwritable paths and non-finite values), 3 computation failure (certification
+impossible under the requested cap).  All randomness sits behind explicit
+seeds (default 0).
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ from typing import Optional
 import numpy as np
 
 from . import startup_self_test
-from .egs_scan import (DiamConfig, _compute_diameter, degeneration_experiment,
+from .egs_scan import (DEFAULT_SIGMA_HI, DEFAULT_SIGMA_LO, DEFAULT_TRIALS,
+                       DiamConfig, _compute_diameter, degeneration_experiment,
                        property_suite, scan, scan_csv_text, scan_to_json)
 from .geometry import paper_diameter_bounds
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
 from .metric_space import (MatrixFormatError, SingularMatrixError,
-                           metric_from_matrix, read_matrix)
-from .rep_theory import lambda1_certified
+                           metric_from_matrix, parse_matrix_text, read_matrix)
+from .rep_theory import DEFAULT_WINDOW_CAP, lambda1_certified
 
 SCHEMA_VERSION = 1
 
@@ -37,26 +39,20 @@ class ComputationError(RuntimeError):
     """Raised when a requested computation cannot be completed/certified."""
 
 
-def _parse_matrix(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
-    m = entry.dim
+def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
+    """The identity when the flag is absent, else a matrix file or inline text."""
     if text is None:
-        return np.eye(m)
+        return np.eye(entry.dim)
     if os.path.exists(text):
-        A = read_matrix(text)
-    else:
-        toks = text.replace(",", " ").split()
-        try:
-            vals = [float(t) for t in toks]
-        except ValueError as e:
-            raise MatrixFormatError(f"cannot parse matrix entries: {text!r}") from e
-        if len(vals) != m * m:
-            raise MatrixFormatError(f"need {m * m} entries for {entry.name}, got {len(vals)}")
-        A = np.array(vals).reshape(m, m)
-    if not np.all(np.isfinite(A)):
-        raise MatrixFormatError("NaN/Inf entries are not allowed")
-    if A.shape != (m, m):
-        raise MatrixFormatError(f"matrix is {A.shape[0]}x{A.shape[1]}, group needs {m}x{m}")
-    return A
+        return read_matrix(text, entry.dim)
+    return parse_matrix_text(text, entry.dim)
+
+
+def _diam_config(args) -> DiamConfig:
+    return DiamConfig(method=getattr(args, "method", DiamConfig.method),
+                      net_size=args.net_size, knn=args.knn,
+                      grid_resolution=args.grid_resolution, eps_net=args.eps_net,
+                      net_seed=args.seed)
 
 
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
@@ -82,7 +78,7 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
 
 def _cmd_sigma(args) -> int:
     entry = entry_from_key(args.group)
-    spec = metric_from_matrix(_parse_matrix(entry, args.matrix))
+    spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
     sig = " ".join(f"{s:.12g}" for s in spec.sigma)
     lines = [f"m={entry.dim}", f"sigma= {sig}", "P_sort="]
     lines += ["  " + " ".join(f"{x: .12g}" for x in row) for row in spec.P_sort]
@@ -93,7 +89,7 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_lambda1(args) -> int:
     entry = entry_from_key(args.group)
-    spec = metric_from_matrix(_parse_matrix(entry, args.matrix))
+    spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
     res = lambda1_certified(entry, spec, window_cap=args.window_cap)
     if not res.certified:
         raise ComputationError(f"uncertified result: {res.reason}")
@@ -108,7 +104,7 @@ def _cmd_lambda1(args) -> int:
 
 def _cmd_diam(args) -> int:
     entry = entry_from_key(args.group)
-    spec = metric_from_matrix(_parse_matrix(entry, args.matrix))
+    spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
     if args.method == "bounds":
         b = paper_diameter_bounds(entry, spec)
         lines = [f"diam_lower={b.lower:.12g} ({b.lower_source})",
@@ -117,10 +113,7 @@ def _cmd_diam(args) -> int:
                      "lower_source": b.lower_source, "upper_source": b.upper_source},
               lines)
         return 0
-    config = DiamConfig(method=args.method, net_size=args.net_size, knn=args.knn,
-                        grid_resolution=args.grid_resolution, eps_net=args.eps_net,
-                        net_seed=args.seed)
-    est = _compute_diameter(entry, spec, config, net=None)
+    est = _compute_diameter(entry, spec, _diam_config(args), net=None)
     lines = [f"diam={est.value:.12g} lower={est.lower:.12g} upper={est.upper:.12g} "
              f"method={est.method}"]
     _emit(args, {"method": est.method, "value": est.value, "lower": est.lower,
@@ -130,7 +123,7 @@ def _cmd_diam(args) -> int:
 
 def _cmd_ell(args) -> int:
     entry = entry_from_key(args.group)
-    P = _parse_matrix(entry, args.rotation)
+    P = _matrix_arg(entry, args.rotation)
     ell = ell_index(entry, P)
     dims = prefix_subalgebra_dims(entry, P)
     lines = [f"ell={ell}",
@@ -141,11 +134,9 @@ def _cmd_ell(args) -> int:
 
 def _cmd_scan(args) -> int:
     entry = entry_from_key(args.group)
-    config = DiamConfig(method=args.method, net_size=args.net_size, knn=args.knn,
-                        grid_resolution=args.grid_resolution, eps_net=args.eps_net,
-                        net_seed=args.seed)
     records, summary = scan(entry, args.samples, lo=args.sigma_lo, hi=args.sigma_hi,
-                            diam_config=config, base_seed=args.seed, jobs=args.jobs)
+                            diam_config=_diam_config(args), base_seed=args.seed,
+                            jobs=args.jobs)
     if args.format == "json":
         text = scan_to_json(records, summary)
     else:
@@ -164,10 +155,8 @@ def _cmd_scan(args) -> int:
 def _cmd_degenerate(args) -> int:
     entry = entry_from_key(args.group)
     s_values = [float(t) for t in args.s_values.replace(",", " ").split()]
-    config = DiamConfig(net_size=args.net_size, knn=args.knn,
-                        grid_resolution=args.grid_resolution, eps_net=args.eps_net,
-                        net_seed=args.seed)
-    report = degeneration_experiment(entry, args.kind, s_values, diam_config=config)
+    report = degeneration_experiment(entry, args.kind, s_values,
+                                     diam_config=_diam_config(args))
     lines = [f"kind={report.kind} group={report.group}"]
     keys = list(report.rows[0].tracked.keys())
     header = "s sigma lambda1 diam " + " ".join(keys)
@@ -235,10 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this file")
 
     def net_flags(p):
-        p.add_argument("--net-size", type=int, default=20000)
-        p.add_argument("--knn", type=int, default=12)
-        p.add_argument("--grid-resolution", type=int, default=64)
-        p.add_argument("--eps-net", type=float, default=0.10)
+        d = DiamConfig()
+        p.add_argument("--net-size", type=int, default=d.net_size)
+        p.add_argument("--knn", type=int, default=d.knn)
+        p.add_argument("--grid-resolution", type=int, default=d.grid_resolution)
+        p.add_argument("--eps-net", type=float, default=d.eps_net)
 
     p = sub.add_parser("sigma", help="metric scale parameters")
     common(p)
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda1", help="certified spectral gap")
     common(p)
-    p.add_argument("--window-cap", type=float, default=1e6)
+    p.add_argument("--window-cap", type=float, default=DEFAULT_WINDOW_CAP)
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")
@@ -265,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="seeded random ratio scan (CSV/JSON)")
     common(p, matrix=False)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--sigma-lo", type=float, default=0.2)
-    p.add_argument("--sigma-hi", type=float, default=5.0)
+    p.add_argument("--sigma-lo", type=float, default=DEFAULT_SIGMA_LO)
+    p.add_argument("--sigma-hi", type=float, default=DEFAULT_SIGMA_HI)
     p.add_argument("--method", choices=("auto", "graph", "lattice"), default="auto")
     p.add_argument("--jobs", type=int, default=1)
     net_flags(p)
@@ -282,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized verification suite")
     common(p, matrix=False)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(fn=_cmd_verify)
 
     return top

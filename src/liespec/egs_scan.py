@@ -13,7 +13,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,11 +21,12 @@ import numpy as np
 from .geometry import (DEFAULT_EPS_NET, DEFAULT_GRID_RESOLUTION, DEFAULT_KNN,
                        DEFAULT_NET_SIZE, DiameterEstimate, Net,
                        biinvariant_diameter, build_net, graph_diameter,
-                       torus_diameter)
+                       paper_diameter_bounds, torus_diameter)
 from .lie_core import LieGroupCatalogEntry
 from .metric_space import (MetricSpec, metric_from_matrix, random_rotation,
                            sample_metric)
-from .rep_theory import assemble_minus_CA, lambda1_certified, spin_irrep
+from .rep_theory import (assemble_minus_CA, biinvariant_lambda1,
+                         lambda1_certified, spin_irrep)
 
 __all__ = [
     "DiamConfig",
@@ -44,6 +45,12 @@ __all__ = [
 
 LI_TOL = 1e-6
 EXACT_TOL = 1e-9
+
+# Defaults of scans and of the verification suite: the log-uniform sigma
+# range and the number of trials.
+DEFAULT_SIGMA_LO = 0.2
+DEFAULT_SIGMA_HI = 5.0
+DEFAULT_TRIALS = 25
 
 CHECK_NAMES = ("li_ok", "simple_bounds_ok", "remark_diam_ok",
                "remark_lambda_ok", "urakawa_ok")
@@ -87,10 +94,15 @@ class ScanRecord:
     diam_upper: float
     diam_method: str
     ratio: float
-    checks: dict
+    checks: tuple[tuple[str, bool], ...]
+
+    def __post_init__(self):
+        # A mapping or pairs in; (name, flag) pairs stored, so that a record
+        # pickles and cannot be mutated.
+        object.__setattr__(self, "checks", tuple(dict(self.checks).items()))
 
     def violated(self) -> list[str]:
-        return [k for k in CHECK_NAMES if not self.checks[k]]
+        return [k for k, ok in self.checks if not ok]
 
 
 @dataclass(frozen=True)
@@ -103,20 +115,6 @@ class ScanSummary:
     violations: list  # (seed, check name) pairs, enough to reproduce
 
 
-_LAMBDA1_IDENTITY: dict[str, float] = {}
-
-
-def lambda1_identity(entry: LieGroupCatalogEntry) -> float:
-    """Certified spectral gap of the reference bi-invariant metric, cached."""
-    val = _LAMBDA1_IDENTITY.get(entry.name)
-    if val is None:
-        res = lambda1_certified(entry, metric_from_matrix(np.eye(entry.dim)))
-        assert res.certified
-        val = res.lambda1
-        _LAMBDA1_IDENTITY[entry.name] = val
-    return val
-
-
 def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
                       config: DiamConfig, net: Optional[Net]) -> DiameterEstimate:
     method = config.resolve(entry)
@@ -127,13 +125,21 @@ def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
             net = build_net(entry, config.net_size, config.knn, config.net_seed)
         return graph_diameter(entry, spec, net, eps_net=config.eps_net)
     if method == "biinv":
-        return biinvariant_diameter(entry)
+        # A A^t = c^2 I scales the bi-invariant distance by 1/c.
+        s1, sm = spec.sigma[0], spec.sigma[-1]
+        if s1 - sm > 1e-12 * s1:
+            raise ValueError("biinv needs a bi-invariant metric, A A^t = c^2 I; "
+                             f"sigma ranges over [{sm:.12g}, {s1:.12g}]")
+        d0 = biinvariant_diameter(entry)
+        return DiameterEstimate(value=d0.value / s1, lower=d0.value / s1,
+                                upper=d0.value / sm, method=d0.method,
+                                farthest_point=d0.farthest_point)
     raise ValueError(f"unsupported diameter method {method!r} for ratio scans")
 
 
 def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
                 diam: DiameterEstimate, eps_net: float) -> dict:
-    lam_i = lambda1_identity(entry)
+    lam_i = biinvariant_lambda1(entry)
     s1, sm = spec.sigma[0], spec.sigma[-1]
     s2 = spec.sigma[1] if spec.m > 1 else spec.sigma[0]
     scale = max(1.0, lam_i * s1 * s1)
@@ -143,29 +149,22 @@ def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
         lam1 >= lam_i * sm * sm - EXACT_TOL * scale
         and lam1 <= lam_i * s1 * s1 + EXACT_TOL * scale)
     checks["urakawa_ok"] = lam1 <= lam_i * float(np.trace(spec.AAt)) + EXACT_TOL * scale
-    if entry.kind == "su2":
+    checks["remark_lambda_ok"] = True
+    checks["remark_diam_ok"] = True
+    if entry.kind in ("su2", "so3"):
+        c = 2 if entry.kind == "su2" else 4
         checks["remark_lambda_ok"] = (
-            lam1 > 2 * s2 * s2 - EXACT_TOL * scale and lam1 <= 8 * s2 * s2 + EXACT_TOL * scale)
+            lam1 > c * s2 * s2 - EXACT_TOL * scale and lam1 <= 8 * s2 * s2 + EXACT_TOL * scale)
+        b = paper_diameter_bounds(entry, spec)
         checks["remark_diam_ok"] = (
-            diam.value * s2 >= math.pi / 2 * (1 - eps_net)
-            and diam.value * s2 <= math.pi * (1 + eps_net))
-    elif entry.kind == "so3":
-        checks["remark_lambda_ok"] = (
-            lam1 > 4 * s2 * s2 - EXACT_TOL * scale and lam1 <= 8 * s2 * s2 + EXACT_TOL * scale)
-        checks["remark_diam_ok"] = (
-            diam.value * s2 >= math.pi / 2 * (1 - eps_net)
-            and diam.value * s2 <= math.sqrt(3) * math.pi / 2 * (1 + eps_net))
+            diam.value >= b.lower * (1 - eps_net) and diam.value <= b.upper * (1 + eps_net))
     elif entry.kind == "torus":
         # Simple two-sided bound with the grid slack of the estimate.
-        d0 = biinvariant_diameter(entry).value
+        b = paper_diameter_bounds(entry, spec)
         slack = diam.upper - diam.value
-        checks["remark_lambda_ok"] = True
         checks["remark_diam_ok"] = (
-            diam.value >= d0 / s1 - slack - EXACT_TOL
-            and diam.value <= d0 / sm + EXACT_TOL * max(1.0, d0 / sm))
-    else:
-        checks["remark_lambda_ok"] = True
-        checks["remark_diam_ok"] = True
+            diam.value >= b.lower - slack - EXACT_TOL
+            and diam.value <= b.upper + EXACT_TOL * max(1.0, b.upper))
     return {k: bool(checks[k]) for k in CHECK_NAMES}
 
 
@@ -198,8 +197,8 @@ def _scan_one(seed: int) -> ScanRecord:
                      net=_WORKER["net"])
 
 
-def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = 0.2,
-         hi: float = 5.0, diam_config: DiamConfig = DiamConfig(),
+def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_LO,
+         hi: float = DEFAULT_SIGMA_HI, diam_config: DiamConfig = DiamConfig(),
          base_seed: int = 0, jobs: int = 1,
          net: Optional[Net] = None) -> tuple[list[ScanRecord], ScanSummary]:
     """Seeded scan over random metrics; per-sample seed = base_seed + index.
@@ -318,17 +317,24 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
     if not (np.all(np.diff(s_values) > 0) or np.all(np.diff(s_values) < 0)):
         raise ValueError("s values must be monotone")
 
+    # Per kind: the metric at s, whether diameters are needed, and the tracked
+    # quantities in output order as name -> f(s, sigma, lambda1, diam).
+    over_sigma4 = {"lambda1_over_sigma4_sq": lambda s, sig, lam, d: lam / sig[3] ** 2}
     if kind == "shrink-transverse":
         if entry.kind == "su2":
             def make(s):
                 return np.diag([1.0, s, s])
-            tracked_keys = ("lambda1_over_sigma1_sq", "diam_times_sigma1", "lambda1_over_s_sq")
             want_diam = True
+            formulas = {
+                "lambda1_over_sigma1_sq": lambda s, sig, lam, d: lam / sig[0] ** 2,
+                "diam_times_sigma1": lambda s, sig, lam, d: d.value * sig[0],
+                "lambda1_over_s_sq": lambda s, sig, lam, d: lam / s ** 2,
+            }
         elif entry.kind == "product" and entry.name == "su2xsu2":
             def make(s):
                 return np.diag([1.0, 1.0, 1.0, 1.0, s, s])
-            tracked_keys = ("lambda1_over_sigma4_sq",)
             want_diam = False
+            formulas = over_sigma4
         else:
             raise ValueError("shrink-transverse runs on su2 or su2xsu2")
     elif kind == "enlarge-generating":
@@ -338,8 +344,8 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
 
         def make(s):
             return P @ np.diag([s, s, s, 1.0, 1.0, 1.0])
-        tracked_keys = ("lambda1_over_sigma4_sq",)
         want_diam = False
+        formulas = over_sigma4
     else:  # torus-dense-line
         if not (entry.kind == "torus" and entry.dim == 2):
             raise ValueError("torus-dense-line runs on t2")
@@ -347,8 +353,8 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
 
         def make(s):
             return P @ np.diag([s, 1.0])
-        tracked_keys = ("diam_times_sigma2",)
         want_diam = True
+        formulas = {"diam_times_sigma2": lambda s, sig, lam, d: d.value * sig[1]}
 
     if want_diam and entry.kind == "su2" and net is None:
         net = build_net(entry, diam_config.net_size, diam_config.knn,
@@ -361,18 +367,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
         diam = None
         if want_diam:
             diam = _compute_diameter(entry, spec, diam_config, net)
-        tracked = {}
-        for key in tracked_keys:
-            if key == "lambda1_over_sigma1_sq":
-                tracked[key] = res.lambda1 / spec.sigma[0] ** 2
-            elif key == "lambda1_over_sigma4_sq":
-                tracked[key] = res.lambda1 / spec.sigma[3] ** 2
-            elif key == "lambda1_over_s_sq":
-                tracked[key] = res.lambda1 / s ** 2
-            elif key == "diam_times_sigma1":
-                tracked[key] = diam.value * spec.sigma[0]
-            elif key == "diam_times_sigma2":
-                tracked[key] = diam.value * spec.sigma[1]
+        tracked = {key: f(s, spec.sigma, res.lambda1, diam) for key, f in formulas.items()}
         rows.append(DegenerationRow(
             s=s, sigma=tuple(float(x) for x in spec.sigma),
             lambda1=res.lambda1, lambda1_certified=res.certified,
@@ -381,7 +376,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
             diam_upper=None if diam is None else diam.upper,
             tracked=tracked))
     monotone = {key: _monotone_tag([r.tracked[key] for r in rows])
-                for key in tracked_keys}
+                for key in formulas}
     return DegenerationReport(kind=kind, group=entry.name, s_values=s_values,
                               rows=rows, monotone=monotone)
 
@@ -414,9 +409,10 @@ def _loewner_bump(spec: MetricSpec, rng: np.random.Generator) -> MetricSpec:
     return metric_from_matrix(np.linalg.cholesky(bbt))
 
 
-def property_suite(entry: LieGroupCatalogEntry, n_trials: int = 25,
+def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
                    seed: int = 0, net: Optional[Net] = None,
-                   lo: float = 0.2, hi: float = 5.0) -> PropertyReport:
+                   lo: float = DEFAULT_SIGMA_LO,
+                   hi: float = DEFAULT_SIGMA_HI) -> PropertyReport:
     """Randomized checks of the structural identities behind the estimates.
 
     Covers: metric invariance under right orthogonal factors, Loewner
@@ -499,7 +495,7 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = 25,
             return None
         record("diameter_loewner_monotonicity", diam_monotonicity)
 
-    lam_i = lambda1_identity(entry)
+    lam_i = biinvariant_lambda1(entry)
 
     def simple_bounds(t):
         s = specs[t]
@@ -547,39 +543,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def scan_columns(m: int) -> list[str]:
-    return (["seed", "group", "m"] + [f"sigma_{i + 1}" for i in range(m)]
-            + ["lambda1", "lambda1_certified", "lambda1_witness",
-               "diam_lower", "diam_value", "diam_upper", "diam_method", "ratio"]
-            + list(CHECK_NAMES))
-
-
-def record_row(rec: ScanRecord) -> list[str]:
-    row = [str(rec.seed), rec.group, str(rec.m)]
-    row += [_fmt(s) for s in rec.sigma]
-    row += [_fmt(rec.lambda1), _fmt(rec.lambda1_certified), rec.lambda1_witness,
-            _fmt(rec.diam_lower), _fmt(rec.diam_value), _fmt(rec.diam_upper),
-            rec.diam_method, _fmt(rec.ratio)]
-    row += [_fmt(rec.checks[k]) for k in CHECK_NAMES]
-    return row
-
-
-def write_scan_csv(records: Sequence[ScanRecord], stream) -> None:
-    if not records:
-        raise ValueError("no records to write")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(scan_columns(records[0].m))
-    for rec in records:
-        writer.writerow(record_row(rec))
-
-
-def scan_csv_text(records: Sequence[ScanRecord]) -> str:
-    buf = io.StringIO()
-    write_scan_csv(records, buf)
-    return buf.getvalue()
-
-
 def record_to_dict(rec: ScanRecord) -> dict:
+    """The scan schema: CSV columns and JSON record keys, in order."""
     d = {"seed": rec.seed, "group": rec.group, "m": rec.m}
     for i, s in enumerate(rec.sigma):
         d[f"sigma_{i + 1}"] = s
@@ -587,9 +552,23 @@ def record_to_dict(rec: ScanRecord) -> dict:
              lambda1_witness=rec.lambda1_witness, diam_lower=rec.diam_lower,
              diam_value=rec.diam_value, diam_upper=rec.diam_upper,
              diam_method=rec.diam_method, ratio=rec.ratio)
-    for k in CHECK_NAMES:
-        d[k] = rec.checks[k]
+    d.update(rec.checks)
     return d
+
+
+def write_scan_csv(records: Sequence[ScanRecord], stream) -> None:
+    if not records:
+        raise ValueError("no records to write")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(record_to_dict(records[0]).keys())
+    for rec in records:
+        writer.writerow([_fmt(v) for v in record_to_dict(rec).values()])
+
+
+def scan_csv_text(records: Sequence[ScanRecord]) -> str:
+    buf = io.StringIO()
+    write_scan_csv(records, buf)
+    return buf.getvalue()
 
 
 def scan_to_json(records: Sequence[ScanRecord], summary: ScanSummary) -> str:

@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import _lattice
 from .lie_core import (GroupElement, LieGroupCatalogEntry, group_log,
-                       is_bracket_generating, quat_conj, quat_mul)
+                       is_bracket_generating, quat_conj, quat_log, quat_mul)
 from .metric_space import MetricSpec
 
 __all__ = [
@@ -63,6 +63,8 @@ MAX_GRID_POINTS = 1 << 24
 # screened maximum.
 _SWEEP_CHUNK = 8192
 _SCREEN_RTOL = 1e-9
+# Closest-vector polish box [-2, 2]^m around the Babai point, both sweeps.
+_POLISH_RADIUS = 2
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,7 @@ class PaperBounds:
 # Flat torus: covering radius of Z^m under the metric Gram form
 # ---------------------------------------------------------------------------
 
-def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray,
-                               offset_radius: int = 2) -> np.ndarray:
+def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance of each point to Z^m under the form gram.
 
     Works in a greedy-reduced basis: round to the nearest basis combination
@@ -116,7 +117,7 @@ def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray,
     T = np.linalg.solve(U, points.T).T
     E = T - np.rint(T)
     best = np.full(points.shape[0], np.inf)
-    for off in _lattice.enumerate_box(offset_radius, m):
+    for off in _lattice.enumerate_box(_POLISH_RADIUS, m):
         D = E - off
         vals = np.einsum("ni,ij,nj->n", D, Qp, D)
         np.minimum(best, vals, out=best)
@@ -139,7 +140,7 @@ def _screen(gram: np.ndarray):
     """
     U = _lattice.greedy_reduce(gram).astype(float)
     Qp = U.T @ gram @ U
-    offsets = _lattice.enumerate_box(2, gram.shape[0]).astype(float)
+    offsets = _lattice.enumerate_box(_POLISH_RADIUS, gram.shape[0]).astype(float)
     P = -2.0 * offsets @ Qp
     c = np.einsum("ki,ij,kj->k", offsets, Qp, offsets)[:, None]
     to_basis = np.linalg.inv(U)
@@ -234,16 +235,7 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
 
 def biinvariant_distance(entry: LieGroupCatalogEntry, a: GroupElement) -> float:
     """Distance from the identity under the reference bi-invariant metric."""
-    if entry.kind == "torus":
-        v = group_log(entry, a)
-        return float(np.linalg.norm(v))
-    if entry.kind in ("su2", "so3"):
-        q = np.asarray(a.data, dtype=float)
-        if entry.kind == "so3":
-            q = q if q[0] >= 0 else -q
-        return float(math.atan2(np.linalg.norm(q[1:]), q[0]))
-    return math.sqrt(sum(
-        biinvariant_distance(f, part) ** 2 for f, part in zip(entry.factors, a.data)))
+    return float(np.linalg.norm(group_log(entry, a)))
 
 
 def biinvariant_diameter(entry: LieGroupCatalogEntry) -> DiameterEstimate:
@@ -322,28 +314,13 @@ def _pair_distances(kind: str, block: np.ndarray, nodes: np.ndarray) -> np.ndarr
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def _log_rows(kind: str, R: np.ndarray) -> np.ndarray:
-    if kind == "so3":
-        R = np.where(R[:, :1] < 0, -R, R)
-    w = R[:, 0]
-    u = R[:, 1:]
-    s = np.linalg.norm(u, axis=1)
-    theta = np.arctan2(s, w)
-    fac = np.where(s > 1e-15, theta / np.maximum(s, 1e-300), 0.0)
-    v = fac[:, None] * u
-    antipodal = (s <= 1e-15) & (w < 0)
-    if np.any(antipodal):  # pragma: no cover - measure zero for random nets
-        v[antipodal] = np.array([math.pi, 0.0, 0.0])
-    return v
-
-
 def _edge_logs(kind: str, nodes: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     logs = np.empty((rows.size, 3))
     for start in range(0, rows.size, _LOG_CHUNK):
         r, c = rows[start:start + _LOG_CHUNK], cols[start:start + _LOG_CHUNK]
         rel = quat_mul(quat_conj(nodes[r]), nodes[c])
-        logs[start:start + r.size] = _log_rows(kind, rel)
+        logs[start:start + r.size] = quat_log(rel, so3=kind == "so3")
     return logs
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "identity_element",
     "quat_mul",
     "quat_conj",
+    "quat_log",
 ]
 
 # Rank decisions in subalgebra closures use this relative singular-value cut.
@@ -239,8 +240,13 @@ def _canonical_sign(q: np.ndarray) -> np.ndarray:
 class Subalgebra:
     """Span closed under the bracket, stored as orthonormal row vectors."""
 
-    basis: np.ndarray  # shape (dim, m), orthonormal rows
+    basis: np.ndarray  # shape (dim, m), orthonormal rows, read-only
     dim: int
+
+    def __post_init__(self):
+        basis = np.array(self.basis, dtype=float)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
 
 def identity_element(entry: LieGroupCatalogEntry) -> GroupElement:
@@ -353,17 +359,27 @@ def _quat_exp(v: np.ndarray) -> np.ndarray:
     return np.concatenate([[math.cos(theta)], s * np.asarray(v, dtype=float)])
 
 
-def _quat_log(q: np.ndarray, cut_tol: float = 1e-12) -> tuple[np.ndarray, bool]:
-    w = float(q[0])
-    u = np.asarray(q[1:], dtype=float)
-    s = float(np.linalg.norm(u))
-    theta = math.atan2(s, w)
-    if s < cut_tol:
-        if w > 0:
-            return np.zeros(3), False
-        # Antipode: every direction is a shortest branch; flag it.
-        return np.array([math.pi, 0.0, 0.0]), True
-    return (theta / s) * u, theta > math.pi - 1e-9
+def quat_log(q: np.ndarray, so3: bool = False) -> np.ndarray:
+    """Principal logarithm of unit quaternions, broadcast over leading axes.
+
+    Returns theta * u / |u| for q = (cos theta, sin theta * u / |u|), theta
+    in [0, pi].  With ``so3`` the quaternions are taken modulo sign, so the
+    representative with nonnegative real part is used and theta <= pi/2.  At
+    the antipode every direction is a shortest branch; (pi, 0, 0) is returned.
+    """
+    q = np.asarray(q, dtype=float)
+    if so3:
+        q = np.where(q[..., :1] < 0, -q, q)
+    w = q[..., 0]
+    u = q[..., 1:]
+    s = np.linalg.norm(u, axis=-1)
+    theta = np.arctan2(s, w)
+    fac = np.where(s > 1e-15, theta / np.maximum(s, 1e-300), 0.0)
+    v = fac[..., None] * u
+    antipodal = (s <= 1e-15) & (w < 0)
+    if np.any(antipodal):
+        v[antipodal] = np.array([math.pi, 0.0, 0.0])
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +411,11 @@ def group_log_with_flag(entry: LieGroupCatalogEntry,
         v = x - np.ceil(x - 0.5)  # representative in (-1/2, 1/2]^m
         return v, bool(np.any(np.abs(np.abs(v) - 0.5) < 1e-12))
     if entry.kind == "su2":
-        return _quat_log(np.asarray(a.data))
+        v = quat_log(a.data)
+        return v, bool(np.linalg.norm(v) > math.pi - 1e-9)
     if entry.kind == "so3":
-        q = np.asarray(a.data, dtype=float)
-        if q[0] < 0:
-            q = -q
-        v, _ = _quat_log(q)
         # Cut locus of SO(3): half turns, i.e. vanishing real part.
-        return v, abs(q[0]) < 1e-12
+        return quat_log(a.data, so3=True), bool(abs(a.data[0]) < 1e-12)
     vs, flag = [], False
     for f, part in zip(entry.factors, a.data):
         v, fl = group_log_with_flag(f, part)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -150,8 +150,8 @@ def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
 def sample_metric(entry: LieGroupCatalogEntry, lo: float, hi: float,
                   seed: int, rotate: bool = True) -> MetricSpec:
     """Seeded random metric: sigma log-uniform in [lo, hi], A = P * diag(sigma)."""
-    if not (0.0 < lo <= hi):
-        raise ValueError("need 0 < lo <= hi")
+    if not (0.0 < lo <= hi < math.inf):
+        raise ValueError("need 0 < lo <= hi < inf")
     rng = np.random.default_rng(seed)
     m = entry.dim
     sigma = np.exp(rng.uniform(math.log(lo), math.log(hi), size=m))
@@ -270,37 +270,50 @@ def class_build(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
 
 
 # ---------------------------------------------------------------------------
-# Plain-text matrix files: "m" on the first line, then m rows of m floats.
+# Matrix text: the file format is "m" on the first line, then m rows of m
+# entries; the inline format is one line of all m*m entries, row-major.
+# Entries are separated by spaces or commas.
 # ---------------------------------------------------------------------------
 
-def parse_matrix_text(text: str) -> np.ndarray:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MatrixFormatError("empty matrix file")
+def parse_matrix_text(text: str, m: Optional[int] = None) -> np.ndarray:
+    """Matrix from text in the file or the inline format.
+
+    ``m`` is the size the caller needs.  The file format states its own size,
+    which must then equal ``m``; the inline format needs ``m``.
+    """
     try:
-        m = int(lines[0])
+        lines = [[float(t) for t in ln.replace(",", " ").split()]
+                 for ln in text.splitlines()]
     except ValueError as e:
-        raise MatrixFormatError("first line must be the dimension") from e
-    if m < 1 or len(lines) != m + 1:
-        raise MatrixFormatError(f"expected {m} rows after the header")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [float(tok) for tok in ln.split()]
-        except ValueError as e:
-            raise MatrixFormatError(f"bad row: {ln!r}") from e
-        if len(row) != m:
-            raise MatrixFormatError(f"expected {m} entries per row")
-        rows.append(row)
-    A = np.array(rows, dtype=float)
+        raise MatrixFormatError(f"cannot parse matrix entries: {text!r}") from e
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise MatrixFormatError("empty matrix text")
+    if len(lines) == 1:
+        if m is None:
+            raise MatrixFormatError("an inline matrix needs its size")
+        if len(lines[0]) != m * m:
+            raise MatrixFormatError(f"need {m * m} entries, got {len(lines[0])}")
+        A = np.array(lines[0]).reshape(m, m)
+    else:
+        header, rows = lines[0], lines[1:]
+        if len(header) != 1 or not header[0].is_integer() or header[0] < 1:
+            raise MatrixFormatError("first line must be the dimension")
+        size = int(header[0])
+        if len(rows) != size or any(len(r) != size for r in rows):
+            raise MatrixFormatError(f"expected {size} rows of {size} entries after the header")
+        A = np.array(rows)
     if not np.all(np.isfinite(A)):
         raise MatrixFormatError("NaN/Inf entries are not allowed")
+    if m is not None and A.shape != (m, m):
+        raise MatrixFormatError(f"matrix is {A.shape[0]}x{A.shape[1]}, need {m}x{m}")
     return A
 
 
-def read_matrix(path: str) -> np.ndarray:
+def read_matrix(path: str, m: Optional[int] = None) -> np.ndarray:
+    """Matrix from a file in either format; see ``parse_matrix_text``."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_matrix_text(f.read())
+        return parse_matrix_text(f.read(), m)
 
 
 def write_matrix(path_or_file: Union[str, io.TextIOBase], A: np.ndarray) -> None:

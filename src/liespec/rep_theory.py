@@ -19,9 +19,9 @@ Irrep catalog:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -41,6 +41,7 @@ __all__ = [
     "assemble_minus_CA",
     "lambda_min_hermitian",
     "lambda1_certified",
+    "biinvariant_lambda1",
     "invariant_dim",
     "lambda1_restricted",
     "sublaplacian_lambda1",
@@ -119,15 +120,9 @@ class SpectralResult:
 # Irrep constructors
 # ---------------------------------------------------------------------------
 
-_SPIN_CACHE: dict[Fraction, np.ndarray] = {}
-_SPIN_LOCK = threading.Lock()
-
-
-def _spin_generators(j: Fraction) -> np.ndarray:
-    with _SPIN_LOCK:
-        cached = _SPIN_CACHE.get(j)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=None)
+def _spin_irrep(j: Fraction) -> Irrep:
+    # Irreps are immutable, so every caller can share one validated instance.
     d = int(2 * j) + 1
     mvals = [j - i for i in range(d)]
     jz = np.diag([float(m) for m in mvals]).astype(complex)
@@ -138,15 +133,9 @@ def _spin_generators(j: Fraction) -> np.ndarray:
     jm = jp.conj().T
     jx = 0.5 * (jp + jm)
     jy = (jp - jm) / 2j
-    G = np.stack([-2j * jx, -2j * jy, -2j * jz])
-    G.flags.writeable = False
-    with _SPIN_LOCK:
-        _SPIN_CACHE[j] = G
-    return G
-
-
-def _format_spin(j: Fraction) -> str:
-    return f"spin({j})"
+    return Irrep(label=f"spin({j})", dim=d,
+                 generators=np.stack([-2j * jx, -2j * jy, -2j * jz]),
+                 casimir=float(4 * j * (j + 1)))
 
 
 def spin_irrep(j) -> Irrep:
@@ -154,8 +143,7 @@ def spin_irrep(j) -> Irrep:
     j = Fraction(j)
     if j < 0 or (2 * j).denominator != 1:
         raise ValueError("spin must be a nonnegative half-integer")
-    return Irrep(label=_format_spin(j), dim=int(2 * j) + 1,
-                 generators=_spin_generators(j), casimir=float(4 * j * (j + 1)))
+    return _spin_irrep(j)
 
 
 def character_irrep(n: Sequence[int]) -> Irrep:
@@ -314,10 +302,13 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     Walks irreps in ascending Casimir order keeping the running minimum of
     lambda_min(-C_A); stops certified once the next Casimir value nu satisfies
     sigma_m^2 * nu > running minimum.  If that would require nu beyond
-    ``window_cap`` the result is returned uncertified.
+    ``window_cap`` the result is returned uncertified; an infinite cap never
+    binds.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
+    if math.isnan(window_cap):
+        raise ValueError("window cap must not be NaN")
     if entry.kind == "torus":
         return _torus_lambda1_certified(spec, window_cap)
     sm2 = spec.sigma[-1] ** 2
@@ -343,6 +334,11 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     raise AssertionError("irrep stream is infinite")  # pragma: no cover
 
 
+def biinvariant_lambda1(entry: LieGroupCatalogEntry) -> float:
+    """Spectral gap of the reference bi-invariant metric: the first Casimir."""
+    return next(_irrep_stream(entry)).casimir
+
+
 def _torus_lambda1_certified(spec: MetricSpec, window_cap: float) -> SpectralResult:
     """Character enumeration in ascending shells with the same stop rule.
 
@@ -361,11 +357,11 @@ def _torus_lambda1_certified(spec: MetricSpec, window_cap: float) -> SpectralRes
     evals = m
 
     radius = int(math.floor(math.sqrt(lam_hat / (FOUR_PI_SQ * sm2)) + 1e-12))
-    cap_radius = int(math.floor(math.sqrt(window_cap / FOUR_PI_SQ) + 1e-12))
+    cap_radius = math.sqrt(window_cap / FOUR_PI_SQ) + 1e-12  # inf: no cap
     certified = True
     reason = ""
     if radius > cap_radius:
-        radius = cap_radius
+        radius = math.floor(cap_radius)
         certified = False
         reason = f"certification needs Casimir window beyond cap {window_cap:g}"
     for pts in _lattice.box_chunks(radius, m):
@@ -425,7 +421,7 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int,
     if P.shape != (m, m) or np.max(np.abs(P.T @ P - np.eye(m))) > 1e-10:
         raise ValueError("P must be orthogonal")
     if k == 1:
-        return next(iter(_irrep_stream(entry))).casimir
+        return biinvariant_lambda1(entry)
     prefix = P[:, :k - 1].T
     if is_bracket_generating(entry, prefix):
         return math.inf

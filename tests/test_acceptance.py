@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import liespec as ls
-from liespec.egs_scan import lambda1_identity
+from liespec.rep_theory import biinvariant_lambda1
 
 TOL = 1e-9
 PI2_4 = math.pi ** 2 / 4
@@ -124,7 +124,7 @@ def test_criterion_6_algebraic_identities(su2):
             scale = max(1.0, float(np.max(np.abs(lhs))))
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
-    lam_i = lambda1_identity(su2)
+    lam_i = biinvariant_lambda1(su2)
     for seed in range(100):
         spec = ls.sample_metric(su2, 0.2, 5.0, seed=seed)
         lam = ls.lambda1_certified(su2, spec).lambda1

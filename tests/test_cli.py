@@ -1,7 +1,9 @@
 """Command-line interface: dispatch, formats, exit codes."""
 
+import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -81,6 +83,19 @@ class TestLambda1:
         assert payload["schema_version"] == 1
         assert payload["lambda1"] == pytest.approx(4 * math.pi ** 2)
 
+    def test_infinite_window_cap_certifies(self, capsys):
+        for group in ("t2", "su2"):
+            code, out, _ = run(capsys, "lambda1", "--group", group, "--window-cap", "inf")
+            assert code == 0
+            assert "certified=true" in out
+
+    def test_nan_window_cap_exit_2(self, capsys):
+        for group in ("t2", "su2", "su2xsu2"):
+            code, out, err = run(capsys, "lambda1", "--group", group, "--window-cap", "nan")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
     def test_window_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "lambda1", "--group", "su2",
                            "--matrix", "5,0,0,0,5,0,0,0,0.2",
@@ -106,6 +121,20 @@ class TestDiam:
         code, out, _ = run(capsys, "diam", "--group", "so3", "--method", "biinv")
         assert code == 0
         assert "method=BiInvariantClosedForm" in out
+
+    def test_biinv_homothety(self, capsys):
+        code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "biinv",
+                           "--matrix", "2,0,0,0,2,0,0,0,2", "--format", "json")
+        assert code == 0
+        est = json.loads(out)
+        assert est["value"] == est["lower"] == est["upper"] == math.pi / 2
+
+    def test_biinv_rejects_other_metrics(self, capsys):
+        code, out, err = run(capsys, "diam", "--group", "su2", "--method", "biinv",
+                             "--matrix", "3,0,0,0,2,0,0,0,1")
+        assert code == 2
+        assert out == ""
+        assert "bi-invariant" in err
 
     def test_graph_small_net(self, capsys):
         code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "graph",
@@ -178,6 +207,43 @@ class TestScan:
         payload = json.loads(out)
         assert payload["schema_version"] == 1
         assert len(payload["records"]) == 3
+
+    def test_pinned_t2_output(self, capsys):
+        """Default t2 scan against output checked in with the format.
+
+        Floats are compared at rtol 1e-12, not bytewise, because LAPACK
+        rounding differs across CPUs; every other field must match exactly.
+        """
+        path = os.path.join(os.path.dirname(__file__), "data", "scan_t2.csv")
+        with open(path, encoding="utf-8") as f:
+            want = f.read().splitlines()
+        code, out, _ = run(capsys, "scan", "--group", "t2", "--samples", "30")
+        assert code == 0
+        got = out.splitlines()
+        assert len(got) == len(want)
+        assert got[0] == want[0]
+        header = want[0].split(",")
+        floats = {"sigma_1", "sigma_2", "lambda1", "diam_lower", "diam_value",
+                  "diam_upper", "ratio"}
+        for g, w in zip(csv.reader(got[1:-1]), csv.reader(want[1:-1])):
+            assert len(g) == len(w) == len(header)
+            for name, a, b in zip(header, g, w):
+                if name in floats:
+                    assert float(a) == pytest.approx(float(b), rel=1e-12, abs=0), name
+                else:
+                    assert a == b, name
+        g_tail, w_tail = got[-1].split(), want[-1].split()
+        assert g_tail[0] == w_tail[0] == "#"
+        assert float(g_tail[1].split("=")[1]) == pytest.approx(
+            float(w_tail[1].split("=")[1]), rel=1e-12, abs=0)
+        assert g_tail[2:] == w_tail[2:]
+
+    def test_infinite_sigma_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--group", "t2", "--samples", "2",
+                             "--sigma-lo", "inf", "--sigma-hi", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_lattice_unavailable_for_su2(self, capsys):
         code, out, err = run(capsys, "scan", "--group", "su2", "--samples", "2",

@@ -1,15 +1,18 @@
 """Ratio records, scans, degeneration sweeps, verification suite, reporting."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import liespec as ls
 from liespec.egs_scan import (CHECK_NAMES, DiamConfig, egs_ratio,
-                              lambda1_identity, property_suite, record_to_dict,
-                              scan, scan_columns, scan_csv_text, scan_to_json)
+                              property_suite, record_to_dict, scan,
+                              scan_csv_text, scan_to_json)
+from liespec.rep_theory import biinvariant_lambda1
 
 T2_CONFIG = DiamConfig(grid_resolution=32)
 SMALL_NET_CONFIG = DiamConfig(net_size=2000)
@@ -22,12 +25,12 @@ class TestEgsRatio:
         assert rec.lambda1 == pytest.approx(3.0, abs=1e-12)
         assert math.pi / 2 * 0.95 <= rec.diam_value <= math.pi * 1.05
         assert rec.ratio == pytest.approx(3.0 * rec.diam_value ** 2)
-        assert all(rec.checks[k] for k in CHECK_NAMES)
+        assert all(dict(rec.checks)[k] for k in CHECK_NAMES)
 
     def test_t2_identity_ratio(self, t2):
         rec = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)), T2_CONFIG)
         assert rec.ratio == pytest.approx(2 * math.pi ** 2, rel=5e-3)
-        assert rec.checks["li_ok"]
+        assert dict(rec.checks)["li_ok"]
 
     def test_homothety_invariance(self, t2, su2, small_net):
         base = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)), T2_CONFIG)
@@ -39,15 +42,24 @@ class TestEgsRatio:
                        SMALL_NET_CONFIG, net=small_net)
         assert rb.ratio == pytest.approx(ra.ratio, rel=1e-9)
 
+    def test_checks_frozen_and_picklable(self, t2):
+        rec = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)), T2_CONFIG)
+        assert [k for k, _ in rec.checks] == list(CHECK_NAMES)
+        with pytest.raises(TypeError):
+            rec.checks["li_ok"] = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.checks = ()
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
     def test_no_estimator_for_products(self, su2xsu2):
         with pytest.raises(ValueError):
             egs_ratio(su2xsu2, ls.metric_from_matrix(np.eye(6)), DiamConfig())
 
-    def test_identity_gap_cache(self, su2, so3, t2, su2xsu2):
-        assert lambda1_identity(su2) == pytest.approx(3.0)
-        assert lambda1_identity(so3) == pytest.approx(8.0)
-        assert lambda1_identity(t2) == pytest.approx(4 * math.pi ** 2)
-        assert lambda1_identity(su2xsu2) == pytest.approx(3.0)
+    def test_identity_gap(self, su2, so3, t2, su2xsu2):
+        assert biinvariant_lambda1(su2) == pytest.approx(3.0)
+        assert biinvariant_lambda1(so3) == pytest.approx(8.0)
+        assert biinvariant_lambda1(t2) == pytest.approx(4 * math.pi ** 2)
+        assert biinvariant_lambda1(su2xsu2) == pytest.approx(3.0)
 
 
 class TestScan:
@@ -171,9 +183,10 @@ class TestReporting:
     def test_csv_column_order(self, t2):
         recs, _ = scan(t2, 2, diam_config=T2_CONFIG)
         header = scan_csv_text(recs).splitlines()[0].split(",")
-        assert header == scan_columns(2)
-        assert header[:5] == ["seed", "group", "m", "sigma_1", "sigma_2"]
-        assert header[-5:] == list(CHECK_NAMES)
+        assert header == ["seed", "group", "m", "sigma_1", "sigma_2", "lambda1",
+                          "lambda1_certified", "lambda1_witness", "diam_lower",
+                          "diam_value", "diam_upper", "diam_method", "ratio",
+                          *CHECK_NAMES]
 
     def test_json_mirror(self, t2):
         recs, summary = scan(t2, 3, diam_config=T2_CONFIG)
@@ -181,7 +194,7 @@ class TestReporting:
         assert payload["schema_version"] == 1
         assert len(payload["records"]) == 3
         rec = payload["records"][0]
-        assert set(rec.keys()) == set(scan_columns(2))
+        assert list(rec) == scan_csv_text(recs).splitlines()[0].split(",")
         assert rec == record_to_dict(recs[0])
 
     def test_record_flags_reproducible(self, t2):
@@ -189,4 +202,4 @@ class TestReporting:
         for rec in recs:
             assert rec.ratio > 0
             li = rec.lambda1 * rec.diam_lower ** 2 >= math.pi ** 2 / 4 - 1e-6
-            assert rec.checks["li_ok"] == li
+            assert dict(rec.checks)["li_ok"] == li

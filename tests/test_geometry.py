@@ -15,9 +15,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import liespec as ls
 from liespec import _lattice
-from liespec.geometry import (DiameterEstimate, _closest_lattice_distances, _grid_points,
-                              _log_rows)
-from liespec.lie_core import quat_conj, quat_mul
+from liespec.geometry import DiameterEstimate, _closest_lattice_distances, _grid_points
+from liespec.lie_core import quat_conj, quat_log, quat_mul
 
 
 def bruteforce_lattice_distance(gram, points, radius=12):
@@ -71,8 +70,8 @@ def reference_edges(net):
     rows, cols = two.row[keep].astype(np.int64), two.col[keep].astype(np.int64)
     order = np.argsort(rows * n + cols)
     rows, cols = rows[order], cols[order]
-    return rows, cols, _log_rows(net.kind, quat_mul(quat_conj(net.nodes[rows]),
-                                                    net.nodes[cols]))
+    return rows, cols, quat_log(quat_mul(quat_conj(net.nodes[rows]), net.nodes[cols]),
+                                so3=net.kind == "so3")
 
 
 def reference_distances(n, rows, cols, w):

@@ -167,6 +167,11 @@ class TestGeneratedSubalgebra:
                 resid = br - sub.basis.T @ (sub.basis @ br)
                 assert np.linalg.norm(resid) <= 1e-9 * max(1.0, np.linalg.norm(br))
 
+    def test_basis_read_only(self, su2):
+        sub = ls.generated_subalgebra(su2, [np.eye(3)[0]])
+        with pytest.raises(ValueError):
+            sub.basis[0, 0] = 2.0
+
     def test_monotone_in_generators(self, su2xsu2):
         rng = np.random.default_rng(8)
         for _ in range(20):

@@ -178,6 +178,8 @@ class TestSampler:
             ls.sample_metric(su2, 0.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             ls.sample_metric(su2, 2.0, 1.0, seed=0)
+        with pytest.raises(ValueError):
+            ls.sample_metric(su2, 1.0, math.inf, seed=0)
 
 
 class TestMetricClasses:
@@ -246,6 +248,14 @@ class TestMatrixFiles:
             parse_matrix_text("3\n1 0\n0 1\n")
         with pytest.raises(ls.MatrixFormatError):
             parse_matrix_text("")
+
+    def test_inline_format_and_size(self):
+        assert np.array_equal(parse_matrix_text("1, 2 3,4", 2), [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(parse_matrix_text("2\n1 0\n0 1\n", 2), np.eye(2))
+        for text, m in (("1,2,3", 2), ("1,2,3,4", None), ("1,inf,0,1", 2),
+                        ("1,x,0,1", 2), ("2\n1 0\n0 1\n", 3)):
+            with pytest.raises(ls.MatrixFormatError):
+                parse_matrix_text(text, m)
 
     def test_write_to_stream(self):
         buf = io.StringIO()

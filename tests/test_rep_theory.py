@@ -77,6 +77,13 @@ class TestIrreps:
         cas = -np.einsum("iab,ibc->ac", G, G)
         assert np.max(np.abs(cas - irr.casimir * np.eye(irr.dim))) < 1e-10
 
+    def test_spin_irreps_shared(self):
+        # One validated, immutable instance per spin.
+        irr = ls.spin_irrep("3/2")
+        assert ls.spin_irrep(Fraction(3, 2)) is irr
+        with pytest.raises(ValueError):
+            irr.generators[0, 0, 0] = 1.0
+
     def test_character_invariants(self, t2):
         irr = ls.character_irrep([2, -1])
         assert irr.dim == 1
@@ -243,6 +250,14 @@ class TestLambdaMinHermitian:
 
 
 class TestCertifiedGap:
+    def test_biinvariant_gap_is_certified_identity_gap(self, so3):
+        for key in ("su2", "t1", "t2", "t3", "t4", "su2xsu2"):
+            entry = ls.entry_from_key(key)
+            res = ls.lambda1_certified(entry, ls.metric_from_matrix(np.eye(entry.dim)))
+            assert ls.biinvariant_lambda1(entry) == res.lambda1, key
+        res = ls.lambda1_certified(so3, ls.metric_from_matrix(np.eye(3)))
+        assert ls.biinvariant_lambda1(so3) == 8.0 == pytest.approx(res.lambda1, rel=1e-14)
+
     def test_su2_identity(self, su2):
         res = ls.lambda1_certified(su2, ls.metric_from_matrix(np.eye(3)))
         assert res.certified
