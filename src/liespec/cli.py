@@ -49,8 +49,7 @@ def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
 
 
 def _diam_config(args) -> DiamConfig:
-    return DiamConfig(method=getattr(args, "method", DiamConfig.method),
-                      net_size=args.net_size, knn=args.knn,
+    return DiamConfig(net_size=args.net_size, knn=args.knn,
                       grid_resolution=args.grid_resolution, eps_net=args.eps_net,
                       net_seed=args.seed)
 
@@ -241,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diam", help="diameter estimate")
     common(p)
-    p.add_argument("--method", choices=("auto", "graph", "lattice", "biinv", "bounds"),
-                   default="auto")
+    p.add_argument("--method", choices=("auto", "bounds"), default="auto",
+                   help="auto: the estimate the metric allows; bounds: the "
+                        "closed-form interval")
     net_flags(p)
     p.set_defaults(fn=_cmd_diam)
 
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sigma-lo", type=float, default=DEFAULT_SIGMA_LO)
     p.add_argument("--sigma-hi", type=float, default=DEFAULT_SIGMA_HI)
-    p.add_argument("--method", choices=("auto", "graph", "lattice"), default="auto")
     p.add_argument("--jobs", type=int, default=1)
     net_flags(p)
     p.set_defaults(fn=_cmd_scan)

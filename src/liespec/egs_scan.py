@@ -60,24 +60,13 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 @dataclass(frozen=True)
 class DiamConfig:
-    """How to compute diameters during scans and experiments."""
+    """Settings of the diameter estimators in scans and experiments."""
 
-    method: str = "auto"  # auto | graph | lattice | biinv
     net_size: int = DEFAULT_NET_SIZE
     knn: int = DEFAULT_KNN
     grid_resolution: int = DEFAULT_GRID_RESOLUTION
     eps_net: float = DEFAULT_EPS_NET
     net_seed: int = 0
-
-    def resolve(self, entry: LieGroupCatalogEntry) -> str:
-        """The method to run on entry; ValueError when it does not apply."""
-        method = self.method
-        if method == "auto":
-            method = "lattice" if entry.kind == "torus" else "graph"
-        if ((method == "lattice" and entry.kind != "torus")
-                or (method == "graph" and entry.kind not in ("su2", "so3"))):
-            raise ValueError(f"no {method} diameter estimator for {entry.name}")
-        return method
 
 
 @dataclass(frozen=True)
@@ -117,24 +106,25 @@ class ScanSummary:
 
 def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
                       config: DiamConfig, net: Optional[Net]) -> DiameterEstimate:
-    method = config.resolve(entry)
-    if method == "lattice":
-        return torus_diameter(spec, grid_resolution=config.grid_resolution)
-    if method == "graph":
-        if net is None:
-            net = build_net(entry, config.net_size, config.knn, config.net_seed)
-        return graph_diameter(entry, spec, net, eps_net=config.eps_net)
-    if method == "biinv":
-        # A A^t = c^2 I scales the bi-invariant distance by 1/c.
-        s1, sm = spec.sigma[0], spec.sigma[-1]
-        if s1 - sm > 1e-12 * s1:
-            raise ValueError("biinv needs a bi-invariant metric, A A^t = c^2 I; "
-                             f"sigma ranges over [{sm:.12g}, {s1:.12g}]")
+    """The diameter by the one method the input allows.
+
+    Homotheties A A^t = c^2 I (sigma_1 = sigma_m within 1e-12 relative) take
+    the closed form d0 / c on every group, tori the lattice covering radius,
+    su2/so3 the geodesic graph on ``net`` (built from ``config`` when None).
+    """
+    s1, sm = spec.sigma[0], spec.sigma[-1]
+    if s1 - sm <= 1e-12 * s1:
         d0 = biinvariant_diameter(entry)
         return DiameterEstimate(value=d0.value / s1, lower=d0.value / s1,
                                 upper=d0.value / sm, method=d0.method,
                                 farthest_point=d0.farthest_point)
-    raise ValueError(f"unsupported diameter method {method!r} for ratio scans")
+    if entry.kind == "torus":
+        return torus_diameter(spec, grid_resolution=config.grid_resolution)
+    if entry.kind in ("su2", "so3"):
+        if net is None:
+            net = build_net(entry, config.net_size, config.knn, config.net_seed)
+        return graph_diameter(entry, spec, net, eps_net=config.eps_net)
+    raise ValueError(f"no diameter estimator for {entry.name} off homotheties")
 
 
 def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
@@ -171,9 +161,13 @@ def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
 def egs_ratio(entry: LieGroupCatalogEntry, spec: MetricSpec,
               diam_config: DiamConfig = DiamConfig(), seed: int = 0,
               net: Optional[Net] = None) -> ScanRecord:
-    """One ratio record: certified gap, diameter estimate, check flags."""
-    res = lambda1_certified(entry, spec)
+    """One ratio record: certified gap, diameter estimate, check flags.
+
+    The diameter comes first, so a metric without an estimator fails before
+    the gap is paid for.
+    """
     diam = _compute_diameter(entry, spec, diam_config, net)
+    res = lambda1_certified(entry, spec)
     checks = _run_checks(entry, spec, res.lambda1, diam, diam_config.eps_net)
     return ScanRecord(
         seed=seed, group=entry.name, m=entry.dim, sigma=tuple(float(s) for s in spec.sigma),
@@ -208,7 +202,7 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if net is None and diam_config.resolve(entry) == "graph":
+    if net is None and entry.kind in ("su2", "so3"):
         net = build_net(entry, diam_config.net_size, diam_config.knn,
                         diam_config.net_seed)
     seeds = [base_seed + i for i in range(n_samples)]

@@ -148,7 +148,7 @@ def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_metric(entry: LieGroupCatalogEntry, lo: float, hi: float,
-                  seed: int, rotate: bool = True) -> MetricSpec:
+                  seed: int) -> MetricSpec:
     """Seeded random metric: sigma log-uniform in [lo, hi], A = P * diag(sigma)."""
     if not (0.0 < lo <= hi < math.inf):
         raise ValueError("need 0 < lo <= hi < inf")
@@ -156,8 +156,7 @@ def sample_metric(entry: LieGroupCatalogEntry, lo: float, hi: float,
     m = entry.dim
     sigma = np.exp(rng.uniform(math.log(lo), math.log(hi), size=m))
     sigma = np.sort(sigma)[::-1]
-    P = random_rotation(m, rng) if rotate else np.eye(m)
-    return metric_from_matrix(P @ np.diag(sigma))
+    return metric_from_matrix(random_rotation(m, rng) @ np.diag(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +205,19 @@ class DiagonalClass:
 MetricClassSpec = Union[SigmaRatioClass, RotationBlockClass, DiagonalClass]
 
 
+# Relative tolerance of class membership: against sigma_1^2 for the block
+# tests, against the compared sigma for the ratio test.
+_CLASS_TOL = 1e-9
+
+
 def class_member(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
-                 spec: MetricSpec, tol: float = 1e-9) -> bool:
+                 spec: MetricSpec) -> bool:
     if isinstance(klass, SigmaRatioClass):
-        return bool(spec.sigma[1] <= klass.c0 * spec.sigma[entry.k_max - 1] * (1 + tol))
+        return bool(spec.sigma[1] <= klass.c0 * spec.sigma[entry.k_max - 1] * (1 + _CLASS_TOL))
     if isinstance(klass, DiagonalClass):
         M = klass.P.T @ spec.AAt @ klass.P
         off = M - np.diag(np.diag(M))
-        return bool(np.max(np.abs(off)) <= tol * spec.sigma[0] ** 2)
+        return bool(np.max(np.abs(off)) <= _CLASS_TOL * spec.sigma[0] ** 2)
     if isinstance(klass, RotationBlockClass):
         k = ell_index(entry, klass.P)
         M = klass.P.T @ spec.AAt @ klass.P
@@ -222,14 +226,14 @@ def class_member(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
         mask[:k - 1, :k - 1] = True
         mask[k - 1, k - 1] = True
         mask[k:, k:] = True
-        if np.max(np.abs(np.where(mask, 0.0, M))) > tol * scale:
+        if np.max(np.abs(np.where(mask, 0.0, M))) > _CLASS_TOL * scale:
             return False
         top = M[:k - 1, :k - 1]
         mid = M[k - 1, k - 1]
         bot = M[k:, k:]
         lo_top = np.linalg.eigvalsh(top)[0] if top.size else math.inf
         hi_bot = np.linalg.eigvalsh(bot)[-1] if bot.size else 0.0
-        return bool(lo_top >= mid - tol * scale and mid >= hi_bot - tol * scale)
+        return bool(lo_top >= mid - _CLASS_TOL * scale and mid >= hi_bot - _CLASS_TOL * scale)
     raise TypeError(f"unknown metric class {klass!r}")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,14 +87,14 @@ class Irrep:
         if np.max(np.abs(cas - self.casimir * np.eye(self.dim))) > 1e-10 * max(1.0, self.casimir):
             raise ValueError(f"{self.label}: Casimir does not act by the stated scalar")
 
-    def check_commutators(self, entry: LieGroupCatalogEntry, tol: float = 1e-11) -> float:
+    def check_commutators(self, entry: LieGroupCatalogEntry) -> float:
         """Max residual of [pi(X_i), pi(X_j)] - sum_k c_ij^k pi(X_k)."""
         G = self.generators
         comm = np.matmul(G[:, None], G[None, :])
         comm = comm - np.swapaxes(comm, 0, 1)
         target = np.einsum("ijk,kab->ijab", entry.structure_constants, G)
         res = float(np.max(np.abs(comm - target)))
-        if res > tol * max(1.0, float(np.max(np.abs(G))) ** 2):
+        if res > 1e-11 * max(1.0, float(np.max(np.abs(G))) ** 2):
             raise ValueError(f"{self.label}: commutators do not match the bracket")
         return res
 
@@ -183,7 +184,7 @@ def _spin_stream(step: Fraction, include_trivial: bool) -> Iterator[Irrep]:
 def _character_stream(m: int, include_trivial: bool) -> Iterator[Irrep]:
     if include_trivial:
         yield character_irrep(np.zeros(m, dtype=np.int64))
-    radius = 4
+    radius = 1
     emitted = 0
     while True:
         pts = _lattice.enumerate_box(radius, m)
@@ -191,11 +192,7 @@ def _character_stream(m: int, include_trivial: bool) -> Iterator[Irrep]:
         keep = (norms > 0) & (norms <= radius * radius)
         pts, norms = pts[keep], norms[keep]
         order = np.lexsort(tuple(pts[:, c] for c in reversed(range(m))) + (norms,))
-        count = 0
-        for idx in order:
-            count += 1
-            if count <= emitted:
-                continue
+        for idx in order[emitted:]:
             yield character_irrep(pts[idx])
         emitted = int(pts.shape[0])
         radius *= 2
@@ -235,16 +232,8 @@ def _irrep_stream(entry: LieGroupCatalogEntry, include_trivial: bool = False) ->
         stream = _irrep_stream(entry.factors[0], include_trivial=True)
         for f in entry.factors[1:]:
             stream = _merge_streams(stream, _irrep_stream(f, include_trivial=True))
-        if include_trivial:
-            return stream
-
-        def skip_trivial(src):
-            first = next(src)
-            if first.casimir > 0:  # pragma: no cover - trivial always leads
-                yield first
-            yield from src
-
-        return skip_trivial(stream)
+        # The trivial pair has Casimir 0 and always leads.
+        return stream if include_trivial else itertools.islice(stream, 1, None)
     raise ValueError(f"no irrep catalog for kind {entry.kind!r}")
 
 
@@ -303,12 +292,12 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     lambda_min(-C_A); stops certified once the next Casimir value nu satisfies
     sigma_m^2 * nu > running minimum.  If that would require nu beyond
     ``window_cap`` the result is returned uncertified; an infinite cap never
-    binds.
+    binds.  The cap must be positive.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
-    if math.isnan(window_cap):
-        raise ValueError("window cap must not be NaN")
+    if not window_cap > 0:
+        raise ValueError(f"window cap must be positive, got {window_cap:g}")
     if entry.kind == "torus":
         return _torus_lambda1_certified(spec, window_cap)
     sm2 = spec.sigma[-1] ** 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import liespec as ls
+from liespec import egs_scan
 from liespec.cli import main
 
 
@@ -91,10 +92,12 @@ class TestLambda1:
 
     def test_nan_window_cap_exit_2(self, capsys):
         for group in ("t2", "su2", "su2xsu2"):
-            code, out, err = run(capsys, "lambda1", "--group", group, "--window-cap", "nan")
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: ")
+            for cap in ("nan", "-1", "0"):
+                code, out, err = run(capsys, "lambda1", "--group", group,
+                                     "--window-cap", cap)
+                assert code == 2, (group, cap)
+                assert out == ""
+                assert err.startswith("error: window cap must be positive")
 
     def test_window_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "lambda1", "--group", "su2",
@@ -104,11 +107,18 @@ class TestLambda1:
         assert "uncertified" in err
 
 
+# Metrics that are not homotheties, so that diam reaches the estimators.
+SU2_SKEW = "3,0,0,0,2,0,0,0,1"
+T2_SKEW = "1,0,0,2"
+
+
 class TestDiam:
     def test_t2_lattice(self, capsys):
-        code, out, _ = run(capsys, "diam", "--group", "t2", "--method", "lattice")
+        code, out, _ = run(capsys, "diam", "--group", "t2", "--matrix", T2_SKEW)
         assert code == 0
-        assert "diam=0.707106781187" in out
+        # gram = diag(1, 1/4): the covering radius of the rectangular lattice.
+        assert f"diam={math.sqrt(1.25) / 2:.12g} " in out
+        assert "method=TorusCoveringRadius" in out
 
     def test_bounds_tagged(self, capsys):
         code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "bounds")
@@ -118,55 +128,43 @@ class TestDiam:
         assert "sigma_2" in out
 
     def test_biinv(self, capsys):
-        code, out, _ = run(capsys, "diam", "--group", "so3", "--method", "biinv")
+        code, out, _ = run(capsys, "diam", "--group", "so3")
         assert code == 0
         assert "method=BiInvariantClosedForm" in out
+        code, out, _ = run(capsys, "diam", "--group", "su2xsu2", "--format", "json")
+        assert code == 0
+        est = json.loads(out)
+        assert est["method"] == "BiInvariantClosedForm"
+        assert est["value"] == est["lower"] == est["upper"] == math.sqrt(2) * math.pi
 
     def test_biinv_homothety(self, capsys):
-        code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "biinv",
+        code, out, _ = run(capsys, "diam", "--group", "su2",
                            "--matrix", "2,0,0,0,2,0,0,0,2", "--format", "json")
         assert code == 0
         est = json.loads(out)
         assert est["value"] == est["lower"] == est["upper"] == math.pi / 2
 
-    def test_biinv_rejects_other_metrics(self, capsys):
-        code, out, err = run(capsys, "diam", "--group", "su2", "--method", "biinv",
-                             "--matrix", "3,0,0,0,2,0,0,0,1")
-        assert code == 2
-        assert out == ""
-        assert "bi-invariant" in err
-
     def test_graph_small_net(self, capsys):
-        code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "graph",
+        code, out, _ = run(capsys, "diam", "--group", "su2", "--matrix", SU2_SKEW,
                            "--net-size", "500", "--knn", "8")
         assert code == 0
         assert "method=GeodesicGraph" in out
 
     def test_json_params_keys(self, capsys):
-        code, out, _ = run(capsys, "diam", "--group", "su2", "--method", "graph",
+        code, out, _ = run(capsys, "diam", "--group", "su2", "--matrix", SU2_SKEW,
                            "--net-size", "500", "--knn", "8", "--format", "json")
         assert code == 0
         params = json.loads(out)["params"]
         assert params == {"net_size": 500, "knn": 8, "eps_net": 0.1, "seed": 0}
-        code, out, _ = run(capsys, "diam", "--group", "t2", "--method", "lattice",
+        code, out, _ = run(capsys, "diam", "--group", "t2", "--matrix", T2_SKEW,
                            "--grid-resolution", "16", "--format", "json")
         assert json.loads(out)["params"] == {"grid_resolution": 16}
 
     def test_oversized_grid_exit_2(self, capsys):
-        code, _, err = run(capsys, "diam", "--group", "t2", "--method", "lattice",
+        code, _, err = run(capsys, "diam", "--group", "t2", "--matrix", T2_SKEW,
                            "--grid-resolution", "100000")
         assert code == 2
         assert "grid points" in err
-
-    def test_graph_unavailable_for_torus(self, capsys):
-        code, _, err = run(capsys, "diam", "--group", "t2", "--method", "graph")
-        assert code == 2
-
-    def test_lattice_unavailable_for_su2(self, capsys):
-        code, out, err = run(capsys, "diam", "--group", "su2", "--method", "lattice")
-        assert code == 2
-        assert out == ""
-        assert "no lattice diameter estimator" in err
 
 
 class TestEll:
@@ -245,12 +243,15 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_lattice_unavailable_for_su2(self, capsys):
-        code, out, err = run(capsys, "scan", "--group", "su2", "--samples", "2",
-                             "--method", "lattice")
+    def test_no_estimator_exits_before_the_gap(self, capsys, monkeypatch):
+        def gap(*args, **kwargs):
+            raise AssertionError("the gap was computed")
+        monkeypatch.setattr(egs_scan, "lambda1_certified", gap)
+        code, out, err = run(capsys, "scan", "--group", "su2xsu2", "--samples", "1",
+                             "--seed", "13")
         assert code == 2
         assert out == ""
-        assert "no lattice diameter estimator" in err
+        assert "no diameter estimator for su2xsu2" in err
 
 
 class TestDegenerate:

@@ -52,8 +52,23 @@ class TestEgsRatio:
         assert pickle.loads(pickle.dumps(rec)) == rec
 
     def test_no_estimator_for_products(self, su2xsu2):
-        with pytest.raises(ValueError):
-            egs_ratio(su2xsu2, ls.metric_from_matrix(np.eye(6)), DiamConfig())
+        skew = ls.metric_from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="no diameter estimator"):
+            egs_ratio(su2xsu2, skew, DiamConfig())
+
+    @pytest.mark.parametrize("key, ratio", [
+        ("su2", 3.0), ("so3", 2.0), ("t1", 1.0), ("t2", 2.0), ("t3", 3.0),
+        ("t4", 4.0), ("su2xsu2", 6.0)])
+    def test_homothety_closed_form(self, key, ratio):
+        # A = c I: the bi-invariant diameter d0 scaled by 1/c on every group.
+        entry = ls.entry_from_key(key)
+        d0 = ls.biinvariant_diameter(entry).value
+        for c in (0.5, 2.0):
+            rec = egs_ratio(entry, ls.metric_from_matrix(c * np.eye(entry.dim)))
+            assert rec.diam_method == "BiInvariantClosedForm"
+            assert rec.diam_value == rec.diam_lower == rec.diam_upper == d0 / c
+            assert rec.ratio == pytest.approx(ratio * math.pi ** 2, rel=1e-12)
+            assert rec.violated() == []
 
     def test_identity_gap(self, su2, so3, t2, su2xsu2):
         assert biinvariant_lambda1(su2) == pytest.approx(3.0)

@@ -1,5 +1,6 @@
 """Irrep catalog and spectral-gap computations against independent oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import liespec as ls
-from liespec.rep_theory import FOUR_PI_SQ, _irrep_stream, _pair_irrep
+from liespec.rep_theory import (FOUR_PI_SQ, _character_stream, _irrep_stream,
+                                _pair_irrep)
 
 # Closed-form gaps under the fixed normalisation, derived from the explicit
 # two-candidate structure of the low spins: the spin-1/2 assembly is always
@@ -161,6 +163,22 @@ class TestIrreps:
                        axis=-1).reshape(-1, 2)
         expect = int(np.sum((pts ** 2).sum(axis=1) <= 26)) - 1
         assert len(ls.enumerate_irreps(t2, FOUR_PI_SQ * 26)) == expect
+
+    @pytest.mark.parametrize("m, radius", [(1, 250), (2, 13), (3, 5), (4, 4)])
+    def test_character_order(self, m, radius):
+        # Brute force: the ball |n| <= radius, sorted by |n|^2 and then by n.
+        ball = sorted((sum(x * x for x in n), n)
+                      for n in itertools.product(range(-radius, radius + 1), repeat=m)
+                      if 0 < sum(x * x for x in n) <= radius * radius)
+        n_chars = 500
+        assert len(ball) >= n_chars
+        zero = "char(" + ",".join(["0"] * m) + ")"
+        want = [zero] + ["char(" + ",".join(map(str, n)) + ")"
+                         for _, n in ball[:n_chars]]
+        for trivial in (True, False):
+            got = [c.label for c in itertools.islice(_character_stream(m, trivial),
+                                                     n_chars + trivial)]
+            assert got == want[1 - trivial:]
 
 
 class TestAssembly:
