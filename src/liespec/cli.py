@@ -23,16 +23,15 @@ import numpy as np
 
 from . import startup_self_test
 from .egs_scan import (DEFAULT_SIGMA_HI, DEFAULT_SIGMA_LO, DEFAULT_TRIALS,
-                       DiamConfig, _compute_diameter, degeneration_experiment,
-                       property_suite, scan, scan_csv_text, scan_to_json)
+                       SCHEMA_VERSION, DiamConfig, _compute_diameter,
+                       degeneration_experiment, property_suite, scan,
+                       scan_csv_text, scan_to_json)
 from .geometry import paper_diameter_bounds
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
 from .metric_space import (MatrixFormatError, SingularMatrixError,
                            metric_from_matrix, parse_matrix_text, read_matrix)
 from .rep_theory import DEFAULT_WINDOW_CAP, lambda1_certified
-
-SCHEMA_VERSION = 1
 
 
 class ComputationError(RuntimeError):
@@ -54,21 +53,21 @@ def _diam_config(args) -> DiamConfig:
                       net_seed=args.seed)
 
 
+def _write(args, text: str) -> None:
+    """The one output writer: the ``--out`` file when given, else stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
-    out = sys.stdout
-    close = False
-    if getattr(args, "out", None):
-        out = open(args.out, "w", encoding="utf-8")
-        close = True
-    try:
-        if args.format == "json":
-            payload = {"schema_version": SCHEMA_VERSION, **payload}
-            out.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            out.write("\n".join(table_lines) + "\n")
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
+    else:
+        text = "\n".join(table_lines)
+    _write(args, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +142,7 @@ def _cmd_scan(args) -> int:
         viol = sum(summary.violation_counts.values())
         text += (f"# max_ratio={summary.max_ratio:.17g} argmax_seed={summary.argmax_seed}"
                  f" violations={viol}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0
 
 
@@ -172,9 +167,9 @@ def _cmd_degenerate(args) -> int:
         "rows": [{"s": r.s, "sigma": list(r.sigma), "lambda1": r.lambda1,
                   "lambda1_certified": r.lambda1_certified,
                   "diam_value": r.diam_value, "diam_lower": r.diam_lower,
-                  "diam_upper": r.diam_upper, "tracked": r.tracked}
+                  "diam_upper": r.diam_upper, "tracked": dict(r.tracked)}
                  for r in report.rows],
-        "monotone": report.monotone,
+        "monotone": dict(report.monotone),
     }
     _emit(args, payload, lines)
     return 0
@@ -211,15 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "on compact Lie groups (t1..t4, su2, so3, su2xsu2).")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=True):
+    def common(p, matrix=True, seed=False, formats=("table", "json")):
         p.add_argument("--group", required=True,
                        help="group key: t1..t4, su2, so3, su2xsu2")
         if matrix:
             p.add_argument("--matrix", default=None,
                            help="row-major entries (comma/space separated) or a "
                                 "matrix file path; defaults to the identity")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to this file")
 
     def net_flags(p):
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--method", choices=("auto", "bounds"), default="auto",
                    help="auto: the estimate the metric allows; bounds: the "
                         "closed-form interval")
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ell)
 
     p = sub.add_parser("scan", help="seeded random ratio scan (CSV/JSON)")
-    common(p, matrix=False)
+    common(p, matrix=False, seed=True, formats=("csv", "json"))
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sigma-lo", type=float, default=DEFAULT_SIGMA_LO)
     p.add_argument("--sigma-hi", type=float, default=DEFAULT_SIGMA_HI)
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("degenerate", help="degeneration sweep")
-    common(p, matrix=False)
+    common(p, matrix=False, seed=True)
     p.add_argument("--kind", required=True,
                    choices=("shrink-transverse", "enlarge-generating", "torus-dense-line"))
     p.add_argument("--s-values", required=True, help="comma separated list")
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_degenerate)
 
     p = sub.add_parser("verify", help="randomized verification suite")
-    common(p, matrix=False)
+    common(p, matrix=False, seed=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(fn=_cmd_verify)
 

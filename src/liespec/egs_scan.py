@@ -14,7 +14,8 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +52,9 @@ EXACT_TOL = 1e-9
 DEFAULT_SIGMA_LO = 0.2
 DEFAULT_SIGMA_HI = 5.0
 DEFAULT_TRIALS = 25
+
+# Version of every JSON report's layout, scan and CLI alike.
+SCHEMA_VERSION = 1
 
 CHECK_NAMES = ("li_ok", "simple_bounds_ok", "remark_diam_ok",
                "remark_lambda_ok", "urakawa_ok")
@@ -100,8 +104,13 @@ class ScanSummary:
     max_ratio: float
     argmax_seed: int
     argmax_sigma: tuple
-    violation_counts: dict
-    violations: list  # (seed, check name) pairs, enough to reproduce
+    violation_counts: Mapping[str, int]  # read-only
+    violations: tuple[tuple[int, str], ...]  # (seed, check name), enough to reproduce
+
+    def __post_init__(self):
+        object.__setattr__(self, "violation_counts",
+                           MappingProxyType(dict(self.violation_counts)))
+        object.__setattr__(self, "violations", tuple(map(tuple, self.violations)))
 
 
 def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
@@ -238,7 +247,10 @@ class DegenerationRow:
     diam_value: Optional[float]
     diam_lower: Optional[float]
     diam_upper: Optional[float]
-    tracked: dict
+    tracked: Mapping[str, float]  # read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "tracked", MappingProxyType(dict(self.tracked)))
 
 
 @dataclass(frozen=True)
@@ -246,8 +258,12 @@ class DegenerationReport:
     kind: str
     group: str
     s_values: tuple
-    rows: list
-    monotone: dict  # tracked key -> 'increasing' | 'decreasing' | 'mixed'
+    rows: tuple[DegenerationRow, ...]
+    monotone: Mapping[str, str]  # read-only: key -> 'increasing' | 'decreasing' | 'mixed'
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "monotone", MappingProxyType(dict(self.monotone)))
 
 
 def _monotone_tag(values: Sequence[float]) -> str:
@@ -383,13 +399,19 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
 class PropertyCheck:
     name: str
     trials: int
-    failures: list
+    failures: tuple[dict, ...]  # one counterexample per failed trial
+
+    def __post_init__(self):
+        object.__setattr__(self, "failures", tuple(self.failures))
 
 
 @dataclass(frozen=True)
 class PropertyReport:
     group: str
-    checks: list
+    checks: tuple[PropertyCheck, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     @property
     def all_passed(self) -> bool:
@@ -404,16 +426,15 @@ def _loewner_bump(spec: MetricSpec, rng: np.random.Generator) -> MetricSpec:
 
 
 def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
-                   seed: int = 0, net: Optional[Net] = None,
-                   lo: float = DEFAULT_SIGMA_LO,
-                   hi: float = DEFAULT_SIGMA_HI) -> PropertyReport:
+                   seed: int = 0, net: Optional[Net] = None) -> PropertyReport:
     """Randomized checks of the structural identities behind the estimates.
 
     Covers: metric invariance under right orthogonal factors, Loewner
     monotonicity of lengths, spectral gaps and fixed-net diameters, the mixed
     Casimir assembly identity, the simple two-sided gap bounds, the trace
     bound, and gap homothety.  Failures carry the matrices needed to
-    reproduce.
+    reproduce.  Each sampled metric's certified gap is computed once and
+    shared by the checks that need it.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -428,9 +449,11 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
                 failures.append(data)
         checks.append(PropertyCheck(name=name, trials=n_trials, failures=failures))
 
-    specs = [sample_metric(entry, lo, hi, seed=int(rng.integers(2 ** 31)))
+    specs = [sample_metric(entry, DEFAULT_SIGMA_LO, DEFAULT_SIGMA_HI,
+                           seed=int(rng.integers(2 ** 31)))
              for _ in range(n_trials)]
     bumped = [_loewner_bump(s, rng) for s in specs]
+    gaps = [lambda1_certified(entry, s).lambda1 for s in specs]
 
     def right_invariance(t):
         s = specs[t]
@@ -454,7 +477,7 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
 
     def gap_monotonicity(t):
         a, b = specs[t], bumped[t]
-        la = lambda1_certified(entry, a).lambda1
+        la = gaps[t]
         lb = lambda1_certified(entry, b).lambda1
         if la > lb + 1e-9 * max(1.0, lb):
             return {"A": a.A.tolist(), "B": b.A.tolist(), "la": la, "lb": lb}
@@ -492,8 +515,7 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
     lam_i = biinvariant_lambda1(entry)
 
     def simple_bounds(t):
-        s = specs[t]
-        lam = lambda1_certified(entry, s).lambda1
+        s, lam = specs[t], gaps[t]
         lo_b = lam_i * s.sigma[-1] ** 2
         hi_b = lam_i * s.sigma[0] ** 2
         tol = 1e-9 * max(1.0, hi_b)
@@ -503,8 +525,7 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
     record("spectral_simple_bounds", simple_bounds)
 
     def trace_bound(t):
-        s = specs[t]
-        lam = lambda1_certified(entry, s).lambda1
+        s, lam = specs[t], gaps[t]
         tr = float(np.trace(s.AAt))
         tol = 1e-9 * max(1.0, lam_i * tr)
         if lam > lam_i * tr + tol or s.sigma[0] ** 2 > tr + tol:
@@ -513,9 +534,8 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
     record("trace_upper_bound", trace_bound)
 
     def homothety(t):
-        s = specs[t]
+        s, lam = specs[t], gaps[t]
         c = float(rng.uniform(0.5, 2.0))
-        lam = lambda1_certified(entry, s).lambda1
         lam_t = lambda1_certified(entry, metric_from_matrix(c * s.A)).lambda1
         if abs(lam_t - c * c * lam) > 1e-9 * max(1.0, lam_t):
             return {"A": s.A.tolist(), "c": c}
@@ -567,14 +587,14 @@ def scan_csv_text(records: Sequence[ScanRecord]) -> str:
 
 def scan_to_json(records: Sequence[ScanRecord], summary: ScanSummary) -> str:
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "records": [record_to_dict(r) for r in records],
         "summary": {
             "n_samples": summary.n_samples,
             "max_ratio": summary.max_ratio,
             "argmax_seed": summary.argmax_seed,
             "argmax_sigma": list(summary.argmax_sigma),
-            "violation_counts": summary.violation_counts,
+            "violation_counts": dict(summary.violation_counts),
             "violations": [list(v) for v in summary.violations],
         },
     }

@@ -307,13 +307,6 @@ class Net:
         return self.nodes.shape[0]
 
 
-def _pair_distances(kind: str, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    dots = block @ nodes.T
-    if kind == "so3":
-        dots = np.abs(dots)
-    return np.arccos(np.clip(dots, -1.0, 1.0))
-
-
 def _edge_logs(kind: str, nodes: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     logs = np.empty((rows.size, 3))
@@ -375,9 +368,8 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
               knn: int = DEFAULT_KNN, seed: int = 0) -> Net:
     """Seeded random net on SU(2) or SO(3) with symmetrised knn adjacency.
 
-    The identity is always node 0.  Connectivity is enforced by bridging
-    components with their closest cross pairs (a guard; it does not trigger at
-    the supported sizes).  Everything that depends only on the net, the
+    The identity is always node 0.  A disconnected knn graph is refused with
+    ``ValueError``.  Everything that depends only on the net, the
     straightened edges with their logs and the CSR structure included, is
     computed here once, so each metric pays for its edge weights and one
     Dijkstra only.
@@ -402,32 +394,17 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
 
-    rows, cols = _ensure_connected(entry.kind, nodes, rows, cols)
+    ncomp, _ = connected_components(
+        csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)), directed=False)
+    if ncomp != 1:
+        raise ValueError(f"knn graph of the net has {ncomp} components; "
+                         "raise the net size or knn")
     edge_rows, edge_cols, indptr, indices, slot_edge = _straightened_graph(n, rows, cols)
     return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
                edge_rows=edge_rows, edge_cols=edge_cols,
                edge_logs=_edge_logs(entry.kind, nodes, edge_rows, edge_cols),
                indptr=indptr, indices=indices, slot_edge=slot_edge,
                knn=knn, seed=seed)
-
-
-def _ensure_connected(kind: str, nodes: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = nodes.shape[0]
-    while True:
-        g = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        ncomp, labels = connected_components(g, directed=False)
-        if ncomp == 1:
-            return rows, cols
-        main = labels == labels[0]
-        other_idx = np.nonzero(~main)[0]
-        main_idx = np.nonzero(main)[0]
-        d = _pair_distances(kind, nodes[other_idx], nodes[main_idx])
-        flat = int(np.argmin(d))
-        a = int(other_idx[flat // main_idx.size])
-        b = int(main_idx[flat % main_idx.size])
-        rows = np.append(rows, min(a, b))
-        cols = np.append(cols, max(a, b))
 
 
 def _shortest_paths(net: Net, weights: np.ndarray,

@@ -94,11 +94,6 @@ class LieGroupCatalogEntry:
             return "x".join(f.name for f in self.factors)
         return self.kind
 
-    def factor_dims(self) -> list[int]:
-        if self.kind == "product":
-            return [f.dim for f in self.factors]
-        return [self.dim]
-
 
 def _validate_structure(entry: LieGroupCatalogEntry) -> None:
     c = entry.structure_constants

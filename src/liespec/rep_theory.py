@@ -147,12 +147,15 @@ def spin_irrep(j) -> Irrep:
     return _spin_irrep(j)
 
 
+def _character_label(n: Sequence[int]) -> str:
+    return "char(" + ",".join(str(int(v)) for v in n) + ")"
+
+
 def character_irrep(n: Sequence[int]) -> Irrep:
     """Torus character with frequency vector n; Casimir 4 pi^2 |n|^2."""
     n = np.asarray(n, dtype=np.int64)
     gens = (2j * math.pi * n.astype(complex)).reshape(-1, 1, 1)
-    label = "char(" + ",".join(str(int(v)) for v in n) + ")"
-    return Irrep(label=label, dim=1, generators=gens,
+    return Irrep(label=_character_label(n), dim=1, generators=gens,
                  casimir=FOUR_PI_SQ * float(n @ n))
 
 
@@ -361,7 +364,7 @@ def _torus_lambda1_certified(spec: MetricSpec, window_cap: float) -> SpectralRes
         if vals[idx] < lam_hat:
             lam_hat = float(vals[idx])
             witness_n = pts[idx].copy()
-    label = "char(" + ",".join(str(int(v)) for v in witness_n) + ")"
+    label = _character_label(witness_n)
     if certified:
         boundary = FOUR_PI_SQ * (math.floor(lam_hat / (FOUR_PI_SQ * sm2) + 1e-12) + 1)
         return SpectralResult(lambda1=lam_hat, witness=label, certified=True,

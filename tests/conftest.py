@@ -49,6 +49,16 @@ def big_net(su2):
     return ls.build_net(su2, 20000, 12, seed=0)
 
 
+@pytest.fixture
+def disconnected_knn(monkeypatch):
+    """Makes every net's knn graph two chains, split at the middle node."""
+    def two_chains(kind, nodes, k):
+        n = nodes.shape[0]
+        rows = np.array([i for i in range(n - 1) if i != n // 2 - 1])
+        return rows, rows + 1, 0.1
+    monkeypatch.setattr(ls.geometry, "_knn_pairs", two_chains)
+
+
 def identity_spec(m):
     return ls.metric_from_matrix(np.eye(m))
 

@@ -19,6 +19,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sigma", "--group", "su2", "--seed", "1"),
+    ("lambda1", "--group", "su2", "--seed", "1"),
+    ("ell", "--group", "su2", "--seed", "1"),
+    ("sigma", "--group", "su2", "--format", "csv"),
+    ("lambda1", "--group", "su2", "--format", "csv"),
+    ("diam", "--group", "su2", "--format", "csv"),
+    ("ell", "--group", "su2", "--format", "csv"),
+    ("degenerate", "--group", "t2", "--kind", "torus-dense-line",
+     "--s-values", "1,4", "--format", "csv"),
+    ("verify", "--group", "t2", "--format", "csv"),
+    ("scan", "--group", "t2", "--samples", "1", "--format", "table"),
+])
+def test_options_without_effect_rejected(argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--group", "t2", "--samples", "3", "--grid-resolution", "32"),
+    ("scan", "--group", "t2", "--samples", "3", "--grid-resolution", "32",
+     "--format", "json"),
+    ("verify", "--group", "t2", "--trials", "2"),
+    ("verify", "--group", "t2", "--trials", "2", "--format", "json"),
+])
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, printed, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 class TestSigma:
     def test_inline_matrix(self, capsys):
         code, out, _ = run(capsys, "sigma", "--group", "su2",
@@ -149,6 +184,13 @@ class TestDiam:
                            "--net-size", "500", "--knn", "8")
         assert code == 0
         assert "method=GeodesicGraph" in out
+
+    def test_disconnected_net_exit_2(self, capsys, disconnected_knn):
+        code, out, err = run(capsys, "diam", "--group", "su2",
+                             "--matrix", "1,0,0,0,2,0,0,0,3", "--net-size", "200")
+        assert code == 2
+        assert out == ""
+        assert "2 components" in err
 
     def test_json_params_keys(self, capsys):
         code, out, _ = run(capsys, "diam", "--group", "su2", "--matrix", SU2_SKEW,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import liespec as ls
+from liespec import egs_scan
 from liespec.egs_scan import (CHECK_NAMES, DiamConfig, egs_ratio,
                               property_suite, record_to_dict, scan,
                               scan_csv_text, scan_to_json)
@@ -182,6 +183,16 @@ class TestPropertySuite:
         assert rep.all_passed
         assert any(c.name == "diameter_loewner_monotonicity" for c in rep.checks)
 
+    def test_one_gap_per_metric(self, t2, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ls.lambda1_certified(*args, **kwargs)
+        monkeypatch.setattr(egs_scan, "lambda1_certified", counted)
+        property_suite(t2, n_trials=4, seed=0)
+        assert len(calls) == 3 * 4
+
     def test_zero_trials_rejected(self, t2):
         with pytest.raises(ValueError):
             property_suite(t2, n_trials=0)
@@ -218,3 +229,32 @@ class TestReporting:
             assert rec.ratio > 0
             li = rec.lambda1 * rec.diam_lower ** 2 >= math.pi ** 2 / 4 - 1e-6
             assert dict(rec.checks)["li_ok"] == li
+
+
+class TestReportsImmutable:
+    """Report containers refuse mutation, so a report cannot change after the fact."""
+
+    def test_scan_summary(self, t2):
+        _, summary = scan(t2, 3, diam_config=T2_CONFIG)
+        with pytest.raises(TypeError):
+            summary.violation_counts["li_ok"] = 1
+        with pytest.raises(AttributeError):
+            summary.violations.append((0, "li_ok"))
+
+    def test_degeneration_report(self, t2):
+        rep = ls.degeneration_experiment(t2, "torus-dense-line", [1.0, 4.0],
+                                         diam_config=T2_CONFIG)
+        with pytest.raises(AttributeError):
+            rep.rows.append(rep.rows[0])
+        with pytest.raises(TypeError):
+            rep.rows[0].tracked["diam_times_sigma2"] = 0.0
+        with pytest.raises(TypeError):
+            rep.monotone["diam_times_sigma2"] = "mixed"
+
+    def test_property_report(self, t2):
+        rep = property_suite(t2, n_trials=2, seed=0)
+        with pytest.raises(AttributeError):
+            rep.checks.append(rep.checks[0])
+        with pytest.raises(AttributeError):
+            rep.checks[0].failures.append({"A": []})
+        assert rep.all_passed

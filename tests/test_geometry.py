@@ -233,6 +233,10 @@ class TestNet:
         with pytest.raises(ValueError):
             ls.build_net(t2, 500, 8, seed=0)
 
+    def test_disconnected_knn_graph_refused(self, su2, disconnected_knn):
+        with pytest.raises(ValueError, match="2 components"):
+            ls.build_net(su2, 200, 6, seed=0)
+
     def test_knn_matches_dense_reference(self, su2, so3):
         for entry in (su2, so3):
             for seed in range(3):
