@@ -23,9 +23,9 @@ import numpy as np
 
 from . import startup_self_test
 from .egs_scan import (DEFAULT_SIGMA_HI, DEFAULT_SIGMA_LO, DEFAULT_TRIALS,
-                       SCHEMA_VERSION, DiamConfig, _compute_diameter,
-                       degeneration_experiment, property_suite, scan,
-                       scan_csv_text, scan_to_json)
+                       DEGENERATION_KINDS, SCHEMA_VERSION, DiamConfig,
+                       _compute_diameter, degeneration_experiment,
+                       property_suite, scan, scan_csv_text, scan_to_json)
 from .geometry import paper_diameter_bounds
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "on compact Lie groups (t1..t4, su2, so3, su2xsu2).")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=True, seed=False, formats=("table", "json")):
+    def common(p, matrix=True, seed=None, formats=("table", "json")):
         p.add_argument("--group", required=True,
                        help="group key: t1..t4, su2, so3, su2xsu2")
         if matrix:
@@ -214,16 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
                            help="row-major entries (comma/space separated) or a "
                                 "matrix file path; defaults to the identity")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0, help=seed)
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to this file")
 
-    def net_flags(p):
+    # Where the estimator options act; elsewhere they are accepted and inert.
+    on_net = "acts only on su2/so3 metrics that are not homotheties"
+    on_grid = "acts only on torus metrics that are not homotheties"
+
+    def net_flags(p, on_net=on_net, on_grid=on_grid):
         d = DiamConfig()
-        p.add_argument("--net-size", type=int, default=d.net_size)
-        p.add_argument("--knn", type=int, default=d.knn)
-        p.add_argument("--grid-resolution", type=int, default=d.grid_resolution)
-        p.add_argument("--eps-net", type=float, default=d.eps_net)
+        for flag, default, scope in (("--net-size", d.net_size, on_net), ("--knn", d.knn, on_net),
+                                     ("--grid-resolution", d.grid_resolution, on_grid),
+                                     ("--eps-net", d.eps_net, on_net)):
+            p.add_argument(flag, type=type(default), default=default, help=scope)
 
     p = sub.add_parser("sigma", help="metric scale parameters")
     common(p)
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")
-    common(p, seed=True)
+    common(p, seed=f"net seed; {on_net}")
     p.add_argument("--method", choices=("auto", "bounds"), default="auto",
                    help="auto: the estimate the metric allows; bounds: the "
                         "closed-form interval")
@@ -249,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ell)
 
     p = sub.add_parser("scan", help="seeded random ratio scan (CSV/JSON)")
-    common(p, matrix=False, seed=True, formats=("csv", "json"))
+    common(p, matrix=False, formats=("csv", "json"),
+           seed=f"base seed: sample i uses seed + i; as the net seed it {on_net}")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sigma-lo", type=float, default=DEFAULT_SIGMA_LO)
     p.add_argument("--sigma-hi", type=float, default=DEFAULT_SIGMA_HI)
@@ -258,15 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("degenerate", help="degeneration sweep")
-    common(p, matrix=False, seed=True)
-    p.add_argument("--kind", required=True,
-                   choices=("shrink-transverse", "enlarge-generating", "torus-dense-line"))
+    sweep_net = "acts only with --group su2 --kind shrink-transverse"
+    common(p, matrix=False, seed=f"net seed; {sweep_net}")
+    p.add_argument("--kind", required=True, choices=DEGENERATION_KINDS)
     p.add_argument("--s-values", required=True, help="comma separated list")
-    net_flags(p)
+    net_flags(p, on_net=sweep_net,
+              on_grid="acts only with --group t2 --kind torus-dense-line")
     p.set_defaults(fn=_cmd_degenerate)
 
     p = sub.add_parser("verify", help="randomized verification suite")
-    common(p, matrix=False, seed=True)
+    common(p, matrix=False, seed="seed of the sampled metrics")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.set_defaults(fn=_cmd_verify)
 

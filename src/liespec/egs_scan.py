@@ -235,9 +235,6 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
 # Degeneration sweeps
 # ---------------------------------------------------------------------------
 
-DEGENERATION_KINDS = ("shrink-transverse", "enlarge-generating", "torus-dense-line")
-
-
 @dataclass(frozen=True)
 class DegenerationRow:
     s: float
@@ -305,6 +302,29 @@ def dense_line_rotation_t2() -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+_OVER_SIGMA4 = {"lambda1_over_sigma4_sq": lambda s, sig, lam, d: lam / sig[3] ** 2}
+
+# (kind, group) -> (metric matrix at s, diameter tracked?, tracked quantities
+# in output order as name -> f(s, sigma, lambda1, diam)).
+_SWEEPS = {
+    ("shrink-transverse", "su2"): (
+        lambda s: np.diag([1.0, s, s]), True,
+        {"lambda1_over_sigma1_sq": lambda s, sig, lam, d: lam / sig[0] ** 2,
+         "diam_times_sigma1": lambda s, sig, lam, d: d.value * sig[0],
+         "lambda1_over_s_sq": lambda s, sig, lam, d: lam / s ** 2}),
+    ("shrink-transverse", "su2xsu2"): (
+        lambda s: np.diag([1.0, 1.0, 1.0, 1.0, s, s]), False, _OVER_SIGMA4),
+    ("enlarge-generating", "su2xsu2"): (
+        lambda s: two_generator_rotation_su2xsu2() @ np.diag([s, s, s, 1.0, 1.0, 1.0]),
+        False, _OVER_SIGMA4),
+    ("torus-dense-line", "t2"): (
+        lambda s: dense_line_rotation_t2() @ np.diag([s, 1.0]), True,
+        {"diam_times_sigma2": lambda s, sig, lam, d: d.value * sig[1]}),
+}
+
+DEGENERATION_KINDS = tuple(dict.fromkeys(kind for kind, _ in _SWEEPS))
+
+
 def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
                             s_values: Sequence[float],
                             diam_config: DiamConfig = DiamConfig(),
@@ -327,44 +347,11 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
     if not (np.all(np.diff(s_values) > 0) or np.all(np.diff(s_values) < 0)):
         raise ValueError("s values must be monotone")
 
-    # Per kind: the metric at s, whether diameters are needed, and the tracked
-    # quantities in output order as name -> f(s, sigma, lambda1, diam).
-    over_sigma4 = {"lambda1_over_sigma4_sq": lambda s, sig, lam, d: lam / sig[3] ** 2}
-    if kind == "shrink-transverse":
-        if entry.kind == "su2":
-            def make(s):
-                return np.diag([1.0, s, s])
-            want_diam = True
-            formulas = {
-                "lambda1_over_sigma1_sq": lambda s, sig, lam, d: lam / sig[0] ** 2,
-                "diam_times_sigma1": lambda s, sig, lam, d: d.value * sig[0],
-                "lambda1_over_s_sq": lambda s, sig, lam, d: lam / s ** 2,
-            }
-        elif entry.kind == "product" and entry.name == "su2xsu2":
-            def make(s):
-                return np.diag([1.0, 1.0, 1.0, 1.0, s, s])
-            want_diam = False
-            formulas = over_sigma4
-        else:
-            raise ValueError("shrink-transverse runs on su2 or su2xsu2")
-    elif kind == "enlarge-generating":
-        if not (entry.kind == "product" and entry.name == "su2xsu2"):
-            raise ValueError("enlarge-generating runs on su2xsu2")
-        P = two_generator_rotation_su2xsu2()
-
-        def make(s):
-            return P @ np.diag([s, s, s, 1.0, 1.0, 1.0])
-        want_diam = False
-        formulas = over_sigma4
-    else:  # torus-dense-line
-        if not (entry.kind == "torus" and entry.dim == 2):
-            raise ValueError("torus-dense-line runs on t2")
-        P = dense_line_rotation_t2()
-
-        def make(s):
-            return P @ np.diag([s, 1.0])
-        want_diam = True
-        formulas = {"diam_times_sigma2": lambda s, sig, lam, d: d.value * sig[1]}
+    sweep = _SWEEPS.get((kind, entry.name))
+    if sweep is None:
+        groups = " or ".join(g for k, g in _SWEEPS if k == kind)
+        raise ValueError(f"{kind} runs on {groups}")
+    make, want_diam, formulas = sweep
 
     if want_diam and entry.kind == "su2" and net is None:
         net = build_net(entry, diam_config.net_size, diam_config.knn,

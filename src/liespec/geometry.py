@@ -385,9 +385,8 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
     if entry.kind == "so3":
-        lead = nodes[:, :1].copy()
-        lead[lead == 0] = 1.0
-        nodes = nodes * np.sign(lead)
+        # The representative quat_log(so3=True) uses: nonnegative real part.
+        nodes = np.where(nodes[:, :1] < 0, -nodes, nodes)
 
     n = nodes.shape[0]
     rows, cols, mesh = _knn_pairs(entry.kind, nodes, min(knn, n - 1))
@@ -407,19 +406,14 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
                knn=knn, seed=seed)
 
 
-def _shortest_paths(net: Net, weights: np.ndarray,
-                    keep: Optional[np.ndarray] = None) -> np.ndarray:
+def _shortest_paths(net: Net, weights: np.ndarray) -> np.ndarray:
     """Distances from node 0 over the straightened edges with the given weights.
 
-    ``keep`` optionally masks edges out.  The graph is a fresh CSR matrix over
-    the net's read-only structure, which is never modified.
+    An infinite weight bars its edge.  The graph is a fresh CSR matrix over the
+    net's read-only structure, which is never modified.
     """
-    data, indices, indptr = weights[net.slot_edge], net.indices, net.indptr
-    if keep is not None:
-        kept = keep[net.slot_edge]
-        data, indices = data[kept], indices[kept]
-        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
-    g = csr_matrix((data, indices, indptr), shape=(net.n_nodes, net.n_nodes))
+    g = csr_matrix((weights[net.slot_edge], net.indices, net.indptr),
+                   shape=(net.n_nodes, net.n_nodes))
     return dijkstra(g, directed=True, indices=0)
 
 
@@ -478,7 +472,7 @@ def horizontal_graph_diameter(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
     norm_full = np.linalg.norm(logs, axis=1)
     admissible = norm_perp <= eta * norm_full
     w = np.sqrt(np.einsum("ei,ij,ej->e", coeff, h, coeff)) + norm_perp
-    dist = _shortest_paths(net, w, keep=admissible)
+    dist = _shortest_paths(net, np.where(admissible, w, np.inf))
     finite = np.isfinite(dist)
     unreached = int(np.sum(~finite))
     i = int(np.argmax(np.where(finite, dist, -np.inf)))

@@ -14,7 +14,13 @@ Irrep catalog:
   generators -2i J_a built from ladder matrices.
 * so3: integer spins only.
 * torus: characters n in Z^m with lambda^pi = 4 pi^2 |n|^2, dim 1.
-* products: outer Kronecker pairs, lambda^pi additive, merged best-first.
+* products: outer Kronecker pairs, lambda^pi additive, merged best-first;
+  a product stream is a left fold of ``_merge_streams`` over its factors.
+
+Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
+one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
+cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
+spectra, sub-Laplacian gaps and the certified gap all read it.
 """
 
 from __future__ import annotations
@@ -177,22 +183,13 @@ def _pair_irrep(a: Irrep, b: Irrep) -> Irrep:
 # Ascending enumeration
 # ---------------------------------------------------------------------------
 
-def _spin_stream(step: Fraction, include_trivial: bool) -> Iterator[Irrep]:
-    j = Fraction(0) if include_trivial else step
-    while True:
-        yield spin_irrep(j)
-        j += step
-
-
-def _character_stream(m: int, include_trivial: bool) -> Iterator[Irrep]:
-    if include_trivial:
-        yield character_irrep(np.zeros(m, dtype=np.int64))
+def _character_stream(m: int) -> Iterator[Irrep]:
     radius = 1
     emitted = 0
     while True:
         pts = _lattice.enumerate_box(radius, m)
         norms = np.einsum("ni,ni->n", pts, pts)
-        keep = (norms > 0) & (norms <= radius * radius)
+        keep = norms <= radius * radius
         pts, norms = pts[keep], norms[keep]
         order = np.lexsort(tuple(pts[:, c] for c in reversed(range(m))) + (norms,))
         for idx in order[emitted:]:
@@ -224,32 +221,33 @@ def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
             heapq.heappush(heap, (l1[ni].casimir + l2[nj].casimir, ni, nj))
 
 
-def _irrep_stream(entry: LieGroupCatalogEntry, include_trivial: bool = False) -> Iterator[Irrep]:
+def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:
+    """Every irrep of the group in ascending Casimir order, the trivial one first."""
     if entry.kind == "su2":
-        return _spin_stream(Fraction(1, 2), include_trivial)
+        return map(spin_irrep, itertools.count(Fraction(0), Fraction(1, 2)))
     if entry.kind == "so3":
-        return _spin_stream(Fraction(1), include_trivial)
+        return map(spin_irrep, itertools.count(Fraction(0), Fraction(1)))
     if entry.kind == "torus":
-        return _character_stream(entry.dim, include_trivial)
+        return _character_stream(entry.dim)
     if entry.kind == "product":
-        stream = _irrep_stream(entry.factors[0], include_trivial=True)
-        for f in entry.factors[1:]:
-            stream = _merge_streams(stream, _irrep_stream(f, include_trivial=True))
-        # The trivial pair has Casimir 0 and always leads.
-        return stream if include_trivial else itertools.islice(stream, 1, None)
+        return functools.reduce(_merge_streams, map(_catalog_stream, entry.factors))
     raise ValueError(f"no irrep catalog for kind {entry.kind!r}")
+
+
+def _irrep_stream(entry: LieGroupCatalogEntry, cutoff: float = math.inf) -> Iterator[Irrep]:
+    """The one walk: nontrivial irreps with Casimir <= cutoff, ascending.
+
+    The cutoff must be positive; math.inf walks the whole (infinite) catalog.
+    """
+    if not cutoff > 0:
+        raise ValueError(f"Casimir cutoff must be positive, got {cutoff:g}")
+    return itertools.takewhile(lambda irrep: irrep.casimir <= cutoff,
+                               itertools.islice(_catalog_stream(entry), 1, None))
 
 
 def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list[Irrep]:
     """All nontrivial irreps with Casimir eigenvalue <= cutoff, ascending."""
-    if casimir_cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    out = []
-    for irrep in _irrep_stream(entry):
-        if irrep.casimir > casimir_cutoff:
-            break
-        out.append(irrep)
-    return out
+    return list(_irrep_stream(entry, casimir_cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +306,7 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     witness = ""
     evals = 0
     examined = 0.0
+    # The cap is no cutoff of the walk: the first irrep past it may still certify.
     for irrep in _irrep_stream(entry):
         if sm2 * irrep.casimir > lam_hat:
             return SpectralResult(lambda1=lam_hat, witness=witness, certified=True,
@@ -417,14 +416,11 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int,
     prefix = P[:, :k - 1].T
     if is_bracket_generating(entry, prefix):
         return math.inf
-    for irrep in _irrep_stream(entry):
-        if irrep.casimir > window_cap:
-            raise RuntimeError(
-                f"no invariant vector found below Casimir cap {window_cap:g}; "
-                "the prefix may generate a dense (non-closed) subgroup")
+    for irrep in _irrep_stream(entry, window_cap):
         if invariant_dim(irrep, prefix) > 0:
             return irrep.casimir
-    raise AssertionError("irrep stream is infinite")  # pragma: no cover
+    raise RuntimeError(f"no invariant vector found below Casimir cap {window_cap:g}; "
+                       "the prefix may generate a dense (non-closed) subgroup")
 
 
 def sublaplacian_lambda1(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
@@ -436,8 +432,7 @@ def sublaplacian_lambda1(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
     for sub-Laplacians, so results are always flagged uncertified.  A
     non-generating H admits invariant functions and the gap is exactly 0.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
+    irreps = _irrep_stream(entry, window)  # rejects a window that is not positive
     rows = np.asarray(H_basis, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != entry.dim:
         raise ValueError("H_basis must be a list of m-vectors")
@@ -453,12 +448,9 @@ def sublaplacian_lambda1(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
     best = math.inf
     witness = ""
     evals = 0
-    for irrep in _irrep_stream(entry):
-        if irrep.casimir > window:
-            break
+    for irrep in irreps:
         B = np.tensordot(ortho, irrep.generators, axes=(1, 0))
-        M = -_contract(B, B)
-        lm = lambda_min_hermitian(0.5 * (M + M.conj().T))
+        lm = lambda_min_hermitian(-_contract(B, B))
         evals += 1
         if lm < best:
             best = lm

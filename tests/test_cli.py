@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 import liespec as ls
 from liespec import egs_scan
-from liespec.cli import main
+from liespec.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -52,6 +53,31 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     code, printed, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0 and printed == ""
     assert path.read_bytes() == out.encode("utf-8")
+
+
+NET_SCOPE = "acts only on su2/so3 metrics that are not homotheties"
+GRID_SCOPE = "acts only on torus metrics that are not homotheties"
+
+
+@pytest.mark.parametrize("command, net_scope, grid_scope", [
+    ("diam", NET_SCOPE, GRID_SCOPE),
+    ("scan", NET_SCOPE, GRID_SCOPE),
+    ("degenerate", "acts only with --group su2 --kind shrink-transverse",
+     "acts only with --group t2 --kind torus-dense-line"),
+])
+def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_scope,
+                                             grid_scope):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, which may split at a hyphen
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
+    # Each entry reads "--flag METAVAR help"; a help text may name other
+    # flags, but never followed by a metavar.
+    helps = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ (.*?)(?= --[a-z-]+ [A-Z_{]|$)", options))
+    for flag in ("--seed", "--net-size", "--knn", "--eps-net"):
+        assert helps[flag].endswith(net_scope), flag
+    assert helps["--grid-resolution"].endswith(grid_scope)
 
 
 class TestSigma:
@@ -310,6 +336,16 @@ class TestDegenerate:
         code, _, _ = run(capsys, "degenerate", "--group", "t3",
                          "--kind", "torus-dense-line", "--s-values", "1,4")
         assert code == 2
+
+    def test_kind_choices_come_from_the_sweep_table(self, capsys):
+        code, _, err = run(capsys, "degenerate", "--group", "so3",
+                           "--kind", "shrink-transverse", "--s-values", "1,0.5")
+        assert code == 2
+        assert err == "error: shrink-transverse runs on su2 or su2xsu2\n"
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        kind = next(a for a in sub.choices["degenerate"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == egs_scan.DEGENERATION_KINDS
 
 
 class TestVerify:

@@ -156,17 +156,20 @@ class TestDegeneration:
         lams = [r.lambda1 for r in rep.rows]
         assert all(b < a for a, b in zip(lams, lams[1:]))
 
-    def test_validation(self, su2, t2, t3, su2xsu2):
+    def test_validation(self, su2, so3, t2, t3, su2xsu2):
         with pytest.raises(ValueError):
             ls.degeneration_experiment(su2, "no-such-kind", [1.0, 0.5])
-        with pytest.raises(ValueError):
-            ls.degeneration_experiment(t2, "shrink-transverse", [1.0, 0.5])
-        with pytest.raises(ValueError):
-            ls.degeneration_experiment(t3, "torus-dense-line", [1.0, 2.0])
+        for entry, kind, groups in ((t2, "shrink-transverse", "su2 or su2xsu2"),
+                                    (so3, "shrink-transverse", "su2 or su2xsu2"),
+                                    (t2, "enlarge-generating", "su2xsu2"),
+                                    (t3, "torus-dense-line", "t2")):
+            with pytest.raises(ValueError, match=f"^{kind} runs on {groups}$"):
+                ls.degeneration_experiment(entry, kind, [1.0, 2.0])
         with pytest.raises(ValueError):
             ls.degeneration_experiment(su2, "shrink-transverse", [1.0, 1.0])
         with pytest.raises(ValueError):
             ls.degeneration_experiment(su2xsu2, "enlarge-generating", [1.0])
+
 
 
 class TestPropertySuite:

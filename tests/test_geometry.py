@@ -221,6 +221,19 @@ class TestNet:
         ref = np.arccos(np.clip(np.einsum("ni,ni->n", p, q), -1, 1))
         assert np.max(np.abs(w - ref)) < 1e-12
 
+    def test_so3_nodes_nonnegative_real_part(self, so3):
+        # Reference: the earlier rule, which multiplied each node by the sign
+        # of its real part (a zero real part counting as positive).
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((499, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        draw = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
+        lead = draw[:, :1].copy()
+        lead[lead == 0] = 1.0
+        net = ls.build_net(so3, 500, 8, seed=4)
+        assert np.all(net.nodes[:, 0] >= 0)
+        assert np.array_equal(net.nodes, draw * np.sign(lead))
+
     def test_so3_net_respects_identification(self, so3):
         net = ls.build_net(so3, 500, 8, seed=1)
         assert np.all(np.linalg.norm(net.edge_logs, axis=1) <= math.pi / 2 + 1e-12)

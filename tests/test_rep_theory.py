@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +67,29 @@ def su2xsu2_gap_reference(spec, max_twice_spin=30):
         if lam < best:
             best, witness = lam, f"pair({a.label},{b.label})"
     raise AssertionError("pair list too short for the stop rule")
+
+
+def run_isolated(code, timeout=30):
+    """Run code in a fresh interpreter with liespec importable.
+
+    A call that never returns fails the test at the timeout instead of
+    stalling the suite.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    prelude = "import math\nimport numpy as np\nimport liespec as ls\n"
+    return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def spin_catalog(step, cutoff):
+    """(Casimir, label, dim) of spins 0, step, 2 step, ... up to the cutoff."""
+    out, j = [], Fraction(0)
+    while 4 * j * (j + 1) <= cutoff:
+        out.append((float(4 * j * (j + 1)), f"spin({j})", int(2 * j) + 1))
+        j += step
+    return out
 
 
 class TestIrreps:
@@ -175,10 +201,42 @@ class TestIrreps:
         zero = "char(" + ",".join(["0"] * m) + ")"
         want = [zero] + ["char(" + ",".join(map(str, n)) + ")"
                          for _, n in ball[:n_chars]]
-        for trivial in (True, False):
-            got = [c.label for c in itertools.islice(_character_stream(m, trivial),
-                                                     n_chars + trivial)]
-            assert got == want[1 - trivial:]
+        # The catalog stream starts with the trivial character; the walk skips it.
+        got = [c.label for c in itertools.islice(_character_stream(m), n_chars + 1)]
+        assert got == want
+        got = [c.label for c in itertools.islice(_irrep_stream(ls.torus_entry(m)), n_chars)]
+        assert got == want[1:]
+
+
+    def test_three_factor_product_stream(self):
+        su2, so3 = ls.su2_entry(), ls.so3_entry()
+        entry = ls.product_entry([su2, so3, su2], k_max=8)
+        cas = [i.casimir for i in itertools.islice(_irrep_stream(entry), 300)]
+        assert all(b >= a for a, b in zip(cas, cas[1:]))
+        # Brute force: every triple of factor irreps, the trivial one left out.
+        cutoff = 40.0
+        half, one = spin_catalog(Fraction(1, 2), cutoff), spin_catalog(1, cutoff)
+        want = sorted((ca + cb + cc, f"pair(pair({a},{b}),{c})", da * db * dc)
+                      for (ca, a, da), (cb, b, db), (cc, c, dc)
+                      in itertools.product(half, one, half)
+                      if 0 < ca + cb + cc <= cutoff)
+        got = ls.enumerate_irreps(entry, cutoff)
+        assert [i.casimir for i in got] == [c for c, _, _ in want]
+        assert sorted((i.casimir, i.label, i.dim) for i in got) == want
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf])
+    def test_nonpositive_cutoff_rejected(self, t2, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            ls.enumerate_irreps(t2, cutoff)
+
+    def test_nan_cutoff_rejected(self):
+        out = run_isolated(
+            "try:\n"
+            "    ls.enumerate_irreps(ls.torus_entry(1), math.nan)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+        assert out.returncode == 0, out.stderr
+        assert "cutoff must be positive" in out.stdout
 
 
 class TestAssembly:
@@ -430,6 +488,11 @@ class TestRestrictedGap:
         with pytest.raises(ValueError):
             ls.lambda1_restricted(su2, np.eye(3), 0)
 
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
+    def test_nonpositive_cap_rejected(self, t2, cap):
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            ls.lambda1_restricted(t2, np.eye(2), 2, window_cap=cap)
+
 
 class TestSubLaplacian:
     def test_generating_pair_positive(self, su2):
@@ -450,6 +513,15 @@ class TestSubLaplacian:
     def test_window_validation(self, su2):
         with pytest.raises(ValueError):
             ls.sublaplacian_lambda1(su2, np.eye(3)[:2], np.eye(2), window=0.0)
+
+    def test_nan_window_rejected(self):
+        out = run_isolated(
+            "try:\n"
+            "    ls.sublaplacian_lambda1(ls.torus_entry(2), np.eye(2), np.eye(2), math.nan)\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+        assert out.returncode == 0, out.stderr
+        assert "cutoff must be positive" in out.stdout
 
     def test_matches_einsum_reference(self, su2):
         rng = np.random.default_rng(29)
