@@ -7,9 +7,14 @@ style) greedy reduction is enough to make enumeration boxes small.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 __all__ = ["greedy_reduce", "enumerate_box", "box_chunks"]
+
+# Most rows box_chunks puts in one chunk.
+_CHUNK_POINTS = 2_000_000
 
 
 def greedy_reduce(Q: np.ndarray) -> np.ndarray:
@@ -53,12 +58,22 @@ def enumerate_box(radius: int, m: int) -> np.ndarray:
 
 
 def box_chunks(radius: int, m: int):
-    """Yield the box whole up to 2e6 points, else in slices along the first axis."""
-    total = (2 * radius + 1) ** m
-    if total <= 2_000_000 or m == 1:
-        yield enumerate_box(radius, m)
-        return
-    sub = enumerate_box(radius, m - 1)
-    for lead in range(-radius, radius + 1):
-        yield np.concatenate(
-            [np.full((sub.shape[0], 1), lead, dtype=np.int64), sub], axis=1)
+    """Yield ``enumerate_box(radius, m)`` in order, in chunks of at most
+    ``_CHUNK_POINTS`` rows.
+
+    A box too large for one chunk is sliced along its first axis, and each
+    slice along the next, until a slice fits: every chunk is one fixed prefix
+    of leading coordinates over the same enumerated tail box, so the chunks
+    concatenate to the box in lexicographic order.  The tail keeps at least
+    one axis, so a chunk exceeds the limit only when 2 * radius + 1 does.
+    """
+    side = 2 * radius + 1
+    lead = 0
+    while lead < m - 1 and side ** (m - lead) > _CHUNK_POINTS:
+        lead += 1
+    tail = enumerate_box(radius, m - lead)
+    for prefix in itertools.product(range(-radius, radius + 1), repeat=lead):
+        chunk = np.empty((tail.shape[0], m), dtype=np.int64)
+        chunk[:, :lead] = prefix
+        chunk[:, lead:] = tail
+        yield chunk

@@ -9,6 +9,7 @@ are emitted as CSV or JSON with identical field names.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -39,7 +40,7 @@ __all__ = [
     "degeneration_experiment",
     "PropertyReport",
     "property_suite",
-    "write_scan_csv",
+    "scan_csv_text",
     "scan_to_json",
     "CHECK_NAMES",
 ]
@@ -113,6 +114,14 @@ class ScanSummary:
         object.__setattr__(self, "violations", tuple(map(tuple, self.violations)))
 
 
+def _net_for(entry: LieGroupCatalogEntry, config: DiamConfig,
+             net: Optional[Net]) -> Optional[Net]:
+    """``net``, else the net ``config`` describes on su2/so3; None elsewhere."""
+    if net is None and entry.kind in ("su2", "so3"):
+        net = build_net(entry, config.net_size, config.knn, config.net_seed)
+    return net
+
+
 def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
                       config: DiamConfig, net: Optional[Net]) -> DiameterEstimate:
     """The diameter by the one method the input allows.
@@ -130,9 +139,7 @@ def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
     if entry.kind == "torus":
         return torus_diameter(spec, grid_resolution=config.grid_resolution)
     if entry.kind in ("su2", "so3"):
-        if net is None:
-            net = build_net(entry, config.net_size, config.knn, config.net_seed)
-        return graph_diameter(entry, spec, net, eps_net=config.eps_net)
+        return graph_diameter(entry, spec, _net_for(entry, config, net), eps_net=config.eps_net)
     raise ValueError(f"no diameter estimator for {entry.name} off homotheties")
 
 
@@ -185,19 +192,21 @@ def egs_ratio(entry: LieGroupCatalogEntry, spec: MetricSpec,
         diam_method=diam.method, ratio=res.lambda1 * diam.value ** 2, checks=checks)
 
 
-# -- parallel scan plumbing (fork-safe module state) -------------------------
+def _sample_record(entry: LieGroupCatalogEntry, lo: float, hi: float,
+                   config: DiamConfig, net: Optional[Net], seed: int) -> ScanRecord:
+    return egs_ratio(entry, sample_metric(entry, lo, hi, seed), config, seed=seed, net=net)
 
+
+# Set once in each pool worker, so that the net crosses once per worker.
 _WORKER: dict = {}
 
 
-def _scan_init(entry, lo, hi, config, net):
-    _WORKER.update(entry=entry, lo=lo, hi=hi, config=config, net=net)
+def _pool_init(sample) -> None:
+    _WORKER["sample"] = sample
 
 
-def _scan_one(seed: int) -> ScanRecord:
-    spec = sample_metric(_WORKER["entry"], _WORKER["lo"], _WORKER["hi"], seed)
-    return egs_ratio(_WORKER["entry"], spec, _WORKER["config"], seed=seed,
-                     net=_WORKER["net"])
+def _pool_sample(seed: int) -> ScanRecord:
+    return _WORKER["sample"](seed)
 
 
 def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_LO,
@@ -207,21 +216,20 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     """Seeded scan over random metrics; per-sample seed = base_seed + index.
 
     Output is independent of ``jobs``: records are always ordered by index and
-    aggregation is order-free.
+    aggregation is order-free.  A scan reads only its arguments, so threads
+    may scan at once.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if net is None and entry.kind in ("su2", "so3"):
-        net = build_net(entry, diam_config.net_size, diam_config.knn,
-                        diam_config.net_seed)
+    sample = functools.partial(_sample_record, entry, lo, hi, diam_config,
+                               _net_for(entry, diam_config, net))
     seeds = [base_seed + i for i in range(n_samples)]
     if jobs <= 1:
-        _scan_init(entry, lo, hi, diam_config, net)
-        records = [_scan_one(s) for s in seeds]
+        records = list(map(sample, seeds))
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_scan_init,
-                                 initargs=(entry, lo, hi, diam_config, net)) as ex:
-            records = list(ex.map(_scan_one, seeds, chunksize=max(1, n_samples // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+                                 initargs=(sample,)) as ex:
+            records = list(ex.map(_pool_sample, seeds, chunksize=max(1, n_samples // (4 * jobs))))
     violations = [(r.seed, name) for r in records for name in r.violated()]
     counts = {name: sum(1 for _, n in violations if n == name) for name in CHECK_NAMES}
     best = max(records, key=lambda r: r.ratio)
@@ -353,9 +361,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
         raise ValueError(f"{kind} runs on {groups}")
     make, want_diam, formulas = sweep
 
-    if want_diam and entry.kind == "su2" and net is None:
-        net = build_net(entry, diam_config.net_size, diam_config.knn,
-                        diam_config.net_seed)
+    net = _net_for(entry, diam_config, net) if want_diam else net
 
     rows = []
     for s in s_values:
@@ -557,18 +563,14 @@ def record_to_dict(rec: ScanRecord) -> dict:
     return d
 
 
-def write_scan_csv(records: Sequence[ScanRecord], stream) -> None:
+def scan_csv_text(records: Sequence[ScanRecord]) -> str:
     if not records:
         raise ValueError("no records to write")
-    writer = csv.writer(stream, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record_to_dict(records[0]).keys())
     for rec in records:
         writer.writerow([_fmt(v) for v in record_to_dict(rec).values()])
-
-
-def scan_csv_text(records: Sequence[ScanRecord]) -> str:
-    buf = io.StringIO()
-    write_scan_csv(records, buf)
     return buf.getvalue()
 
 

@@ -31,12 +31,11 @@ from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import _lattice
 from .lie_core import (GroupElement, LieGroupCatalogEntry, group_log,
-                       is_bracket_generating, quat_conj, quat_log, quat_mul)
+                       is_bracket_generating, quat_conj, quat_log, quat_mul,
+                       so3_representative)
 from .metric_space import MetricSpec
 
 __all__ = [
@@ -348,6 +347,8 @@ def _straightened_graph(n: int, rows: np.ndarray, cols: np.ndarray):
     row-major order), then the CSR ``indptr``, ``indices`` and slot-to-edge
     map of the symmetric graph.
     """
+    from scipy.sparse import csr_matrix, triu  # deferred: only nets pay for it
+
     one = csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
     sym = one + one.T
     upper = triu(sym @ sym + sym, k=1, format="csr")
@@ -385,13 +386,15 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
     if entry.kind == "so3":
-        # The representative quat_log(so3=True) uses: nonnegative real part.
-        nodes = np.where(nodes[:, :1] < 0, -nodes, nodes)
+        nodes = so3_representative(nodes)
 
     n = nodes.shape[0]
     rows, cols, mesh = _knn_pairs(entry.kind, nodes, min(knn, n - 1))
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
+
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
     ncomp, _ = connected_components(
         csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)), directed=False)
@@ -412,6 +415,9 @@ def _shortest_paths(net: Net, weights: np.ndarray) -> np.ndarray:
     An infinite weight bars its edge.  The graph is a fresh CSR matrix over the
     net's read-only structure, which is never modified.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     g = csr_matrix((weights[net.slot_edge], net.indices, net.indptr),
                    shape=(net.n_nodes, net.n_nodes))
     return dijkstra(g, directed=True, indices=0)

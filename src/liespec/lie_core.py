@@ -48,6 +48,7 @@ __all__ = [
     "quat_mul",
     "quat_conj",
     "quat_log",
+    "so3_representative",
 ]
 
 # Rank decisions in subalgebra closures use this relative singular-value cut.
@@ -197,7 +198,7 @@ class GroupElement:
     """Group element with a kind-dependent payload.
 
     torus: coordinate vector in [0,1)^m; su2: unit quaternion (w, x, y, z);
-    so3: unit quaternion modulo sign (stored with a canonical sign);
+    so3: unit quaternion modulo sign, stored with real part >= 0;
     product: tuple of factor elements.
     """
 
@@ -213,7 +214,7 @@ class GroupElement:
             if abs(n - 1.0) > 1e-12:
                 raise ValueError("quaternion payload must have unit norm")
             if self.kind == "so3":
-                q = _canonical_sign(q)
+                q = so3_representative(q)
             q = q.copy()
             q.flags.writeable = False
             object.__setattr__(self, "data", q)
@@ -222,13 +223,6 @@ class GroupElement:
             x = np.where(x >= 1.0, 0.0, x)  # mod can return 1.0 for tiny negatives
             x.flags.writeable = False
             object.__setattr__(self, "data", x)
-
-
-def _canonical_sign(q: np.ndarray) -> np.ndarray:
-    for v in q:
-        if abs(v) > 1e-14:
-            return q if v > 0 else -q
-    raise ValueError("zero quaternion")
 
 
 @dataclass(frozen=True)
@@ -306,25 +300,26 @@ def is_bracket_generating(entry: LieGroupCatalogEntry,
     return generated_subalgebra(entry, S).dim == entry.dim
 
 
+def _orthogonal_matrix(entry: LieGroupCatalogEntry, P: np.ndarray) -> np.ndarray:
+    P = np.asarray(P, dtype=float)
+    m = entry.dim
+    if P.shape != (m, m) or np.max(np.abs(P.T @ P - np.eye(m))) > 1e-10:
+        raise ValueError("P must be orthogonal")
+    return P
+
+
 def ell_index(entry: LieGroupCatalogEntry, P: np.ndarray) -> int:
     """Smallest k such that the first k rotated basis vectors generate.
 
     The rotated vectors are the columns of P.  For the abelian torus no proper
     prefix generates, so the index is always m (the full space).
     """
-    P = np.asarray(P, dtype=float)
-    m = entry.dim
-    if P.shape != (m, m) or np.max(np.abs(P.T @ P - np.eye(m))) > 1e-10:
-        raise ValueError("P must be orthogonal")
-    for k in range(1, m + 1):
-        if is_bracket_generating(entry, P[:, :k].T):
-            return k
-    raise AssertionError("full orthogonal prefix must generate")  # pragma: no cover
+    return prefix_subalgebra_dims(entry, P).index(entry.dim) + 1
 
 
 def prefix_subalgebra_dims(entry: LieGroupCatalogEntry, P: np.ndarray) -> list[int]:
     """Dimensions of the subalgebras generated by each column prefix of P."""
-    P = np.asarray(P, dtype=float)
+    P = _orthogonal_matrix(entry, P)
     return [generated_subalgebra(entry, P[:, :k].T).dim for k in range(1, entry.dim + 1)]
 
 
@@ -346,6 +341,12 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
+def so3_representative(q: np.ndarray) -> np.ndarray:
+    """q or -q, whichever has real part >= 0: the one stored SO(3) sign."""
+    q = np.asarray(q, dtype=float)
+    return np.where(q[..., :1] < 0, -q, q)
+
+
 def _quat_exp(v: np.ndarray) -> np.ndarray:
     theta = float(np.linalg.norm(v))
     if theta < 1e-300:
@@ -362,9 +363,7 @@ def quat_log(q: np.ndarray, so3: bool = False) -> np.ndarray:
     representative with nonnegative real part is used and theta <= pi/2.  At
     the antipode every direction is a shortest branch; (pi, 0, 0) is returned.
     """
-    q = np.asarray(q, dtype=float)
-    if so3:
-        q = np.where(q[..., :1] < 0, -q, q)
+    q = so3_representative(q) if so3 else np.asarray(q, dtype=float)
     w = q[..., 0]
     u = q[..., 1:]
     s = np.linalg.norm(u, axis=-1)

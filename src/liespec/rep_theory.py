@@ -36,7 +36,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _lattice
-from .lie_core import LieGroupCatalogEntry, Subalgebra, is_bracket_generating
+from .lie_core import (LieGroupCatalogEntry, Subalgebra, _orthogonal_matrix,
+                       is_bracket_generating)
 from .metric_space import MetricSpec
 
 __all__ = [
@@ -405,12 +406,9 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int,
     survive).  k = 1 imposes no constraint, so the plain bi-invariant gap
     comes back.
     """
-    P = np.asarray(P, dtype=float)
-    m = entry.dim
-    if not 1 <= k <= m:
+    if not 1 <= k <= entry.dim:
         raise ValueError("need 1 <= k <= m")
-    if P.shape != (m, m) or np.max(np.abs(P.T @ P - np.eye(m))) > 1e-10:
-        raise ValueError("P must be orthogonal")
+    P = _orthogonal_matrix(entry, P)
     if k == 1:
         return biinvariant_lambda1(entry)
     prefix = P[:, :k - 1].T

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -99,6 +101,30 @@ class TestScan:
                      jobs=2)
         assert scan_csv_text(a) == scan_csv_text(b)
         assert sa.violation_counts == sb.violation_counts
+
+    def test_concurrent_scans_read_only_their_own_inputs(self, monkeypatch):
+        # Each thread waits at its first sample until the other has started
+        # its scan, so both scans run with the other's inputs live.
+        barrier = threading.Barrier(2)
+        started = threading.local()
+        real = egs_scan.sample_metric
+
+        def sample_metric(*args):
+            if not getattr(started, "flag", False):
+                started.flag = True
+                barrier.wait(timeout=30)
+            return real(*args)
+
+        monkeypatch.setattr(egs_scan, "sample_metric", sample_metric)
+        config = DiamConfig(grid_resolution=16)
+        keys = ("t1", "t2")
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            futures = [ex.submit(scan, ls.entry_from_key(k), 40, diam_config=config)
+                       for k in keys]
+            results = [f.result(timeout=120)[0] for f in futures]
+        for key, recs in zip(keys, results):
+            assert [r.group for r in recs] == [key] * 40
+            assert [r.seed for r in recs] == list(range(40))
 
     def test_t2_no_violations(self, t2):
         recs, summary = scan(t2, 1000, lo=0.1, hi=10.0, diam_config=T2_CONFIG,

@@ -413,12 +413,19 @@ class TestDiameterEstimateInvariant:
 
 
 def test_import_defers_scipy_spatial():
-    """Only net building pays for importing the k-d tree."""
+    """Only net code pays for importing the k-d tree and the sparse graphs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, liespec; print('scipy.spatial' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env, timeout=60)
-    assert out.stdout.strip() == "False"
+    code = """
+import sys, numpy as np, liespec
+liespec.startup_self_test()
+t2 = liespec.torus_entry(2)
+spec = liespec.metric_from_matrix(np.diag([2.0, 1.0]))
+liespec.lambda1_certified(t2, spec)
+liespec.torus_diameter(spec)
+print([name in sys.modules for name in ("scipy.spatial", "scipy.sparse")])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=60)
+    assert out.stdout.strip() == "[False, False]"

@@ -220,6 +220,24 @@ class TestEllIndex:
     def test_non_orthogonal_rejected(self, su2):
         with pytest.raises(ValueError):
             ls.ell_index(su2, np.diag([2.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="P must be orthogonal"):
+            prefix_subalgebra_dims(su2, 2.0 * np.eye(3))
+
+    def test_matches_first_generating_prefix(self, su2, t3, su2xsu2):
+        # Reference: the loop that stops at the first bracket-generating
+        # column prefix.
+        def first_generating_prefix(entry, P):
+            for k in range(1, entry.dim + 1):
+                if ls.is_bracket_generating(entry, P[:, :k].T):
+                    return k
+
+        rng = np.random.default_rng(17)
+        for entry in (su2, su2xsu2, t3):
+            rotations = [np.eye(entry.dim)]
+            rotations += [np.linalg.qr(rng.standard_normal((entry.dim,) * 2))[0]
+                          for _ in range(20)]
+            for P in rotations:
+                assert ls.ell_index(entry, P) == first_generating_prefix(entry, P)
 
     def test_invariant_under_block_factor(self, su2xsu2):
         # Right-multiplying by blockdiag(Q1, 1, Q2) at the split index must
@@ -293,6 +311,14 @@ class TestGroupArithmetic:
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         prod = quat_mul(a, quat_conj(a))
         assert np.allclose(prod[:, 0], 1.0) and np.allclose(prod[:, 1:], 0.0)
+
+    def test_so3_stored_with_nonnegative_real_part(self):
+        q = ls.GroupElement("so3", np.array([-1e-15, 0.6, 0.8, 0.0]))
+        assert q.data[0] >= 0
+        assert np.array_equal(q.data, [1e-15, -0.6, -0.8, 0.0])
+        half_turn = ls.GroupElement("so3", np.array([0.0, -1.0, 0.0, 0.0]))
+        assert half_turn.data.tolist() == [0.0, -1.0, 0.0, 0.0]
+        assert not np.any(np.signbit(half_turn.data[[0, 2, 3]]))
 
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import liespec as ls
+from liespec import _lattice
 from liespec.rep_theory import (FOUR_PI_SQ, _character_stream, _irrep_stream,
                                 _pair_irrep)
 
@@ -439,6 +440,19 @@ class TestTorusGap:
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             ls.lambda1_certified(ls.torus_entry(5), ls.metric_from_matrix(np.eye(5)))
+
+    def test_box_chunks_bounded(self, monkeypatch):
+        monkeypatch.setattr(_lattice, "_CHUNK_POINTS", 50)
+        chunks = list(_lattice.box_chunks(3, 4))
+        assert max(c.shape[0] for c in chunks) <= 50
+        assert np.array_equal(np.concatenate(chunks), _lattice.enumerate_box(3, 4))
+
+    def test_chunking_leaves_gap_unchanged(self, monkeypatch):
+        t4 = ls.torus_entry(4)
+        specs = [ls.sample_metric(t4, 0.2, 5.0, seed=s) for s in range(10)]
+        whole = [ls.lambda1_certified(t4, spec) for spec in specs]
+        monkeypatch.setattr(_lattice, "_CHUNK_POINTS", 50)
+        assert [ls.lambda1_certified(t4, spec) for spec in specs] == whole
 
 
 class TestInvariantDim:
