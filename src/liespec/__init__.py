@@ -25,12 +25,10 @@ from .metric_space import (DiagonalClass, MatrixFormatError, MetricSpec,
 from .rep_theory import (Irrep, SpectralResult, assemble_minus_CA,
                          biinvariant_lambda1, character_irrep,
                          enumerate_irreps, invariant_dim, lambda1_certified,
-                         lambda1_restricted, lambda_min_hermitian, spin_irrep,
-                         sublaplacian_lambda1)
+                         lambda1_restricted, lambda_min_hermitian, spin_irrep)
 from .geometry import (DiameterEstimate, Net, PaperBounds,
                        biinvariant_diameter, biinvariant_distance, build_net,
-                       graph_diameter, horizontal_graph_diameter,
-                       paper_diameter_bounds, torus_diameter)
+                       graph_diameter, paper_diameter_bounds, torus_diameter)
 from .egs_scan import (DiamConfig, DegenerationReport, PropertyReport,
                        ScanRecord, ScanSummary, degeneration_experiment,
                        egs_ratio, property_suite, scan)

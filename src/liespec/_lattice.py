@@ -2,19 +2,24 @@
 
 Everything here works on Z^m equipped with a positive definite form Q: vector
 norms are n^t Q n.  Dimensions stay tiny (m <= 4), so pairwise (Lagrange
-style) greedy reduction is enough to make enumeration boxes small.
+style) greedy reduction is enough: it is Minkowski reduction for m <= 4
+(Nguyen & Stehle, ACM TALG 2009).  ``short_vectors`` walks only the lattice
+points inside an ellipsoid (Fincke & Pohst, Math. Comp. 44, 1985) over the
+reduced basis; ``enumerate_box`` lists a plain coordinate box.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
-__all__ = ["greedy_reduce", "enumerate_box", "box_chunks"]
+__all__ = ["greedy_reduce", "enumerate_box", "short_vectors"]
 
-# Most rows box_chunks puts in one chunk.
-_CHUNK_POINTS = 2_000_000
+# Relative slack on the short_vectors bound: a point whose form value exceeds
+# the bound by less than this is still returned, so rounding in the walk never
+# drops a point that the direct form puts at or below the bound.
+_SHORT_RTOL = 1e-9
 
 
 def greedy_reduce(Q: np.ndarray) -> np.ndarray:
@@ -57,23 +62,40 @@ def enumerate_box(radius: int, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def box_chunks(radius: int, m: int):
-    """Yield ``enumerate_box(radius, m)`` in order, in chunks of at most
-    ``_CHUNK_POINTS`` rows.
+def short_vectors(Q: np.ndarray, bound: float) -> np.ndarray:
+    """Every nonzero integer n with n^t Q n <= bound, shape (N, m), sorted
+    lexicographically.
 
-    A box too large for one chunk is sliced along its first axis, and each
-    slice along the next, until a slice fits: every chunk is one fixed prefix
-    of leading coordinates over the same enumerated tail box, so the chunks
-    concatenate to the box in lexicographic order.  The tail keeps at least
-    one axis, so a chunk exceeds the limit only when 2 * radius + 1 does.
+    Fincke-Pohst enumeration over the ``greedy_reduce`` basis: with
+    U^t Q U = R^t R (R upper triangular) the form splits into one square per
+    coordinate, so each coordinate, last first, ranges over the integers that
+    keep the partial sum within the bound.  Only points inside the ellipsoid,
+    and their prefixes, are visited.  The bound carries the relative slack
+    ``_SHORT_RTOL``.
     """
-    side = 2 * radius + 1
-    lead = 0
-    while lead < m - 1 and side ** (m - lead) > _CHUNK_POINTS:
-        lead += 1
-    tail = enumerate_box(radius, m - lead)
-    for prefix in itertools.product(range(-radius, radius + 1), repeat=lead):
-        chunk = np.empty((tail.shape[0], m), dtype=np.int64)
-        chunk[:, :lead] = prefix
-        chunk[:, lead:] = tail
-        yield chunk
+    Q = np.asarray(Q, dtype=float)
+    m = Q.shape[0]
+    U = greedy_reduce(Q)
+    R = np.linalg.cholesky(U.T @ Q @ U).T
+    diag = np.diag(R)
+    mu = R / diag[:, None]
+    found: list[tuple[int, ...]] = []
+    k = [0] * m
+
+    def walk(i: int, budget: float) -> None:
+        centre = -sum(mu[i, j] * k[j] for j in range(i + 1, m))
+        half = math.sqrt(budget) / diag[i]
+        for v in range(math.ceil(centre - half), math.floor(centre + half) + 1):
+            k[i] = v
+            rest = budget - (diag[i] * (v - centre)) ** 2
+            if rest < 0.0:  # rounding at the ends of the range
+                continue
+            if i:
+                walk(i - 1, rest)
+            else:
+                found.append(tuple(k))
+
+    walk(m - 1, bound * (1.0 + _SHORT_RTOL))
+    pts = np.array(found, dtype=np.int64).reshape(-1, m) @ U.T
+    pts = pts[np.any(pts != 0, axis=1)]
+    return pts[np.lexsort(pts.T[::-1])]

@@ -235,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda1", help="certified spectral gap")
     common(p)
-    p.add_argument("--window-cap", type=float, default=DEFAULT_WINDOW_CAP)
+    p.add_argument("--window-cap", type=float, default=DEFAULT_WINDOW_CAP,
+                   help="largest Casimir value an irrep walk (su2, so3, su2xsu2) "
+                        "may reach before it gives up uncertified; inf for none. "
+                        "Checked on tori too, where the gap is always certified")
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")

@@ -11,8 +11,9 @@ discretisation bias.
 ``build_net`` does all the work that depends only on the net, once: the knn
 search (a k-d tree), the straightened two-hop edge set with its logs, and the
 CSR structure of the graph.  The default net (20000 nodes, knn 12) takes
-about 0.2 s to build on one AMD EPYC core, so nets are not cached across
-runs.  Each metric then pays for one weight per edge and one Dijkstra.
+about 0.4 s to build (0.7 s for the first build in a process, which also
+imports scipy), so nets are not cached across runs.  Each metric then pays
+for one weight per edge and one Dijkstra, about 45 ms.
 
 The torus grid sweep covers half the grid: Z^m = -Z^m, so a grid point and
 its mirror are equally far from the lattice.  It screens those points in
@@ -21,7 +22,7 @@ point within a relative 1e-9 of the screened maximum, and its mirror, with
 the direct form.  Mirrors tie only in exact arithmetic, and the refinement
 pass is not mirror-symmetric, so the re-score keeps the argmax, and every
 reported figure, that of a full direct sweep.  t3 at grid 64 takes about
-12 ms on one AMD EPYC core.
+42 ms.  All timings are one BLAS thread on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import _lattice
 from .lie_core import (GroupElement, LieGroupCatalogEntry, group_log,
-                       is_bracket_generating, quat_conj, quat_log, quat_mul,
-                       so3_representative)
+                       quat_conj, quat_log, quat_mul, so3_representative)
 from .metric_space import MetricSpec
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "biinvariant_diameter",
     "build_net",
     "graph_diameter",
-    "horizontal_graph_diameter",
     "paper_diameter_bounds",
 ]
 
@@ -409,20 +408,6 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
                knn=knn, seed=seed)
 
 
-def _shortest_paths(net: Net, weights: np.ndarray) -> np.ndarray:
-    """Distances from node 0 over the straightened edges with the given weights.
-
-    An infinite weight bars its edge.  The graph is a fresh CSR matrix over the
-    net's read-only structure, which is never modified.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    g = csr_matrix((weights[net.slot_edge], net.indices, net.indptr),
-                   shape=(net.n_nodes, net.n_nodes))
-    return dijkstra(g, directed=True, indices=0)
-
-
 def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
                    eps_net: float = DEFAULT_EPS_NET) -> DiameterEstimate:
     """Shortest-path diameter estimate from the identity on a fixed net.
@@ -439,7 +424,13 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
     # |v|_g^2 = v^t gram v = |L^t v|^2 with gram = L L^t.
     y = net.edge_logs @ np.linalg.cholesky(spec.gram)
     w = np.sqrt(np.einsum("ei,ei->e", y, y))
-    dist = _shortest_paths(net, w)
+    # A fresh CSR matrix over the net's read-only structure, never modified.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    g = csr_matrix((w[net.slot_edge], net.indices, net.indptr),
+                   shape=(net.n_nodes, net.n_nodes))
+    dist = dijkstra(g, directed=True, indices=0)
     if not np.all(np.isfinite(dist)):
         raise AssertionError("net is not connected")
     i = int(np.argmax(dist))
@@ -449,44 +440,6 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
         method="GeodesicGraph",
         params={"net_size": net.n_nodes, "knn": net.knn, "eps_net": eps_net,
                 "seed": net.seed},
-        farthest_point=GroupElement(net.kind, net.nodes[i]))
-
-
-def horizontal_graph_diameter(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
-                              h: np.ndarray, net: Net,
-                              eta: float = 0.2) -> DiameterEstimate:
-    """Heuristic horizontal-path diameter estimate for a generating subspace.
-
-    Keeps only edges whose log is nearly tangent to H (transverse part at most
-    eta times the log) and weighs them by |v_H|_h + |v_perp|.  The additive
-    transverse penalty makes enlarging H edgewise non-increasing on admissible
-    edges.  No certified bracket exists for this estimator, hence the trivial
-    bounds.
-    """
-    if entry.kind != net.kind:
-        raise ValueError("net was built for a different group")
-    basis = np.asarray(H_basis, dtype=float)
-    if not is_bracket_generating(entry, basis):
-        raise ValueError("H must be bracket generating")
-    h = np.asarray(h, dtype=float)
-    logs = net.edge_logs
-    pinv = np.linalg.pinv(basis)
-    coeff = logs @ pinv
-    v_h = coeff @ basis
-    v_perp = logs - v_h
-    norm_perp = np.linalg.norm(v_perp, axis=1)
-    norm_full = np.linalg.norm(logs, axis=1)
-    admissible = norm_perp <= eta * norm_full
-    w = np.sqrt(np.einsum("ei,ij,ej->e", coeff, h, coeff)) + norm_perp
-    dist = _shortest_paths(net, np.where(admissible, w, np.inf))
-    finite = np.isfinite(dist)
-    unreached = int(np.sum(~finite))
-    i = int(np.argmax(np.where(finite, dist, -np.inf)))
-    value = float(dist[i])
-    return DiameterEstimate(
-        value=value, lower=0.0, upper=math.inf, method="HorizontalGraph",
-        params={"net_size": net.n_nodes, "eta": eta, "heuristic": True,
-                "unreached": unreached},
         farthest_point=GroupElement(net.kind, net.nodes[i]))
 
 

@@ -13,14 +13,17 @@ Irrep catalog:
 * su2: spins j = 1/2, 1, 3/2, ... with lambda^pi = 4 j (j+1), dim 2j+1,
   generators -2i J_a built from ladder matrices.
 * so3: integer spins only.
-* torus: characters n in Z^m with lambda^pi = 4 pi^2 |n|^2, dim 1.
+* torus: characters n in Z^m with lambda^pi = 4 pi^2 |n|^2, dim 1.  The
+  torus gap itself is a shortest-vector problem, 4 pi^2 min n^t (A A^t) n,
+  solved exactly by ellipsoid enumeration (``_lattice.short_vectors``)
+  rather than by walking characters.
 * products: outer Kronecker pairs, lambda^pi additive, merged best-first;
   a product stream is a left fold of ``_merge_streams`` over its factors.
 
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
 cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
-spectra, sub-Laplacian gaps and the certified gap all read it.
+spectra and the certified gap on su2, so3 and products all read it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ __all__ = [
     "biinvariant_lambda1",
     "invariant_dim",
     "lambda1_restricted",
-    "sublaplacian_lambda1",
 ]
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -256,16 +258,15 @@ def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list
 # ---------------------------------------------------------------------------
 
 def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
-    """Hermitian PSD operator -sum_ij (A A^t)_ij pi(X_i) pi(X_j)."""
+    """PSD operator -sum_ij (A A^t)_ij pi(X_i) pi(X_j), hermitian up to rounding.
+
+    ``lambda_min_hermitian`` checks and symmetrises it.
+    """
     G = irrep.generators
     if G.shape[0] != spec.m:
         raise ValueError("irrep and metric have different dimensions")
     W = np.tensordot(spec.AAt, G, axes=(1, 0))
-    M = -_contract(G, W)
-    herm = np.max(np.abs(M - M.conj().T))
-    if herm > 1e-11 * max(1.0, float(np.max(np.abs(M)))):
-        raise AssertionError("assembled operator is not hermitian")
-    return 0.5 * (M + M.conj().T)
+    return -_contract(G, W)
 
 
 def lambda_min_hermitian(M: np.ndarray) -> float:
@@ -294,14 +295,16 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     lambda_min(-C_A); stops certified once the next Casimir value nu satisfies
     sigma_m^2 * nu > running minimum.  If that would require nu beyond
     ``window_cap`` the result is returned uncertified; an infinite cap never
-    binds.  The cap must be positive.
+    binds.  The cap must be positive on every group, but only irrep walks
+    (su2, so3, products) read it: a torus gap is an exact shortest-vector
+    search and is always certified.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
     if not window_cap > 0:
         raise ValueError(f"window cap must be positive, got {window_cap:g}")
     if entry.kind == "torus":
-        return _torus_lambda1_certified(spec, window_cap)
+        return _torus_lambda1_certified(spec)
     sm2 = spec.sigma[-1] ** 2
     lam_hat = math.inf
     witness = ""
@@ -331,11 +334,16 @@ def biinvariant_lambda1(entry: LieGroupCatalogEntry) -> float:
     return next(_irrep_stream(entry)).casimir
 
 
-def _torus_lambda1_certified(spec: MetricSpec, window_cap: float) -> SpectralResult:
-    """Character enumeration in ascending shells with the same stop rule.
+def _torus_lambda1_certified(spec: MetricSpec) -> SpectralResult:
+    """Shortest character: 4 pi^2 min n^t (A A^t) n over nonzero integer n.
 
-    Seeds the running minimum with the coordinate characters, which bounds the
-    exhaustive box; shells up to the certification boundary are then complete.
+    The coordinate character with the smallest diagonal entry seeds the
+    minimum; every character that could beat it lies in the ellipsoid
+    n^t (A A^t) n <= (A A^t)_jj, which ``_lattice.short_vectors`` lists
+    completely.  The seed stays unless strictly beaten, otherwise the first
+    minimiser in lexicographic order wins.  The enumeration is exact, so the
+    result is always certified; its window is the certification boundary of
+    the shell order.
     """
     Q = spec.AAt
     m = spec.m
@@ -346,36 +354,20 @@ def _torus_lambda1_certified(spec: MetricSpec, window_cap: float) -> SpectralRes
     j0 = int(np.argmin(diag))
     lam_hat = FOUR_PI_SQ * float(diag[j0])
     witness_n = np.eye(m, dtype=np.int64)[j0]
-    evals = m
-
-    radius = int(math.floor(math.sqrt(lam_hat / (FOUR_PI_SQ * sm2)) + 1e-12))
-    cap_radius = math.sqrt(window_cap / FOUR_PI_SQ) + 1e-12  # inf: no cap
-    certified = True
-    reason = ""
-    if radius > cap_radius:
-        radius = math.floor(cap_radius)
-        certified = False
-        reason = f"certification needs Casimir window beyond cap {window_cap:g}"
-    for pts in _lattice.box_chunks(radius, m):
-        vals = FOUR_PI_SQ * np.einsum("ni,ij,nj->n", pts, Q.astype(float), pts)
-        vals[np.all(pts == 0, axis=1)] = np.inf
-        evals += pts.shape[0]
-        idx = int(np.argmin(vals))
-        if vals[idx] < lam_hat:
-            lam_hat = float(vals[idx])
-            witness_n = pts[idx].copy()
-    label = _character_label(witness_n)
-    if certified:
-        boundary = FOUR_PI_SQ * (math.floor(lam_hat / (FOUR_PI_SQ * sm2) + 1e-12) + 1)
-        return SpectralResult(lambda1=lam_hat, witness=label, certified=True,
-                              window=boundary, evaluations=evals)
-    return SpectralResult(lambda1=lam_hat, witness=label, certified=False,
-                          window=FOUR_PI_SQ * radius * radius, evaluations=evals,
-                          reason=reason)
+    pts = _lattice.short_vectors(Q, float(diag[j0]))
+    vals = FOUR_PI_SQ * np.einsum("ni,ij,nj->n", pts, Q.astype(float), pts)
+    idx = int(np.argmin(vals))
+    if vals[idx] < lam_hat:
+        lam_hat = float(vals[idx])
+        witness_n = pts[idx]
+    boundary = FOUR_PI_SQ * (math.floor(lam_hat / (FOUR_PI_SQ * sm2) + 1e-12) + 1)
+    return SpectralResult(lambda1=lam_hat, witness=_character_label(witness_n),
+                          certified=True, window=boundary,
+                          evaluations=m + pts.shape[0])
 
 
 # ---------------------------------------------------------------------------
-# Invariant vectors, restricted spectra, sub-Laplacians
+# Invariant vectors and restricted spectra
 # ---------------------------------------------------------------------------
 
 def invariant_dim(irrep: Irrep, H) -> int:
@@ -419,40 +411,3 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int,
             return irrep.casimir
     raise RuntimeError(f"no invariant vector found below Casimir cap {window_cap:g}; "
                        "the prefix may generate a dense (non-closed) subgroup")
-
-
-def sublaplacian_lambda1(entry: LieGroupCatalogEntry, H_basis: np.ndarray,
-                         h: np.ndarray, window: float) -> SpectralResult:
-    """Window-limited spectral gap of the sub-Laplacian of (H, h).
-
-    H_basis holds the spanning vectors as rows; h is the Gram matrix of the
-    inner product in that basis.  There is no computable certification rule
-    for sub-Laplacians, so results are always flagged uncertified.  A
-    non-generating H admits invariant functions and the gap is exactly 0.
-    """
-    irreps = _irrep_stream(entry, window)  # rejects a window that is not positive
-    rows = np.asarray(H_basis, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != entry.dim:
-        raise ValueError("H_basis must be a list of m-vectors")
-    h = np.asarray(h, dtype=float)
-    if h.shape != (rows.shape[0], rows.shape[0]):
-        raise ValueError("h must be a Gram matrix on H_basis")
-    if not is_bracket_generating(entry, rows):
-        return SpectralResult(lambda1=0.0, witness="", certified=False,
-                              window=0.0, evaluations=0,
-                              reason="H-invariant functions exist")
-    L = np.linalg.cholesky(h)
-    ortho = np.linalg.solve(L, rows)  # h-orthonormal basis of H, as rows
-    best = math.inf
-    witness = ""
-    evals = 0
-    for irrep in irreps:
-        B = np.tensordot(ortho, irrep.generators, axes=(1, 0))
-        lm = lambda_min_hermitian(-_contract(B, B))
-        evals += 1
-        if lm < best:
-            best = lm
-            witness = irrep.label
-    return SpectralResult(lambda1=best, witness=witness, certified=False,
-                          window=window, evaluations=evals,
-                          reason="window-limited; sub-Laplacians have no certification rule")

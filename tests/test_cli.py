@@ -160,6 +160,13 @@ class TestLambda1:
                 assert out == ""
                 assert err.startswith("error: window cap must be positive")
 
+    def test_window_cap_leaves_torus_certified(self, capsys):
+        # The torus gap is an exact ellipsoid enumeration; the cap limits
+        # irrep walks only.
+        code, out, _ = run(capsys, "lambda1", "--group", "t2", "--window-cap", "1")
+        assert code == 0
+        assert "certified=true" in out
+
     def test_window_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "lambda1", "--group", "su2",
                            "--matrix", "5,0,0,0,5,0,0,0,0.2",

@@ -330,42 +330,6 @@ class TestGraphDiameter:
             ls.graph_diameter(so3, ls.metric_from_matrix(np.eye(3)), small_net)
 
 
-class TestHorizontalGraph:
-    def test_full_h_matches_riemannian_graph(self, su2, small_net):
-        spec = ls.metric_from_matrix(np.eye(3))
-        full = ls.horizontal_graph_diameter(su2, np.eye(3), np.eye(3), small_net)
-        plain = ls.graph_diameter(su2, spec, small_net)
-        assert full.value == pytest.approx(plain.value, rel=1e-12)
-
-    def test_generating_pair_finite(self, su2, small_net):
-        est = ls.horizontal_graph_diameter(su2, np.eye(3)[:2], np.eye(2), small_net)
-        assert math.isfinite(est.value) and est.value > 0
-        assert est.method == "HorizontalGraph"
-        assert dict(est.params)["heuristic"] is True
-        assert math.isinf(est.upper)  # no certified bracket
-
-    def test_monotone_in_h(self, su2, small_net):
-        pair = ls.horizontal_graph_diameter(su2, np.eye(3)[:2], np.eye(2), small_net)
-        full = ls.horizontal_graph_diameter(su2, np.eye(3), np.eye(3), small_net)
-        assert full.value <= pair.value + 1e-12
-
-    def test_masked_edges_match_reference(self, su2, small_net):
-        eta, h = 0.1, np.diag([1.0, 2.0])
-        est = ls.horizontal_graph_diameter(su2, np.eye(3)[:2], h, small_net, eta=eta)
-        rows, cols, logs = reference_edges(small_net)
-        perp = np.abs(logs[:, 2])
-        keep = perp <= eta * np.linalg.norm(logs, axis=1)
-        w = np.sqrt(np.einsum("ei,ij,ej->e", logs[:, :2], h, logs[:, :2])) + perp
-        dist = reference_distances(small_net.n_nodes, rows[keep], cols[keep], w[keep])
-        finite = np.isfinite(dist)
-        assert dict(est.params)["unreached"] == np.sum(~finite) > 0
-        assert est.value == pytest.approx(np.max(dist[finite]), rel=1e-12)
-
-    def test_non_generating_rejected(self, su2, small_net):
-        with pytest.raises(ValueError):
-            ls.horizontal_graph_diameter(su2, [[0.0, 0.0, 1.0]], np.eye(1), small_net)
-
-
 class TestClosedFormBounds:
     def test_su2_so3(self, su2, so3):
         spec = ls.metric_from_matrix(np.eye(3))

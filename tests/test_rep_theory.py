@@ -70,6 +70,27 @@ def su2xsu2_gap_reference(spec, max_twice_spin=30):
     raise AssertionError("pair list too short for the stop rule")
 
 
+def torus_gap_box_sweep(spec):
+    """(lambda1, witness, window) of the torus gap by one sweep of a box.
+
+    The box of radius sqrt((A A^t)_jj / sigma_m^2) holds every character that
+    could beat the seed e_j, j the smallest diagonal entry; the seed stays
+    unless strictly beaten, else the first minimiser in lexicographic order.
+    """
+    Q = spec.AAt
+    sm2 = spec.sigma[-1] ** 2
+    j0 = int(np.argmin(np.diag(Q)))
+    lam, witness = FOUR_PI_SQ * float(Q[j0, j0]), np.eye(spec.m, dtype=np.int64)[j0]
+    pts = _lattice.enumerate_box(int(math.sqrt(Q[j0, j0] / sm2 + 1e-12)), spec.m)
+    vals = FOUR_PI_SQ * np.einsum("ni,ij,nj->n", pts, Q, pts)
+    vals[np.all(pts == 0, axis=1)] = np.inf
+    i = int(np.argmin(vals))
+    if vals[i] < lam:
+        lam, witness = float(vals[i]), pts[i]
+    window = FOUR_PI_SQ * (math.floor(lam / (FOUR_PI_SQ * sm2) + 1e-12) + 1)
+    return lam, "char(" + ",".join(str(int(v)) for v in witness) + ")", window
+
+
 def run_isolated(code, timeout=30):
     """Run code in a fresh interpreter with liespec importable.
 
@@ -421,15 +442,15 @@ class TestTorusGap:
             assert scaled == pytest.approx(t * t * base, rel=1e-12)
 
     def test_bruteforce_oracle(self, t2, t3, torus_gap):
-        for entry, n in ((t2, 40), (t3, 25)):
+        for entry, n in ((t2, 40), (t3, 25), (ls.torus_entry(4), 15)):
             for seed in range(n):
                 spec = ls.sample_metric(entry, 0.4, 2.5, seed=seed)
                 got = ls.lambda1_certified(entry, spec).lambda1
                 assert got == pytest.approx(torus_gap(spec), rel=1e-12)
 
     def test_agrees_with_certified_enumeration(self, t2, t3, torus_gap):
-        # The shell-ordered enumeration with its stopping rule against an
-        # exhaustive sweep of the whole box that holds every minimiser.
+        # The ellipsoid walk against an exhaustive sweep of the whole box
+        # that holds every minimiser.
         for entry in (t2, t3):
             for seed in range(50):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
@@ -441,18 +462,51 @@ class TestTorusGap:
         with pytest.raises(ValueError):
             ls.lambda1_certified(ls.torus_entry(5), ls.metric_from_matrix(np.eye(5)))
 
-    def test_box_chunks_bounded(self, monkeypatch):
-        monkeypatch.setattr(_lattice, "_CHUNK_POINTS", 50)
-        chunks = list(_lattice.box_chunks(3, 4))
-        assert max(c.shape[0] for c in chunks) <= 50
-        assert np.array_equal(np.concatenate(chunks), _lattice.enumerate_box(3, 4))
+    def test_short_vectors_match_box(self):
+        # Every nonzero point of a box that holds the ellipsoid, filtered by
+        # the direct form, in the box's lexicographic order.  The bound sits
+        # halfway between two distinct form values, far from the slack.
+        rng = np.random.default_rng(30)
+        for m in (1, 2, 3, 4):
+            for _ in range(10):
+                X = rng.standard_normal((m, m))
+                Q = X @ X.T + 0.2 * np.eye(m)
+                target = 2.5 * float(np.min(np.diag(Q)))
+                radius = int(math.sqrt(target / np.linalg.eigvalsh(Q)[0])) + 1
+                box = _lattice.enumerate_box(radius, m)
+                box = box[np.any(box != 0, axis=1)]
+                vals = np.einsum("ni,ij,nj->n", box, Q, box)
+                bound = 0.5 * (vals[vals <= target].max() + vals[vals > target].min())
+                got = _lattice.short_vectors(Q, bound)
+                assert np.array_equal(got, box[vals <= bound])
 
-    def test_chunking_leaves_gap_unchanged(self, monkeypatch):
+    def test_selection_matches_box_sweep(self, t2, t3):
+        # Seeds, and metrics with ties among minimisers: the seed character
+        # stays unless strictly beaten, else the first minimiser in
+        # lexicographic order wins.
         t4 = ls.torus_entry(4)
-        specs = [ls.sample_metric(t4, 0.2, 5.0, seed=s) for s in range(10)]
-        whole = [ls.lambda1_certified(t4, spec) for spec in specs]
-        monkeypatch.setattr(_lattice, "_CHUNK_POINTS", 50)
-        assert [ls.lambda1_certified(t4, spec) for spec in specs] == whole
+        hexagonal = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+        specs = [(t2, ls.metric_from_matrix(hexagonal))]
+        for entry, lo, hi, n in ((t2, 0.2, 5.0, 60), (t3, 0.2, 5.0, 40), (t4, 0.4, 2.5, 20)):
+            m = entry.dim
+            specs += [(entry, ls.sample_metric(entry, lo, hi, seed=s)) for s in range(n)]
+            specs += [(entry, ls.metric_from_matrix(np.diag(d)))
+                      for d in itertools.product((1.0, 2.0, 0.5), repeat=m)]
+        for entry, spec in specs:
+            res = ls.lambda1_certified(entry, spec)
+            assert res.certified
+            assert (res.lambda1, res.witness, res.window) == torus_gap_box_sweep(spec)
+
+    def test_thin_t4_direction_certifies(self):
+        # One direction 1000 times thinner than the rest: an isotropic search
+        # box would hold 319^4 points, the ellipsoid holds 318.
+        from liespec.metric_space import random_rotation
+        R = random_rotation(4, np.random.default_rng(3))
+        spec = ls.metric_from_matrix(R @ np.diag([30.0, 30.0, 30.0, 0.03]))
+        res = ls.lambda1_certified(ls.torus_entry(4), spec)
+        assert res.certified
+        assert res.lambda1 == pytest.approx(685.8152360663768, rel=1e-12)
+        assert res.witness == "char(-6,17,-11,-37)"
 
 
 class TestInvariantDim:
@@ -506,60 +560,6 @@ class TestRestrictedGap:
     def test_nonpositive_cap_rejected(self, t2, cap):
         with pytest.raises(ValueError, match="cutoff must be positive"):
             ls.lambda1_restricted(t2, np.eye(2), 2, window_cap=cap)
-
-
-class TestSubLaplacian:
-    def test_generating_pair_positive(self, su2):
-        res = ls.sublaplacian_lambda1(su2, np.eye(3)[:2], np.eye(2), window=50.0)
-        assert not res.certified
-        assert res.lambda1 > 0
-        assert res.lambda1 == pytest.approx(2.0, abs=1e-10)  # spin(1/2): two unit squares
-
-    def test_full_h_recovers_riemannian_gap(self, su2):
-        res = ls.sublaplacian_lambda1(su2, np.eye(3), np.eye(3), window=50.0)
-        assert res.lambda1 == pytest.approx(3.0, abs=1e-10)
-
-    def test_non_generating_returns_zero(self, su2):
-        res = ls.sublaplacian_lambda1(su2, [[0.0, 0.0, 1.0]], np.eye(1), window=50.0)
-        assert res.lambda1 == 0.0
-        assert "invariant functions" in res.reason
-
-    def test_window_validation(self, su2):
-        with pytest.raises(ValueError):
-            ls.sublaplacian_lambda1(su2, np.eye(3)[:2], np.eye(2), window=0.0)
-
-    def test_nan_window_rejected(self):
-        out = run_isolated(
-            "try:\n"
-            "    ls.sublaplacian_lambda1(ls.torus_entry(2), np.eye(2), np.eye(2), math.nan)\n"
-            "except ValueError as e:\n"
-            "    print(e)\n")
-        assert out.returncode == 0, out.stderr
-        assert "cutoff must be positive" in out.stdout
-
-    def test_matches_einsum_reference(self, su2):
-        rng = np.random.default_rng(29)
-        for rows in (np.eye(3)[:2], rng.standard_normal((2, 3)), np.eye(3)):
-            k = rows.shape[0]
-            X = rng.standard_normal((k, k))
-            h = X @ X.T + k * np.eye(k)
-            res = ls.sublaplacian_lambda1(su2, rows, h, window=50.0)
-            ortho = np.linalg.solve(np.linalg.cholesky(h), rows)
-            best, witness = math.inf, ""
-            for irr in ls.enumerate_irreps(su2, 50.0):
-                B = np.tensordot(ortho, irr.generators, axes=(1, 0))
-                M = -np.einsum("iab,ibc->ac", B, B)
-                lam = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
-                if lam < best:
-                    best, witness = lam, irr.label
-            assert res.lambda1 == pytest.approx(best, rel=1e-12)
-            assert res.witness == witness
-
-    def test_weighted_inner_product(self, su2):
-        # h-orthonormalisation: doubling h scales the operator by 1/2.
-        a = ls.sublaplacian_lambda1(su2, np.eye(3)[:2], np.eye(2), window=50.0)
-        b = ls.sublaplacian_lambda1(su2, np.eye(3)[:2], 2.0 * np.eye(2), window=50.0)
-        assert b.lambda1 == pytest.approx(a.lambda1 / 2.0, rel=1e-10)
 
 
 class TestSpectralBounds:
