@@ -221,10 +221,12 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     sample = functools.partial(_sample_record, entry, lo, hi, diam_config,
                                _net_for(entry, diam_config, net))
     seeds = [base_seed + i for i in range(n_samples)]
-    if jobs <= 1:
+    if jobs == 1:
         records = list(map(sample, seeds))
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
@@ -350,6 +352,8 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
     if kind not in DEGENERATION_KINDS:
         raise ValueError(f"unknown degeneration kind {kind!r}")
     s_values = tuple(float(s) for s in s_values)
+    if not all(math.isfinite(s) and s > 0 for s in s_values):
+        raise ValueError("s values must be finite and positive")
     if len(s_values) < 2 or np.any(np.diff(s_values) == 0):
         raise ValueError("need at least two distinct s values")
     if not (np.all(np.diff(s_values) > 0) or np.all(np.diff(s_values) < 0)):
@@ -493,8 +497,8 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
         return None
     record("mixed_casimir_assembly_identity", mixed_casimir_identity)
 
-    if entry.kind in ("su2", "so3"):
-        local_net = net or build_net(entry, 2000, DEFAULT_KNN, seed=0)
+    local_net = _net_for(entry, DiamConfig(net_size=2000), net)
+    if local_net is not None:
 
         def diam_monotonicity(t):
             a, b = specs[t], bumped[t]

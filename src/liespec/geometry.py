@@ -9,11 +9,12 @@ per edge otherwise; the documented net allowance (default 10%) absorbs the
 discretisation bias.
 
 ``build_net`` does all the work that depends only on the net, once: the knn
-search (a k-d tree), the straightened two-hop edge set with its logs, and the
-CSR structure of the graph.  The default net (20000 nodes, knn 12) takes
-about 0.4 s to build (0.7 s for the first build in a process, which also
-imports scipy), so nets are not cached across runs.  Each metric then pays
-for one weight per edge and one Dijkstra, about 45 ms.
+search (a k-d tree) and the straightened two-hop graph, stored as one
+upper-triangular edge list with its logs and read undirected by Dijkstra.
+The default net (20000 nodes, knn 12) takes about 0.4 s to build (0.7 s for
+the first build in a process, which also imports scipy), so nets are not
+cached across runs.  Each metric then pays for one weight per edge and one
+Dijkstra, about 45 ms.
 
 The torus grid sweep covers half the grid: Z^m = -Z^m, so a grid point and
 its mirror are equally far from the lattice.  It screens those points in
@@ -270,14 +271,12 @@ class Net:
 
     ``rows``/``cols`` (rows < cols) is the symmetrised knn adjacency and
     ``mesh`` the largest nearest-neighbour distance.  Shortest paths run over
-    the straightened edge set ``edge_rows``/``edge_cols`` (edge_rows <
-    edge_cols): the adjacency plus every two-hop shortcut.  ``edge_logs[e]``
-    is log(p^-1 q) for that edge; reversing an edge only flips the sign of the
-    log, so one copy serves both directions.  ``indptr``/``indices`` is the
-    CSR structure of the symmetric straightened graph and ``slot_edge[s]`` the
-    undirected edge behind CSR slot s, so a metric only supplies one weight
-    per edge.  ``knn`` and ``seed`` are the build arguments.  Every array is
-    read-only.
+    the straightened graph: the adjacency plus every two-hop shortcut, stored
+    once as an upper-triangular edge list, read undirected.  Row i's edges go
+    to ``edge_cols[indptr[i]:indptr[i + 1]]`` (all > i, ascending), and
+    ``edge_logs[e]`` is log(p^-1 q) for edge e; reversing an edge only flips
+    the sign of the log, so a metric supplies one weight per edge.  ``knn``
+    and ``seed`` are the build arguments.  Every array is read-only.
     """
 
     kind: str
@@ -285,12 +284,9 @@ class Net:
     rows: np.ndarray
     cols: np.ndarray
     mesh: float
-    edge_rows: np.ndarray
+    indptr: np.ndarray
     edge_cols: np.ndarray
     edge_logs: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    slot_edge: np.ndarray
     knn: int
     seed: int
 
@@ -337,31 +333,27 @@ def _knn_pairs(kind: str, nodes: np.ndarray,
 
 
 def _straightened_graph(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Adjacency plus two-hop shortcuts, as undirected edges and symmetric CSR.
+    """Adjacency plus two-hop shortcuts, as an upper-triangular CSR structure.
 
     Shortest paths on the raw knn graph overshoot by several percent because
     edge directions are quantised; admitting neighbour-of-neighbour hops (each
     still an exactly weighted one-parameter arc) removes most of that bias
-    while keeping every path admissible.  Returns the edges (row < col, in
-    row-major order), then the CSR ``indptr``, ``indices`` and slot-to-edge
-    map of the symmetric graph.
+    while keeping every path admissible.  A disconnected knn graph is refused
+    with ``ValueError``.  Returns ``(edge_cols, indptr)``: row i's edges, all
+    to columns > i in ascending order, are ``edge_cols[indptr[i]:indptr[i + 1]]``.
     """
     from scipy.sparse import csr_matrix, triu  # deferred: only nets pay for it
+    from scipy.sparse.csgraph import connected_components
 
     one = csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
     sym = one + one.T
+    ncomp, _ = connected_components(sym, directed=False)
+    if ncomp != 1:
+        raise ValueError(f"knn graph of the net has {ncomp} components; "
+                         "raise the net size or knn")
     upper = triu(sym @ sym + sym, k=1, format="csr")
     upper.sort_indices()
-    n_edges = upper.nnz
-    edge_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(upper.indptr))
-    edge_cols = upper.indices.astype(np.int32)
-    # Edge ids start at 1 so that no stored id is an (implicit) zero.
-    ids = csr_matrix((np.arange(1, n_edges + 1, dtype=np.int32), edge_cols,
-                      upper.indptr), shape=(n, n))
-    both = ids + ids.T
-    both.sort_indices()
-    return (edge_rows, edge_cols, both.indptr.astype(np.int32),
-            both.indices.astype(np.int32), (both.data - 1).astype(np.int32))
+    return upper.indices.astype(np.int32), upper.indptr.astype(np.int32)
 
 
 def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
@@ -370,9 +362,8 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
 
     The identity is always node 0.  A disconnected knn graph is refused with
     ``ValueError``.  Everything that depends only on the net, the
-    straightened edges with their logs and the CSR structure included, is
-    computed here once, so each metric pays for its edge weights and one
-    Dijkstra only.
+    straightened edges with their logs included, is computed here once, so
+    each metric pays for its edge weights and one Dijkstra only.
     """
     if entry.kind not in ("su2", "so3"):
         raise ValueError("nets are only built on su2/so3")
@@ -391,20 +382,11 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     rows, cols, mesh = _knn_pairs(entry.kind, nodes, min(knn, n - 1))
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
-
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    ncomp, _ = connected_components(
-        csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)), directed=False)
-    if ncomp != 1:
-        raise ValueError(f"knn graph of the net has {ncomp} components; "
-                         "raise the net size or knn")
-    edge_rows, edge_cols, indptr, indices, slot_edge = _straightened_graph(n, rows, cols)
+    edge_cols, indptr = _straightened_graph(n, rows, cols)
+    edge_rows = np.repeat(np.arange(n), np.diff(indptr))
     return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
-               edge_rows=edge_rows, edge_cols=edge_cols,
+               indptr=indptr, edge_cols=edge_cols,
                edge_logs=_edge_logs(entry.kind, nodes, edge_rows, edge_cols),
-               indptr=indptr, indices=indices, slot_edge=slot_edge,
                knn=knn, seed=seed)
 
 
@@ -415,22 +397,25 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
     Paths run over the straightened edge set of the net; per-edge weights are
     exact metric norms of the connecting logs, so for a Loewner-larger metric
     every edge weight dominates and so does the estimate.  The lower bound
-    applies the documented net allowance.
+    applies the documented net allowance ``eps_net``, which must lie in
+    [0, 1).
     """
     if entry.kind != net.kind:
         raise ValueError("net was built for a different group")
+    if not 0.0 <= eps_net < 1.0:
+        raise ValueError(f"eps_net must be in [0, 1), got {eps_net}")
     if spec.m != 3:
         raise ValueError("graph diameter expects a 3-dimensional metric")
     # |v|_g^2 = v^t gram v = |L^t v|^2 with gram = L L^t.
     y = net.edge_logs @ np.linalg.cholesky(spec.gram)
     w = np.sqrt(np.einsum("ei,ei->e", y, y))
-    # A fresh CSR matrix over the net's read-only structure, never modified.
+    # A fresh CSR matrix over the net's read-only structure, never modified;
+    # dijkstra reads each upper-triangular edge in both directions.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    g = csr_matrix((w[net.slot_edge], net.indices, net.indptr),
-                   shape=(net.n_nodes, net.n_nodes))
-    dist = dijkstra(g, directed=True, indices=0)
+    g = csr_matrix((w, net.edge_cols, net.indptr), shape=(net.n_nodes, net.n_nodes))
+    dist = dijkstra(g, directed=False, indices=0)
     if not np.all(np.isfinite(dist)):
         raise AssertionError("net is not connected")
     i = int(np.argmax(dist))

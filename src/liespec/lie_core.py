@@ -75,7 +75,6 @@ class LieGroupCatalogEntry:
     dim: int
     structure_constants: np.ndarray
     k_max: int
-    semisimple: bool
     factors: tuple = ()
 
     def __post_init__(self):
@@ -133,15 +132,15 @@ def _su2_constants() -> np.ndarray:
 def torus_entry(m: int) -> LieGroupCatalogEntry:
     if m < 1:
         raise ValueError("torus dimension must be >= 1")
-    return LieGroupCatalogEntry("torus", m, np.zeros((m, m, m)), k_max=m, semisimple=False)
+    return LieGroupCatalogEntry("torus", m, np.zeros((m, m, m)), k_max=m)
 
 
 def su2_entry() -> LieGroupCatalogEntry:
-    return LieGroupCatalogEntry("su2", 3, _su2_constants(), k_max=2, semisimple=True)
+    return LieGroupCatalogEntry("su2", 3, _su2_constants(), k_max=2)
 
 
 def so3_entry() -> LieGroupCatalogEntry:
-    return LieGroupCatalogEntry("so3", 3, _su2_constants(), k_max=2, semisimple=True)
+    return LieGroupCatalogEntry("so3", 3, _su2_constants(), k_max=2)
 
 
 def product_entry(factors: Sequence[LieGroupCatalogEntry],
@@ -174,9 +173,7 @@ def product_entry(factors: Sequence[LieGroupCatalogEntry],
             k_max = 5
         else:
             raise ValueError("k_max is not tabulated for this product; pass it explicitly")
-    return LieGroupCatalogEntry("product", m, c, k_max=k_max,
-                                semisimple=all(f.semisimple for f in factors),
-                                factors=factors)
+    return LieGroupCatalogEntry("product", m, c, k_max=k_max, factors=factors)
 
 
 def entry_from_key(key: str) -> LieGroupCatalogEntry:

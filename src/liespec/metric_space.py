@@ -254,8 +254,6 @@ def class_build(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
         s = np.sort(sigma)[::-1]
         cap = klass.c0 * s[entry.k_max - 1]
         s[1:entry.k_max - 1] = np.minimum(s[1:entry.k_max - 1], cap)
-        if m > 1:
-            s[1] = min(s[1], cap)
         P = random_rotation(m, rng)
         return metric_from_matrix(P @ np.diag(s))
     if isinstance(klass, DiagonalClass):

@@ -80,6 +80,20 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     assert helps["--grid-resolution"].endswith(grid_scope)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("diam", "--group", "su2", "--matrix", "3,0,0,0,2,0,0,0,1", "--net-size", "500",
+      "--eps-net", "2"), "eps_net must be in [0, 1)"),
+    (("scan", "--group", "t2", "--samples", "2", "--jobs", "0"), "need jobs >= 1"),
+    (("degenerate", "--group", "t2", "--kind", "torus-dense-line", "--s-values", "1,-1"),
+     "s values must be finite and positive"),
+])
+def test_out_of_range_inputs_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestSigma:
     def test_inline_matrix(self, capsys):
         code, out, _ = run(capsys, "sigma", "--group", "su2",

@@ -149,6 +149,11 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(t2, 0, diam_config=T2_CONFIG)
 
+    def test_rejects_jobs_below_one(self, t2):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="need jobs >= 1"):
+                scan(t2, 2, diam_config=T2_CONFIG, jobs=jobs)
+
 
 class TestDegeneration:
     def test_su2_shrink_transverse(self, su2, small_net):
@@ -196,6 +201,12 @@ class TestDegeneration:
         with pytest.raises(ValueError):
             ls.degeneration_experiment(su2xsu2, "enlarge-generating", [1.0])
 
+    def test_s_values_finite_and_positive(self, t2):
+        for s_values in ([1.0, -1.0], [1.0, math.nan], [1.0, 0.0], [math.inf, 1.0],
+                         [-4.0, -1.0]):
+            with pytest.raises(ValueError, match="^s values must be finite and positive$"):
+                ls.degeneration_experiment(t2, "torus-dense-line", s_values,
+                                           diam_config=T2_CONFIG)
 
 
 class TestPropertySuite:
@@ -231,7 +242,7 @@ class TestPropertySuite:
         bad = ls.su2_entry().structure_constants.copy()
         bad[0, 1, 2] *= 1.0 + 1e-8
         with pytest.raises(ValueError):
-            ls.LieGroupCatalogEntry("su2", 3, bad, k_max=2, semisimple=True)
+            ls.LieGroupCatalogEntry("su2", 3, bad, k_max=2)
 
 
 class TestReporting:

@@ -82,6 +82,26 @@ def reference_distances(n, rows, cols, w):
     return dijkstra(g, directed=True, indices=0)
 
 
+def net_edge_rows(net):
+    """Row of each straightened edge, read off the net's upper CSR."""
+    return np.repeat(np.arange(net.n_nodes), np.diff(net.indptr))
+
+
+def symmetric_dijkstra_reference(net, spec):
+    """(distances, farthest node) from directed Dijkstra on the symmetric graph.
+
+    Every edge is stored in both directions and carries graph_diameter's own
+    Cholesky weight, so the distances must match it bit for bit.
+    """
+    y = net.edge_logs @ np.linalg.cholesky(spec.gram)
+    w = np.sqrt(np.einsum("ei,ei->e", y, y))
+    upper = csr_matrix((w, net.edge_cols, net.indptr), shape=(net.n_nodes, net.n_nodes))
+    both = (upper + upper.T).tocsr()
+    both.sort_indices()
+    dist = dijkstra(both, directed=True, indices=0)
+    return dist, int(np.argmax(dist))
+
+
 def graph_diameter_reference(net, spec):
     """Diameter with quadratic-form edge weights."""
     rows, cols, logs = reference_edges(net)
@@ -216,7 +236,7 @@ class TestNet:
 
     def test_edge_logs_are_exact_distances(self, su2, small_net):
         w = np.linalg.norm(small_net.edge_logs, axis=1)
-        p = small_net.nodes[small_net.edge_rows]
+        p = small_net.nodes[net_edge_rows(small_net)]
         q = small_net.nodes[small_net.edge_cols]
         ref = np.arccos(np.clip(np.einsum("ni,ni->n", p, q), -1, 1))
         assert np.max(np.abs(w - ref)) < 1e-12
@@ -261,18 +281,18 @@ class TestNet:
 
     def test_straightened_edges_match_reference(self, small_net):
         rows, cols, logs = reference_edges(small_net)
-        assert np.array_equal(small_net.edge_rows, rows)
+        assert np.array_equal(net_edge_rows(small_net), rows)
         assert np.array_equal(small_net.edge_cols, cols)
         assert np.array_equal(small_net.edge_logs, logs)
 
-    def test_csr_slots_map_to_their_edges(self, small_net):
+    def test_edges_are_one_upper_csr(self, small_net):
         net = small_net
-        src = np.repeat(np.arange(net.n_nodes), np.diff(net.indptr))
-        e = net.slot_edge
-        assert net.indices.size == 2 * net.edge_rows.size
-        assert np.array_equal(np.minimum(src, net.indices), net.edge_rows[e])
-        assert np.array_equal(np.maximum(src, net.indices), net.edge_cols[e])
-        assert np.array_equal(np.bincount(e), np.full(net.edge_rows.size, 2))
+        rows = net_edge_rows(net)
+        assert net.indptr.size == net.n_nodes + 1 and net.indptr[0] == 0
+        assert net.indptr[-1] == net.edge_cols.size == net.edge_logs.shape[0]
+        assert np.all(rows < net.edge_cols)
+        # Row-major and sorted within each row: the flat keys ascend strictly.
+        assert np.all(np.diff(rows * net.n_nodes + net.edge_cols) > 0)
 
     def test_arrays_are_read_only(self, small_net):
         with pytest.raises(ValueError):
@@ -324,6 +344,23 @@ class TestGraphDiameter:
                 est = ls.graph_diameter(entry, spec, net)
                 assert est.value == pytest.approx(graph_diameter_reference(net, spec),
                                                   rel=1e-12)
+
+    def test_undirected_read_matches_symmetric_graph(self, su2, so3, small_net):
+        so3_net = ls.build_net(so3, 2000, 12, seed=0)
+        for entry, net in ((su2, small_net), (so3, so3_net)):
+            for seed in range(20):
+                spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+                est = ls.graph_diameter(entry, spec, net)
+                dist, far = symmetric_dijkstra_reference(net, spec)
+                assert est.value == float(dist[far])
+                assert np.array_equal(est.farthest_point.data, net.nodes[far])
+
+    def test_eps_net_outside_unit_interval_rejected(self, su2, small_net):
+        spec = ls.metric_from_matrix(np.diag([3.0, 2.0, 1.0]))
+        for eps in (2.0, 1.0, -1.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match=r"eps_net must be in \[0, 1\)"):
+                ls.graph_diameter(su2, spec, small_net, eps_net=eps)
+        assert ls.graph_diameter(su2, spec, small_net, eps_net=0.0).lower > 0
 
     def test_wrong_group_rejected(self, so3, small_net):
         with pytest.raises(ValueError):

@@ -74,7 +74,7 @@ class TestCatalog:
         bad = su2.structure_constants.copy()
         bad[0, 1, 2] += 1e-6
         with pytest.raises(ValueError):
-            ls.LieGroupCatalogEntry("su2", 3, bad, k_max=2, semisimple=True)
+            ls.LieGroupCatalogEntry("su2", 3, bad, k_max=2)
 
     def test_k_max_catalog(self, su2, so3, su2xsu2):
         assert su2.k_max == 2
