@@ -360,17 +360,18 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
               knn: int = DEFAULT_KNN, seed: int = 0) -> Net:
     """Seeded random net on SU(2) or SO(3) with symmetrised knn adjacency.
 
-    The identity is always node 0.  A disconnected knn graph is refused with
-    ``ValueError``.  Everything that depends only on the net, the
-    straightened edges with their logs included, is computed here once, so
-    each metric pays for its edge weights and one Dijkstra only.
+    The identity is always node 0.  It needs 6 <= knn < n_nodes, and a
+    disconnected knn graph is refused, both with ``ValueError``.  Everything
+    that depends only on the net, the straightened edges with their logs
+    included, is computed here once, so each metric pays for its edge weights
+    and one Dijkstra only.
     """
     if entry.kind not in ("su2", "so3"):
         raise ValueError("nets are only built on su2/so3")
     if n_nodes < 100:
         raise ValueError("need at least 100 nodes")
-    if knn < 6:
-        raise ValueError("need knn >= 6")
+    if not 6 <= knn < n_nodes:
+        raise ValueError(f"need 6 <= knn < n_nodes, got knn={knn} for {n_nodes} nodes")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n_nodes - 1, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -379,7 +380,7 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
         nodes = so3_representative(nodes)
 
     n = nodes.shape[0]
-    rows, cols, mesh = _knn_pairs(entry.kind, nodes, min(knn, n - 1))
+    rows, cols, mesh = _knn_pairs(entry.kind, nodes, knn)
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
     edge_cols, indptr = _straightened_graph(n, rows, cols)

@@ -76,7 +76,8 @@ class MetricSpec:
 def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     """Build a MetricSpec from an invertible matrix.
 
-    Raises SingularMatrixError when |det A| <= 1e-10 * (max |entry|)^m.
+    Raises SingularMatrixError when |det(A / max |entry|)| <= 1e-10, a test
+    that no homothety can over- or underflow.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -85,7 +86,7 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
         raise MatrixFormatError("matrix entries must be finite")
     m = A.shape[0]
     scale = np.max(np.abs(A))
-    if scale == 0.0 or abs(np.linalg.det(A)) <= 1e-10 * scale ** m:
+    if scale == 0.0 or abs(np.linalg.det(A / scale)) <= 1e-10:
         raise SingularMatrixError("matrix is singular or too ill-conditioned")
     AAt = A @ A.T
     vals, vecs = np.linalg.eigh(AAt)

@@ -17,8 +17,8 @@ Irrep catalog:
   torus gap itself is a shortest-vector problem, 4 pi^2 min n^t (A A^t) n,
   solved exactly by ellipsoid enumeration (``_lattice.short_vectors``)
   rather than by walking characters.
-* products: outer Kronecker pairs, lambda^pi additive, merged best-first;
-  a product stream is a left fold of ``_merge_streams`` over its factors.
+* products: outer Kronecker pairs of validated factors, never re-validated,
+  lambda^pi additive; a left fold of ``_merge_streams`` merges them best-first.
 
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
@@ -74,15 +74,35 @@ class Irrep:
 
     ``generators[j]`` is the anti-hermitian matrix representing the j-th basis
     vector; ``casimir`` is the scalar by which minus the bi-invariant Casimir
-    acts.
+    acts.  A product irrep takes only ``factors = (a, b)``; its stack (Kronecker
+    sums), dim and Casimir follow from them and hold without a check.
     """
 
     label: str
-    dim: int
-    generators: np.ndarray  # (m, d, d) complex
-    casimir: float
+    dim: int | None = None
+    generators: np.ndarray | None = None  # (m, d, d) complex, read-only
+    casimir: float | None = None
+    factors: tuple[Irrep, ...] = ()
 
     def __post_init__(self):
+        if self.factors:
+            a, b = self.factors
+            d, cas = a.dim * b.dim, a.casimir + b.casimir
+            if (self.generators is not None or self.dim not in (None, d)
+                    or self.casimir not in (None, cas)):
+                raise ValueError(f"{self.label}: stack, dim and Casimir come from the factors")
+            # np.kron(g, I_b) and np.kron(I_a, h) for every generator, by broadcasting
+            # over the index order (gen, row_a, row_b, col_a, col_b).
+            ia = np.eye(a.dim, dtype=complex)
+            ib = np.eye(b.dim, dtype=complex)
+            G = np.concatenate([
+                (a.generators[:, :, None, :, None] * ib[None, None, :, None, :]).reshape(-1, d, d),
+                (ia[None, :, None, :, None] * b.generators[:, None, :, None, :]).reshape(-1, d, d),
+            ])
+            G.flags.writeable = False
+            for name, value in (("dim", d), ("generators", G), ("casimir", cas)):
+                object.__setattr__(self, name, value)
+            return
         G = np.asarray(self.generators, dtype=complex)
         if G.ndim != 3 or G.shape[1] != self.dim or G.shape[2] != self.dim:
             raise ValueError("generator stack has wrong shape")
@@ -168,20 +188,6 @@ def character_irrep(n: Sequence[int]) -> Irrep:
                  casimir=FOUR_PI_SQ * float(n @ n))
 
 
-def _pair_irrep(a: Irrep, b: Irrep) -> Irrep:
-    # np.kron(g, I_b) and np.kron(I_a, g) for every generator, by broadcasting
-    # over the index order (gen, row_a, row_b, col_a, col_b).
-    ia = np.eye(a.dim, dtype=complex)
-    ib = np.eye(b.dim, dtype=complex)
-    d = a.dim * b.dim
-    gens = np.concatenate([
-        (a.generators[:, :, None, :, None] * ib[None, None, :, None, :]).reshape(-1, d, d),
-        (ia[None, :, None, :, None] * b.generators[:, None, :, None, :]).reshape(-1, d, d),
-    ])
-    return Irrep(label=f"pair({a.label},{b.label})", dim=d,
-                 generators=gens, casimir=a.casimir + b.casimir)
-
-
 # ---------------------------------------------------------------------------
 # Ascending enumeration
 # ---------------------------------------------------------------------------
@@ -205,23 +211,17 @@ def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
     """Best-first merge of two ascending irrep streams into ascending pairs."""
     l1: list[Irrep] = [next(s1)]
     l2: list[Irrep] = [next(s2)]
-
-    def ensure(lst, src, k):
-        while len(lst) <= k:
-            lst.append(next(src))
-
     heap = [(l1[0].casimir + l2[0].casimir, 0, 0)]
-    seen = {(0, 0)}
+    # Cell (i, j) is pushed once: after (i-1, j), or after (0, j-1) when i = 0.
     while heap:
         _, i, j = heapq.heappop(heap)
-        yield _pair_irrep(l1[i], l2[j])
-        for ni, nj in ((i + 1, j), (i, j + 1)):
-            if (ni, nj) in seen:
-                continue
-            seen.add((ni, nj))
-            ensure(l1, s1, ni)
-            ensure(l2, s2, nj)
-            heapq.heappush(heap, (l1[ni].casimir + l2[nj].casimir, ni, nj))
+        yield Irrep(label=f"pair({l1[i].label},{l2[j].label})", factors=(l1[i], l2[j]))
+        if i + 1 == len(l1):
+            l1.append(next(s1))
+        heapq.heappush(heap, (l1[i + 1].casimir + l2[j].casimir, i + 1, j))
+        if i == 0:
+            l2.append(next(s2))
+            heapq.heappush(heap, (l1[0].casimir + l2[j + 1].casimir, 0, j + 1))
 
 
 def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:

@@ -86,6 +86,8 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     (("scan", "--group", "t2", "--samples", "2", "--jobs", "0"), "need jobs >= 1"),
     (("degenerate", "--group", "t2", "--kind", "torus-dense-line", "--s-values", "1,-1"),
      "s values must be finite and positive"),
+    (("diam", "--group", "su2", "--matrix", "3,0,0,0,2,0,0,0,1", "--net-size", "100",
+      "--knn", "200"), "need 6 <= knn < n_nodes"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -266,6 +266,14 @@ class TestNet:
         with pytest.raises(ValueError):
             ls.build_net(t2, 500, 8, seed=0)
 
+    def test_knn_must_be_below_net_size(self, su2):
+        # Each node has at most n - 1 neighbours, so a Net never reports a
+        # knn it could not use.
+        for knn in (100, 200):
+            with pytest.raises(ValueError, match="knn < n_nodes"):
+                ls.build_net(su2, 100, knn, seed=0)
+        assert ls.build_net(su2, 100, 99, seed=0).knn == 99
+
     def test_disconnected_knn_graph_refused(self, su2, disconnected_knn):
         with pytest.raises(ValueError, match="2 components"):
             ls.build_net(su2, 200, 6, seed=0)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestMetricFromMatrix:
     def test_singular_rejected(self):
         with pytest.raises(ls.SingularMatrixError):
             ls.metric_from_matrix(np.diag([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("key, c", [("su2xsu2", 1e60), ("su2xsu2", 1e-60),
+                                        ("su2", 1e-110), ("t4", 1e-90)])
+    def test_extreme_homothety_accepted(self, key, c):
+        # The singularity test is scale-free: det(c I) over- or underflows
+        # here, det(I) does not.
+        entry = ls.entry_from_key(key)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = ls.metric_from_matrix(c * np.eye(entry.dim))
+            gap = ls.lambda1_certified(entry, spec).lambda1
+        assert gap == pytest.approx(c * c * ls.biinvariant_lambda1(entry), rel=1e-12)
+        with pytest.raises(ls.SingularMatrixError):
+            ls.metric_from_matrix(c * np.diag([1.0] * (entry.dim - 1) + [1e-12]))
 
     def test_nan_rejected(self):
         with pytest.raises(ls.MatrixFormatError):

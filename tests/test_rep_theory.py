@@ -12,8 +12,8 @@ import pytest
 
 import liespec as ls
 from liespec import _lattice
-from liespec.rep_theory import (FOUR_PI_SQ, _character_stream, _irrep_stream,
-                                _pair_irrep)
+from liespec import rep_theory
+from liespec.rep_theory import FOUR_PI_SQ, _character_stream, _irrep_stream
 
 # Closed-form gaps under the fixed normalisation, derived from the explicit
 # two-candidate structure of the low spins: the spin-1/2 assembly is always
@@ -36,6 +36,22 @@ def kron_pair_generators(a, b):
     ib = np.eye(b.dim, dtype=complex)
     return np.concatenate([np.stack([np.kron(g, ib) for g in a.generators]),
                            np.stack([np.kron(ia, g) for g in b.generators])])
+
+
+def pair_irrep(a, b):
+    return ls.Irrep(label=f"pair({a.label},{b.label})", factors=(a, b))
+
+
+def brute_pairs(left, right, cutoff):
+    """(Casimir, label) of every pair with Casimir <= cutoff, in (Casimir, i, j) order.
+
+    ``left`` and ``right`` are ascending (Casimir, label) lists, the trivial
+    irrep first, that hold every irrep up to the cutoff.
+    """
+    cells = sorted((ca + cb, i, j, f"pair({a},{b})")
+                   for i, (ca, a) in enumerate(left) for j, (cb, b) in enumerate(right)
+                   if ca + cb <= cutoff)
+    return [(cas, label) for cas, _, _, label in cells]
 
 
 def assemble_reference(G, AAt):
@@ -150,9 +166,42 @@ class TestIrreps:
     def test_pair_generators_equal_kron(self):
         for ja, jb in (("0", "1/2"), ("1/2", "1"), ("3/2", "1"), ("2", "5/2"), ("9/2", "9/2")):
             a, b = ls.spin_irrep(ja), ls.spin_irrep(jb)
-            pair = _pair_irrep(a, b)
+            pair = pair_irrep(a, b)
             assert pair.dim == a.dim * b.dim
+            assert pair.casimir == a.casimir + b.casimir
             assert np.array_equal(pair.generators, kron_pair_generators(a, b))
+            assert not pair.generators.flags.writeable
+            with pytest.raises(ValueError):
+                pair.generators[0, 0, 0] = 1.0
+            # A pair as the first factor of a pair: three Kronecker sums.
+            c = ls.spin_irrep("1")
+            nested = pair_irrep(pair, c)
+            assert nested.dim == a.dim * b.dim * c.dim
+            assert np.array_equal(nested.generators, kron_pair_generators(pair, c))
+            assert not nested.generators.flags.writeable
+
+    def test_pair_takes_everything_from_its_factors(self):
+        a, b = ls.spin_irrep("1/2"), ls.spin_irrep("1")
+        ok = ls.Irrep(label="x", dim=6, casimir=a.casimir + b.casimir, factors=(a, b))
+        assert np.array_equal(ok.generators, kron_pair_generators(a, b))
+        for bad in ({"generators": kron_pair_generators(a, b)}, {"dim": 5},
+                    {"casimir": a.casimir + b.casimir + 1e-9}):
+            with pytest.raises(ValueError, match="come from the factors"):
+                ls.Irrep(label="x", factors=(a, b), **bad)
+
+    def test_product_stream_runs_no_casimir_check(self, su2xsu2, monkeypatch):
+        list(itertools.islice(_irrep_stream(su2xsu2), 60))  # spin irreps cached
+        calls = []
+        real = rep_theory._contract
+
+        def spy(G, W):
+            calls.append(G.shape)
+            return real(G, W)
+
+        monkeypatch.setattr(rep_theory, "_contract", spy)
+        got = list(itertools.islice(_irrep_stream(su2xsu2), 60))
+        assert len(got) == 60 and max(p.dim for p in got) > 20
+        assert calls == []
 
     def test_validation_rejects_non_anti_hermitian(self):
         # A non-unitary similarity keeps the Casimir scalar but breaks
@@ -246,6 +295,23 @@ class TestIrreps:
         assert [i.casimir for i in got] == [c for c, _, _ in want]
         assert sorted((i.casimir, i.label, i.dim) for i in got) == want
 
+    def test_product_tie_order(self, su2xsu2):
+        # Pairs of equal Casimir come out by first-factor index, then by
+        # second-factor index, on two and on three factors.
+        cutoff = 400.0
+        half = [(c, label) for c, label, _ in spin_catalog(Fraction(1, 2), cutoff)]
+        one = [(c, label) for c, label, _ in spin_catalog(1, cutoff)]
+        want = brute_pairs(half, half, cutoff)[1:201]
+        assert want[-1][0] < cutoff
+        got = [(i.casimir, i.label) for i in itertools.islice(_irrep_stream(su2xsu2), 200)]
+        assert got == want
+        su2, so3 = ls.su2_entry(), ls.so3_entry()
+        entry = ls.product_entry([su2, so3, su2], k_max=8)
+        want = brute_pairs(brute_pairs(half, one, cutoff), half, cutoff)[1:201]
+        assert want[-1][0] < cutoff
+        got = [(i.casimir, i.label) for i in itertools.islice(_irrep_stream(entry), 200)]
+        assert got == want
+
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf])
     def test_nonpositive_cutoff_rejected(self, t2, cutoff):
         with pytest.raises(ValueError, match="cutoff must be positive"):
@@ -306,7 +372,7 @@ class TestAssembly:
     def test_matches_einsum_reference(self):
         rng = np.random.default_rng(28)
         spins = [ls.spin_irrep(j) for j in ("1/2", "1", "3/2", "2", "5/2")]
-        pairs = [_pair_irrep(ls.spin_irrep(a), ls.spin_irrep(b))
+        pairs = [pair_irrep(ls.spin_irrep(a), ls.spin_irrep(b))
                  for a, b in (("0", "1"), ("1/2", "3/2"), ("2", "5/2"),
                               ("9/2", "9/2"), ("11/2", "9/2"))]
         assert max(p.dim for p in pairs) >= 100
