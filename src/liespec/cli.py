@@ -24,8 +24,9 @@ import numpy as np
 from . import startup_self_test
 from .egs_scan import (DEFAULT_SIGMA_HI, DEFAULT_SIGMA_LO, DEFAULT_TRIALS,
                        DEGENERATION_KINDS, SCHEMA_VERSION, DiamConfig,
-                       _compute_diameter, degeneration_experiment,
-                       property_suite, scan, scan_csv_text, scan_to_json)
+                       _compute_diameter, _to_json_data,
+                       degeneration_experiment, property_suite, scan,
+                       scan_csv_text, scan_to_json)
 from .geometry import paper_diameter_bounds
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
@@ -74,8 +75,7 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_sigma(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_sigma(entry: LieGroupCatalogEntry, args) -> int:
     spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
     sig = " ".join(f"{s:.12g}" for s in spec.sigma)
     lines = [f"m={entry.dim}", f"sigma= {sig}", "P_sort="]
@@ -85,14 +85,12 @@ def _cmd_sigma(args) -> int:
     return 0
 
 
-def _cmd_lambda1(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_lambda1(entry: LieGroupCatalogEntry, args) -> int:
     spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
     res = lambda1_certified(entry, spec, window_cap=args.window_cap)
     if not res.certified:
         raise ComputationError(f"uncertified result: {res.reason}")
-    lines = [f"lambda1={res.lambda1:.12g} witness={res.witness} "
-             f"certified={'true' if res.certified else 'false'}",
+    lines = [f"lambda1={res.lambda1:.12g} witness={res.witness} certified=true",
              f"window={res.window:.12g} evaluations={res.evaluations}"]
     _emit(args, {"lambda1": res.lambda1, "witness": res.witness,
                  "certified": res.certified, "window": res.window,
@@ -100,8 +98,7 @@ def _cmd_lambda1(args) -> int:
     return 0
 
 
-def _cmd_diam(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_diam(entry: LieGroupCatalogEntry, args) -> int:
     spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
     if args.method == "bounds":
         b = paper_diameter_bounds(entry, spec)
@@ -119,8 +116,7 @@ def _cmd_diam(args) -> int:
     return 0
 
 
-def _cmd_ell(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_ell(entry: LieGroupCatalogEntry, args) -> int:
     P = _matrix_arg(entry, args.rotation)
     ell = ell_index(entry, P)
     dims = prefix_subalgebra_dims(entry, P)
@@ -130,8 +126,7 @@ def _cmd_ell(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_scan(entry: LieGroupCatalogEntry, args) -> int:
     records, summary = scan(entry, args.samples, lo=args.sigma_lo, hi=args.sigma_hi,
                             diam_config=_diam_config(args), base_seed=args.seed,
                             jobs=args.jobs)
@@ -146,8 +141,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_degenerate(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_degenerate(entry: LieGroupCatalogEntry, args) -> int:
     s_values = [float(t) for t in args.s_values.replace(",", " ").split()]
     report = degeneration_experiment(entry, args.kind, s_values,
                                      diam_config=_diam_config(args))
@@ -161,22 +155,11 @@ def _cmd_degenerate(args) -> int:
         tr = " ".join(f"{row.tracked[k]:.6g}" for k in keys)
         lines.append(f"{row.s:g} {sig} {row.lambda1:.6g} {diam} {tr}")
     lines += [f"monotone[{k}]={v}" for k, v in report.monotone.items()]
-    payload = {
-        "kind": report.kind, "group": report.group,
-        "s_values": list(report.s_values),
-        "rows": [{"s": r.s, "sigma": list(r.sigma), "lambda1": r.lambda1,
-                  "lambda1_certified": r.lambda1_certified,
-                  "diam_value": r.diam_value, "diam_lower": r.diam_lower,
-                  "diam_upper": r.diam_upper, "tracked": dict(r.tracked)}
-                 for r in report.rows],
-        "monotone": dict(report.monotone),
-    }
-    _emit(args, payload, lines)
+    _emit(args, _to_json_data(report), lines)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    entry = entry_from_key(args.group)
+def _cmd_verify(entry: LieGroupCatalogEntry, args) -> int:
     report = property_suite(entry, n_trials=args.trials, seed=args.seed)
     lines = [f"group={report.group} trials={args.trials}"]
     for c in report.checks:
@@ -185,13 +168,7 @@ def _cmd_verify(args) -> int:
         for f in c.failures[:3]:
             lines.append(f"  counterexample: {f}")
     lines.append("all_passed=" + ("true" if report.all_passed else "false"))
-    payload = {
-        "group": report.group,
-        "checks": [{"name": c.name, "trials": c.trials, "failures": c.failures}
-                   for c in report.checks],
-        "all_passed": report.all_passed,
-    }
-    _emit(args, payload, lines)
+    _emit(args, {**_to_json_data(report), "all_passed": report.all_passed}, lines)
     return 0 if report.all_passed else 3
 
 
@@ -287,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         startup_self_test()
-        return args.fn(args)
+        return args.fn(entry_from_key(args.group), args)
     except (MatrixFormatError, SingularMatrixError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -143,24 +143,29 @@ def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
     raise ValueError(f"no diameter estimator for {entry.name} off homotheties")
 
 
-def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
-                diam: DiameterEstimate, eps_net: float) -> dict:
+def _gap_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float) -> dict:
+    """The paper's bounds on the gap: simple, Urakawa's trace and su2/so3 sigma_2."""
     lam_i = biinvariant_lambda1(entry)
     s1, sm = spec.sigma[0], spec.sigma[-1]
     s2 = spec.sigma[1] if spec.m > 1 else spec.sigma[0]
-    scale = max(1.0, lam_i * s1 * s1)
-    checks = {}
-    checks["li_ok"] = lam1 * diam.lower ** 2 >= math.pi ** 2 / 4 - LI_TOL
-    checks["simple_bounds_ok"] = (
-        lam1 >= lam_i * sm * sm - EXACT_TOL * scale
-        and lam1 <= lam_i * s1 * s1 + EXACT_TOL * scale)
-    checks["urakawa_ok"] = lam1 <= lam_i * float(np.trace(spec.AAt)) + EXACT_TOL * scale
-    checks["remark_lambda_ok"] = True
-    checks["remark_diam_ok"] = True
+    tol = EXACT_TOL * max(1.0, lam_i * s1 * s1)
+    checks = {
+        "simple_bounds_ok": lam_i * sm * sm - tol <= lam1 <= lam_i * s1 * s1 + tol,
+        "urakawa_ok": lam1 <= lam_i * float(np.trace(spec.AAt)) + tol,
+        "remark_lambda_ok": True,
+    }
     if entry.kind in ("su2", "so3"):
         c = 2 if entry.kind == "su2" else 4
-        checks["remark_lambda_ok"] = (
-            lam1 > c * s2 * s2 - EXACT_TOL * scale and lam1 <= 8 * s2 * s2 + EXACT_TOL * scale)
+        checks["remark_lambda_ok"] = c * s2 * s2 - tol < lam1 <= 8 * s2 * s2 + tol
+    return checks
+
+
+def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
+                diam: DiameterEstimate, eps_net: float) -> dict:
+    checks = _gap_checks(entry, spec, lam1)
+    checks["li_ok"] = lam1 * diam.lower ** 2 >= math.pi ** 2 / 4 - LI_TOL
+    checks["remark_diam_ok"] = True
+    if entry.kind in ("su2", "so3"):
         b = paper_diameter_bounds(entry, spec)
         checks["remark_diam_ok"] = (
             diam.value >= b.lower * (1 - eps_net) and diam.value <= b.upper * (1 + eps_net))
@@ -509,26 +514,12 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
             return None
         record("diameter_loewner_monotonicity", diam_monotonicity)
 
-    lam_i = biinvariant_lambda1(entry)
-
-    def simple_bounds(t):
-        s, lam = specs[t], gaps[t]
-        lo_b = lam_i * s.sigma[-1] ** 2
-        hi_b = lam_i * s.sigma[0] ** 2
-        tol = 1e-9 * max(1.0, hi_b)
-        if not (lo_b - tol <= lam <= hi_b + tol):
-            return {"A": s.A.tolist(), "lambda1": lam}
-        return None
-    record("spectral_simple_bounds", simple_bounds)
-
-    def trace_bound(t):
-        s, lam = specs[t], gaps[t]
-        tr = float(np.trace(s.AAt))
-        tol = 1e-9 * max(1.0, lam_i * tr)
-        if lam > lam_i * tr + tol or s.sigma[0] ** 2 > tr + tol:
-            return {"A": s.A.tolist(), "lambda1": lam, "trace": tr}
-        return None
-    record("trace_upper_bound", trace_bound)
+    # The scan's own gap flags, read per sampled metric.
+    flags = [_gap_checks(entry, s, lam) for s, lam in zip(specs, gaps)]
+    for name, flag in (("spectral_simple_bounds", "simple_bounds_ok"),
+                       ("trace_upper_bound", "urakawa_ok")):
+        record(name, lambda t, flag=flag: None if flags[t][flag]
+               else {"A": specs[t].A.tolist(), "lambda1": gaps[t]})
 
     def homothety(t):
         s, lam = specs[t], gaps[t]
@@ -578,17 +569,25 @@ def scan_csv_text(records: Sequence[ScanRecord]) -> str:
     return buf.getvalue()
 
 
+def _to_json_data(x):
+    """A report as JSON-ready data, read from its dataclass fields.
+
+    Dataclasses become dicts in field order, mappings (read-only ones too,
+    which ``dataclasses.asdict`` cannot copy) become dicts, tuples lists.
+    """
+    if is_dataclass(x):
+        return {f.name: _to_json_data(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, Mapping):
+        return {k: _to_json_data(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return [_to_json_data(v) for v in x]
+    return x
+
+
 def scan_to_json(records: Sequence[ScanRecord], summary: ScanSummary) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "records": [record_to_dict(r) for r in records],
-        "summary": {
-            "n_samples": summary.n_samples,
-            "max_ratio": summary.max_ratio,
-            "argmax_seed": summary.argmax_seed,
-            "argmax_sigma": list(summary.argmax_sigma),
-            "violation_counts": dict(summary.violation_counts),
-            "violations": [list(v) for v in summary.violations],
-        },
+        "summary": _to_json_data(summary),
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

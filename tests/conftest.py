@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,15 @@ def disconnected_knn(monkeypatch):
         rows = np.array([i for i in range(n - 1) if i != n // 2 - 1])
         return rows, rows + 1, 0.1
     monkeypatch.setattr(ls.geometry, "_knn_pairs", two_chains)
+
+
+@pytest.fixture
+def inflated_gaps(monkeypatch):
+    """Makes every gap the verification suite computes 1000 times too large."""
+    def inflated(*args, **kwargs):
+        res = ls.lambda1_certified(*args, **kwargs)
+        return dataclasses.replace(res, lambda1=1000 * res.lambda1)
+    monkeypatch.setattr(ls.egs_scan, "lambda1_certified", inflated)
 
 
 def identity_spec(m):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
      "s values must be finite and positive"),
     (("diam", "--group", "su2", "--matrix", "3,0,0,0,2,0,0,0,1", "--net-size", "100",
       "--knn", "200"), "need 6 <= knn < n_nodes"),
+    # Scales whose A A^t double precision cannot hold.
+    (("sigma", "--group", "su2", "--matrix", "1e160,0,0,0,1e160,0,0,0,1e160"),
+     "A A^t overflows double precision"),
+    (("diam", "--group", "su2", "--matrix", "1e160,0,0,0,1e160,0,0,0,1e160"),
+     "A A^t overflows double precision"),
+    (("lambda1", "--group", "t2", "--matrix", "1e160,0,0,1e160"),
+     "A A^t overflows double precision"),
+    (("diam", "--group", "su2", "--matrix", "1e-160,0,0,0,1e-160,0,0,0,1e-160"),
+     "below the smallest normal double"),
+    (("lambda1", "--group", "su2", "--matrix", "1e-160,0,0,0,1e-160,0,0,0,1e-160"),
+     "below the smallest normal double"),
+    (("diam", "--group", "t2", "--matrix", "1e-160,0,0,2e-160"),
+     "below the smallest normal double"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -109,6 +123,14 @@ class TestSigma:
         assert code == 0
         assert "-0" not in out.split()
         assert "   1  0  0" in out.splitlines()
+
+    def test_large_scale_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sigma", "--group", "su2",
+                                 "--matrix", "1e80,0,0,0,1e80,0,0,0,1e80")
+        assert code == 0 and err == ""
+        assert "sigma= 1e+80 1e+80 1e+80" in out
 
     def test_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "a.mat"
@@ -384,3 +406,17 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_passed"] is True
         assert payload["schema_version"] == 1
+
+    def test_failures_reported(self, capsys, inflated_gaps):
+        code, out, _ = run(capsys, "verify", "--group", "t2", "--trials", "2")
+        assert code == 3
+        assert "spectral_simple_bounds: FAIL(2)" in out
+        assert "  counterexample: {'A': [[" in out
+        assert out.endswith("all_passed=false\n")
+        code, out, _ = run(capsys, "verify", "--group", "t2", "--trials", "2",
+                           "--format", "json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        bounds = next(c for c in payload["checks"] if c["name"] == "spectral_simple_bounds")
+        assert [sorted(f) for f in bounds["failures"]] == [["A", "lambda1"]] * 2

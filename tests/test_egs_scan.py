@@ -233,6 +233,18 @@ class TestPropertySuite:
         property_suite(t2, n_trials=4, seed=0)
         assert len(calls) == 3 * 4
 
+    def test_failures_carry_the_counterexample(self, t2, inflated_gaps):
+        # The two bound checks read the scan's gap flags; a gap above
+        # lambda1(id) * sigma_1^2 breaks the simple bound on every trial.
+        rep = property_suite(t2, n_trials=3, seed=0)
+        assert not rep.all_passed
+        bounds = next(c for c in rep.checks if c.name == "spectral_simple_bounds")
+        assert len(bounds.failures) == 3
+        for f in bounds.failures:
+            assert set(f) == {"A", "lambda1"}
+            s1 = ls.metric_from_matrix(np.array(f["A"])).sigma[0]
+            assert f["lambda1"] > biinvariant_lambda1(t2) * s1 ** 2
+
     def test_zero_trials_rejected(self, t2):
         with pytest.raises(ValueError):
             property_suite(t2, n_trials=0)

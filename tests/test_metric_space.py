@@ -238,6 +238,15 @@ class TestMetricClasses:
             R = np.eye(3)[:, perm]
             assert ls.class_member(su2, RotationBlockClass(P @ R), spec)
 
+    def test_diagonal_class_builder(self, su2):
+        rng = np.random.default_rng(11)
+        P = random_rotation(3, rng)
+        klass = DiagonalClass(P)
+        spec = ls.class_build(su2, klass, [0.5, 3.0, 2.0])
+        assert ls.class_member(su2, klass, spec)
+        assert np.allclose(spec.sigma, [3.0, 2.0, 0.5], rtol=1e-12)
+        assert not ls.class_member(su2, DiagonalClass(random_rotation(3, rng)), spec)
+
     def test_block_builder_rejects_unsorted(self, su2):
         with pytest.raises(ValueError):
             ls.class_build(su2, RotationBlockClass(np.eye(3)), [1.0, 2.0, 3.0], 0)
