@@ -19,6 +19,8 @@ Irrep catalog:
   rather than by walking characters.
 * products: outer Kronecker pairs of validated factors, never re-validated,
   lambda^pi additive; a left fold of ``_merge_streams`` merges them best-first.
+  A pair assembles -C_A from its factors' small blocks; its Kronecker stack
+  is built only when ``generators`` is read.
 
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
@@ -61,11 +63,47 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 
 DEFAULT_WINDOW_CAP = 1.0e6
 
+_OVERFLOW = "the spectral operator overflows the float range; rescale the metric"
+
 
 def _contract(G: np.ndarray, W: np.ndarray) -> np.ndarray:
     """sum_i G[i] @ W[i] for stacks of shape (m, d, d), as one matrix product."""
     m, d, _ = G.shape
     return G.transpose(1, 0, 2).reshape(d, m * d) @ W.reshape(m * d, d)
+
+
+def _kron_sums(a: Irrep, b: Irrep) -> np.ndarray:
+    """Generator stack of the pair (a, b): np.kron(g, I_b), then np.kron(I_a, h)."""
+    d = a.dim * b.dim
+    ia = np.eye(a.dim, dtype=complex)
+    ib = np.eye(b.dim, dtype=complex)
+    # Broadcast over the index order (gen, row_a, row_b, col_a, col_b).
+    G = np.concatenate([
+        (a.generators[:, :, None, :, None] * ib[None, None, :, None, :]).reshape(-1, d, d),
+        (ia[None, :, None, :, None] * b.generators[:, None, :, None, :]).reshape(-1, d, d),
+    ])
+    G.flags.writeable = False
+    return G
+
+
+class _GeneratorStack:
+    """The ``generators`` field of ``Irrep``, a dataclass descriptor field.
+
+    A stack passed in is stored as given.  A product irrep's stack is built
+    by ``_kron_sums`` the first time it is read, then cached read-only.  Two
+    threads that read it at once may both build it; either copy is the same.
+    """
+
+    def __get__(self, irrep, owner=None):
+        if irrep is None:
+            return None  # the dataclass default
+        G = irrep.__dict__["_generators"]
+        if G is None and irrep.factors:
+            G = irrep.__dict__["_generators"] = _kron_sums(*irrep.factors)
+        return G
+
+    def __set__(self, irrep, G):
+        irrep.__dict__["_generators"] = G
 
 
 @dataclass(frozen=True)
@@ -74,13 +112,16 @@ class Irrep:
 
     ``generators[j]`` is the anti-hermitian matrix representing the j-th basis
     vector; ``casimir`` is the scalar by which minus the bi-invariant Casimir
-    acts.  A product irrep takes only ``factors = (a, b)``; its stack (Kronecker
-    sums), dim and Casimir follow from them and hold without a check.
+    acts.  A product irrep takes only ``factors = (a, b)``; its dim and Casimir
+    follow from them and hold without a check.  Its stack of Kronecker sums is
+    built only when ``generators`` is first read: ``check_commutators``,
+    ``invariant_dim``, or the assembly of a pair with this one as first factor
+    read it, while the assembly of the pair itself works from the factors.
     """
 
     label: str
     dim: int | None = None
-    generators: np.ndarray | None = None  # (m, d, d) complex, read-only
+    generators: np.ndarray | None = _GeneratorStack()  # (m, d, d) complex, read-only
     casimir: float | None = None
     factors: tuple[Irrep, ...] = ()
 
@@ -88,20 +129,11 @@ class Irrep:
         if self.factors:
             a, b = self.factors
             d, cas = a.dim * b.dim, a.casimir + b.casimir
-            if (self.generators is not None or self.dim not in (None, d)
+            if (self.__dict__["_generators"] is not None or self.dim not in (None, d)
                     or self.casimir not in (None, cas)):
                 raise ValueError(f"{self.label}: stack, dim and Casimir come from the factors")
-            # np.kron(g, I_b) and np.kron(I_a, h) for every generator, by broadcasting
-            # over the index order (gen, row_a, row_b, col_a, col_b).
-            ia = np.eye(a.dim, dtype=complex)
-            ib = np.eye(b.dim, dtype=complex)
-            G = np.concatenate([
-                (a.generators[:, :, None, :, None] * ib[None, None, :, None, :]).reshape(-1, d, d),
-                (ia[None, :, None, :, None] * b.generators[:, None, :, None, :]).reshape(-1, d, d),
-            ])
-            G.flags.writeable = False
-            for name, value in (("dim", d), ("generators", G), ("casimir", cas)):
-                object.__setattr__(self, name, value)
+            object.__setattr__(self, "dim", d)
+            object.__setattr__(self, "casimir", cas)
             return
         G = np.asarray(self.generators, dtype=complex)
         if G.ndim != 3 or G.shape[1] != self.dim or G.shape[2] != self.dim:
@@ -257,27 +289,68 @@ def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list
 # Operator assembly and eigenvalues
 # ---------------------------------------------------------------------------
 
+def _ngens(irrep: Irrep) -> int:
+    """Number of generators, read from the factors on a product irrep."""
+    return sum(map(_ngens, irrep.factors)) if irrep.factors else irrep.generators.shape[0]
+
+
+def _minus_CA(irrep: Irrep, Q: np.ndarray, lo: int, blocks: dict) -> np.ndarray:
+    """-C_A of the irrep on the generators lo, lo + 1, ... of the metric Q = A A^t.
+
+    A pair (a, b) with Q split into the blocks Q11, Q22 and Q12 assembles as
+    kron(M_a(Q11), I) + kron(I, M_b(Q22)) - 2 sum_i kron(g_i, (Q12 . h)_i),
+    that is sum_k kron(S_k, T_k) over the factor stacks S = [M_a, I, g] and
+    T = [I, M_b, -2 Q12 . h]: one matrix product of shape (da^2, k) @ (k, db^2),
+    so only the factors pay d^3 work.  ``blocks`` keeps S by (label, first
+    generator) and T by (label, first row of Q12, first generator) for the
+    other pairs that share a factor.
+    """
+    if not irrep.factors:
+        G = irrep.generators
+        m = G.shape[0]
+        W = (Q[lo:lo + m, lo:lo + m] @ G.reshape(m, -1)).reshape(G.shape)
+        return -_contract(G, W)
+    a, b = irrep.factors
+    mid = lo + _ngens(a)
+    hi = mid + _ngens(b)
+    if (a.label, lo) not in blocks:
+        g = a.generators  # a nested pair builds its stack here, once
+        blocks[a.label, lo] = np.concatenate(
+            [_minus_CA(a, Q, lo, blocks)[None], np.eye(a.dim)[None], g])
+    if (b.label, lo, mid) not in blocks:
+        h = b.generators
+        H = (Q[lo:mid, mid:hi] @ h.reshape(hi - mid, -1)).reshape(mid - lo, b.dim, b.dim)
+        blocks[b.label, lo, mid] = np.concatenate(
+            [np.eye(b.dim)[None], _minus_CA(b, Q, mid, blocks)[None], -2.0 * H])
+    S, T = blocks[a.label, lo], blocks[b.label, lo, mid]
+    k, da, db = S.shape[0], a.dim, b.dim
+    M = S.reshape(k, da * da).T @ T.reshape(k, db * db)  # index order (ra, ca, rb, cb)
+    return M.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
 def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
     """PSD operator -sum_ij (A A^t)_ij pi(X_i) pi(X_j), hermitian up to rounding.
 
-    ``lambda_min_hermitian`` checks and symmetrises it.
+    One BLAS product over the stacked generators; a product irrep assembles
+    from its factors.  ``lambda_min_hermitian`` checks and symmetrises it.
     """
-    G = irrep.generators
-    if G.shape[0] != spec.m:
+    if _ngens(irrep) != spec.m:
         raise ValueError("irrep and metric have different dimensions")
-    W = np.tensordot(spec.AAt, G, axes=(1, 0))
-    return -_contract(G, W)
+    return _minus_CA(irrep, spec.AAt, 0, {})
 
 
 def lambda_min_hermitian(M: np.ndarray) -> float:
     """Smallest eigenvalue of a hermitian matrix.
 
-    Rejects inputs whose anti-hermitian part exceeds 1e-10 relative to the
-    entry scale.
+    Rejects inputs with an entry that is not finite, such as an operator that
+    overflowed the float range, and inputs whose anti-hermitian part exceeds
+    1e-10 relative to the entry scale.
     """
     M = np.asarray(M)
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-    if np.max(np.abs(M - M.conj().T)) > 1e-10 * scale:
+    peak = float(np.max(np.abs(M))) if M.size else 0.0
+    if not math.isfinite(peak):
+        raise ValueError(_OVERFLOW)
+    if np.max(np.abs(M - M.conj().T)) > 1e-10 * max(1.0, peak):
         raise ValueError("matrix is not hermitian")
     H = 0.5 * (M + M.conj().T)
     return float(np.linalg.eigvalsh(H)[0])
@@ -310,6 +383,7 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     witness = ""
     evals = 0
     examined = 0.0
+    blocks: dict = {}  # factor blocks shared by the pairs of this walk
     # The cap is no cutoff of the walk: the first irrep past it may still certify.
     for irrep in _irrep_stream(entry):
         if sm2 * irrep.casimir > lam_hat:
@@ -320,7 +394,7 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
                 lambda1=lam_hat, witness=witness, certified=False,
                 window=examined, evaluations=evals,
                 reason=f"certification needs Casimir window beyond cap {window_cap:g}")
-        lm = lambda_min_hermitian(assemble_minus_CA(irrep, spec))
+        lm = lambda_min_hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
         evals += 1
         examined = irrep.casimir
         if lm < lam_hat:
@@ -353,6 +427,8 @@ def _torus_lambda1_certified(spec: MetricSpec) -> SpectralResult:
     diag = np.diag(Q)
     j0 = int(np.argmin(diag))
     lam_hat = FOUR_PI_SQ * float(diag[j0])
+    if not math.isfinite(lam_hat):
+        raise ValueError(_OVERFLOW)
     witness_n = np.eye(m, dtype=np.int64)[j0]
     pts = _lattice.short_vectors(Q, float(diag[j0]))
     vals = FOUR_PI_SQ * np.einsum("ni,ij,nj->n", pts, Q.astype(float), pts)

@@ -102,6 +102,11 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
      "below the smallest normal double"),
     (("diam", "--group", "t2", "--matrix", "1e-160,0,0,2e-160"),
      "below the smallest normal double"),
+    # Scales whose A A^t fits but whose spectral gap does not.
+    (("lambda1", "--group", "su2", "--matrix", "1e154,0,0,0,1e154,0,0,0,1e154"),
+     "overflows the float range"),
+    (("lambda1", "--group", "t2", "--matrix", "1e154,0,0,1e154"),
+     "overflows the float range"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
