@@ -7,7 +7,7 @@ estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 
 Exit codes: 0 success, 2 input validation failure (including unreadable or
 unwritable paths and non-finite values), 3 computation failure (certification
-impossible under the requested cap).  All randomness sits behind explicit
+of a su2xsu2 gap impossible under the requested cap).  All randomness sits behind explicit
 seeds (default 0).
 """
 
@@ -213,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda1", help="certified spectral gap")
     common(p)
     p.add_argument("--window-cap", type=float, default=DEFAULT_WINDOW_CAP,
-                   help="largest Casimir value an irrep walk (su2, so3, su2xsu2) "
-                        "may reach before it gives up uncertified; inf for none. "
-                        "Checked on tori too, where the gap is always certified")
+                   help="largest Casimir value a walk may reach before it gives "
+                        "up uncertified; inf for none. su2xsu2 walks only; "
+                        "validated everywhere")
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")

@@ -25,7 +25,14 @@ Irrep catalog:
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
 cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
-spectra and the certified gap on su2, so3 and products all read it.
+spectra, the stop-rule walk of the certified gap on products and the two
+spins of the certified gap on su2 and so3 all read it.
+
+On su2 and so3 the gap needs no walk.  Write q = sigma^2, descending.  In the
+principal frame -C_A on spin j is 4 (q1 Jx^2 + q2 Jy^2 + q3 Jz^2): spin 1/2
+gives (q1 + q2 + q3) I, spin 1 has smallest eigenvalue 4 (q2 + q3), and for
+j >= 3/2 every eigenvalue is at least 4 j (q2 + j q3) >= 6 q2 + 9 q3, above
+spin 1's.  So spin 1/2 and spin 1, the irreps with Casimir <= 8, settle it.
 """
 
 from __future__ import annotations
@@ -165,9 +172,11 @@ class SpectralResult:
     """Output of a spectral-gap computation.
 
     For certified results ``window`` is the certification boundary: the
-    smallest Casimir eigenvalue not evaluated, which by the stopping rule
-    satisfies window * sigma_m^2 >= lambda1.  Window-limited (uncertified)
-    results report the largest value actually examined.
+    smallest Casimir eigenvalue not evaluated; every irrep at or beyond it
+    provably lies above ``lambda1``.  On products the stop rule proves it, on
+    tori the shell order, on su2 and so3 the spin bound (window 15 on su2,
+    24 on so3).  Window-limited (uncertified) results, which only product
+    walks return, report the largest value actually examined.
     """
 
     lambda1: float
@@ -364,13 +373,14 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
                       window_cap: float = DEFAULT_WINDOW_CAP) -> SpectralResult:
     """Smallest positive Laplace eigenvalue of the metric, with certification.
 
-    Walks irreps in ascending Casimir order keeping the running minimum of
-    lambda_min(-C_A); stops certified once the next Casimir value nu satisfies
-    sigma_m^2 * nu > running minimum.  If that would require nu beyond
-    ``window_cap`` the result is returned uncertified; an infinite cap never
-    binds.  The cap must be positive on every group, but only irrep walks
-    (su2, so3, products) read it: a torus gap is an exact shortest-vector
-    search and is always certified.
+    On products, walks irreps in ascending Casimir order keeping the running
+    minimum of lambda_min(-C_A); stops certified once the next Casimir value
+    nu satisfies sigma_m^2 * nu > running minimum.  If that would require nu
+    beyond ``window_cap`` the result is returned uncertified; an infinite cap
+    never binds.  The cap must be positive on every group, but only product
+    walks read it: the su2/so3 gap evaluates spin 1/2 and spin 1, and a torus
+    gap is an exact shortest-vector search; both are always certified.
+    Overflow of the operator is refused by ``lambda_min_hermitian``.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
@@ -378,6 +388,8 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
         raise ValueError(f"window cap must be positive, got {window_cap:g}")
     if entry.kind == "torus":
         return _torus_lambda1_certified(spec)
+    if entry.kind in ("su2", "so3"):
+        return _spin_lambda1_certified(entry, spec)
     sm2 = spec.sigma[-1] ** 2
     lam_hat = math.inf
     witness = ""
@@ -385,22 +397,41 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     examined = 0.0
     blocks: dict = {}  # factor blocks shared by the pairs of this walk
     # The cap is no cutoff of the walk: the first irrep past it may still certify.
-    for irrep in _irrep_stream(entry):
-        if sm2 * irrep.casimir > lam_hat:
-            return SpectralResult(lambda1=lam_hat, witness=witness, certified=True,
-                                  window=irrep.casimir, evaluations=evals)
-        if irrep.casimir > window_cap:
-            return SpectralResult(
-                lambda1=lam_hat, witness=witness, certified=False,
-                window=examined, evaluations=evals,
-                reason=f"certification needs Casimir window beyond cap {window_cap:g}")
-        lm = lambda_min_hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
-        evals += 1
-        examined = irrep.casimir
-        if lm < lam_hat:
-            lam_hat = lm
-            witness = irrep.label
+    # An overflow is refused right after it happens, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for irrep in _irrep_stream(entry):
+            if sm2 * irrep.casimir > lam_hat:
+                return SpectralResult(lambda1=lam_hat, witness=witness, certified=True,
+                                      window=irrep.casimir, evaluations=evals)
+            if irrep.casimir > window_cap:
+                return SpectralResult(
+                    lambda1=lam_hat, witness=witness, certified=False,
+                    window=examined, evaluations=evals,
+                    reason=f"certification needs Casimir window beyond cap {window_cap:g}")
+            lm = lambda_min_hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
+            evals += 1
+            examined = irrep.casimir
+            if lm < lam_hat:
+                lam_hat = lm
+                witness = irrep.label
     raise AssertionError("irrep stream is infinite")  # pragma: no cover
+
+
+def _spin_lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> SpectralResult:
+    """The su2/so3 gap: the smallest lambda_min(-C_A) over the spins up to 1.
+
+    Every spin j >= 3/2 lies above spin 1 (module docstring), so the result
+    is always certified and its window is the first Casimir past spin 1's.
+    The first minimum wins: a tie goes to spin(1/2).
+    """
+    cutoff = spin_irrep(1).casimir
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by lambda_min_hermitian
+        gaps = [(lambda_min_hermitian(_minus_CA(irrep, spec.AAt, 0, {})), irrep.label)
+                for irrep in _irrep_stream(entry, cutoff)]
+    lam, witness = min(gaps, key=lambda gap: gap[0])
+    window = next(irrep.casimir for irrep in _irrep_stream(entry) if irrep.casimir > cutoff)
+    return SpectralResult(lambda1=lam, witness=witness, certified=True,
+                          window=window, evaluations=len(gaps))
 
 
 def biinvariant_lambda1(entry: LieGroupCatalogEntry) -> float:

@@ -107,9 +107,15 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
      "overflows the float range"),
     (("lambda1", "--group", "t2", "--matrix", "1e154,0,0,1e154"),
      "overflows the float range"),
+    (("lambda1", "--group", "su2xsu2",
+      "--matrix", ",".join(f"{v:g}" for v in (1e154 * np.eye(6)).ravel())),
+     "overflows the float range"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    # A refusal is its error line alone, with no numpy warning before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
@@ -204,15 +210,17 @@ class TestLambda1:
                 assert err.startswith("error: window cap must be positive")
 
     def test_window_cap_leaves_torus_certified(self, capsys):
-        # The torus gap is an exact ellipsoid enumeration; the cap limits
-        # irrep walks only.
-        code, out, _ = run(capsys, "lambda1", "--group", "t2", "--window-cap", "1")
-        assert code == 0
-        assert "certified=true" in out
+        # The torus gap is an exact ellipsoid enumeration and the su2/so3 gap
+        # reads spin 1/2 and spin 1; the cap limits product walks only.
+        for group in ("t2", "su2", "so3"):
+            code, out, _ = run(capsys, "lambda1", "--group", group, "--window-cap", "1")
+            assert code == 0, group
+            assert "certified=true" in out
 
     def test_window_cap_exit_3(self, capsys):
-        code, _, err = run(capsys, "lambda1", "--group", "su2",
-                           "--matrix", "5,0,0,0,5,0,0,0,0.2",
+        code, _, err = run(capsys, "lambda1", "--group", "su2xsu2",
+                           "--matrix", "1,0,0,0,0,0,0,1,0,0,0,0,0,0,1,0,0,0,"
+                                       "0,0,0,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0.2",
                            "--window-cap", "10")
         assert code == 3
         assert "uncertified" in err

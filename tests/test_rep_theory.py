@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liespec as ls
 from liespec import _lattice
 from liespec import rep_theory
+from liespec.metric_space import random_rotation
 from liespec.rep_theory import FOUR_PI_SQ, _character_stream, _irrep_stream
 
 # Closed-form gaps under the fixed normalisation, derived from the explicit
@@ -84,6 +86,31 @@ def su2xsu2_gap_reference(spec, max_twice_spin=30):
         if lam < best:
             best, witness = lam, f"pair({a.label},{b.label})"
     raise AssertionError("pair list too short for the stop rule")
+
+
+def spin_walk_reference(entry, spec):
+    """(lambda1, witness) of the su2/so3 gap by the dense stop-rule spin walk.
+
+    Spins in ascending Casimir order, each assembled and solved in full,
+    until sigma_m^2 times the next Casimir passes the running minimum; the
+    first minimum wins.
+    """
+    step = Fraction(1, 2) if entry.kind == "su2" else Fraction(1)
+    sm2 = spec.sigma[-1] ** 2
+    best, witness, j = math.inf, "", step
+    while True:
+        irrep = ls.spin_irrep(j)
+        if sm2 * irrep.casimir > best:
+            return best, witness
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(irrep, spec))
+        if lam < best:
+            best, witness = lam, irrep.label
+        j += step
+
+
+def rotated_metric(sigma, seed):
+    return ls.metric_from_matrix(
+        random_rotation(3, np.random.default_rng(seed)) @ np.diag(sigma))
 
 
 def torus_gap_box_sweep(spec):
@@ -530,19 +557,61 @@ class TestCertifiedGap:
             assert res.certified
             assert res.lambda1 == pytest.approx(so3_gap_oracle(spec.sigma), rel=1e-11)
 
-    def test_certified_window_invariant(self, su2, so3, t2):
-        for entry in (su2, so3, t2):
+    def test_certified_window_invariant(self, su2, so3, t2, su2xsu2):
+        # Every irrep at or beyond the window lies above lambda1: by the stop
+        # rule on walks, by the spin bound on su2 and so3.
+        for entry in (t2, su2xsu2):
             for seed in range(20):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
                 res = ls.lambda1_certified(entry, spec)
                 assert res.certified
                 assert res.window * spec.sigma[-1] ** 2 >= res.lambda1 - 1e-12
+        for entry, window in ((su2, 15.0), (so3, 24.0)):
+            for seed in range(20):
+                spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+                res = ls.lambda1_certified(entry, spec)
+                assert res.certified and res.window == window
+                later = [irrep for irrep in ls.enumerate_irreps(entry, 200.0)
+                         if irrep.casimir >= res.window]
+                assert later
+                for irrep in later:
+                    M = ls.assemble_minus_CA(irrep, spec)
+                    assert ls.lambda_min_hermitian(M) > res.lambda1, (seed, irrep.label)
 
-    def test_window_cap_returns_uncertified(self, su2):
-        spec = ls.metric_from_matrix(np.diag([5.0, 5.0, 0.2]))
-        res = ls.lambda1_certified(su2, spec, window_cap=10.0)
+    def test_window_cap_returns_uncertified(self, su2xsu2):
+        spec = ls.metric_from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.2]))
+        res = ls.lambda1_certified(su2xsu2, spec, window_cap=10.0)
         assert not res.certified
         assert res.reason
+        assert res.evaluations == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_sigma=st.lists(st.floats(math.log(0.2), math.log(5.0)),
+                              min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_two_spins_match_spin_walk(self, su2, so3, log_sigma, seed):
+        spec = rotated_metric(sorted(np.exp(log_sigma), reverse=True), seed)
+        for entry in (su2, so3):
+            res = ls.lambda1_certified(entry, spec)
+            assert res.certified
+            assert (res.lambda1, res.witness) == spin_walk_reference(entry, spec)
+
+    @pytest.mark.parametrize("sigma", [(3.0, 1.0, 0.005), (1.0, 1.0, 1e-5),
+                                       # q1 = 3 (q2 + q3): spin 1/2 and spin 1 tie
+                                       (math.sqrt(12.0), math.sqrt(3.0), 1.0)])
+    def test_thin_and_tied_metrics_certify(self, su2, so3, sigma):
+        spec = rotated_metric(sigma, 1)
+        for entry, oracle in ((su2, su2_gap_oracle), (so3, so3_gap_oracle)):
+            res = ls.lambda1_certified(entry, spec, window_cap=1.0)
+            assert res.certified
+            assert res.evaluations == (2 if entry is su2 else 1)
+            assert res.lambda1 == pytest.approx(oracle(spec.sigma), rel=1e-11)
+            assert res.witness in ("spin(1/2)", "spin(1)")
+
+    def test_tie_goes_to_spin_half(self, su2, monkeypatch):
+        monkeypatch.setattr(rep_theory, "lambda_min_hermitian", lambda M: 1.0)
+        res = ls.lambda1_certified(su2, rotated_metric((2.0, 1.0, 0.5), 1))
+        assert (res.lambda1, res.witness) == (1.0, "spin(1/2)")
 
     def test_product_gap(self, su2xsu2):
         res = ls.lambda1_certified(su2xsu2, ls.metric_from_matrix(np.eye(6)))
