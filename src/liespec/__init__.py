@@ -17,10 +17,8 @@ from .lie_core import (GroupElement, LieGroupCatalogEntry, Subalgebra, bracket,
                        group_mul, identity_element, is_bracket_generating,
                        product_entry, so3_entry, su2_entry, su_n_k_max,
                        torus_entry)
-from .metric_space import (DiagonalClass, MatrixFormatError, MetricSpec,
-                           RotationBlockClass, SigmaRatioClass,
-                           SingularMatrixError, canonical_form, class_build,
-                           class_member, loewner_leq, metric_from_matrix,
+from .metric_space import (MatrixFormatError, MetricSpec, SingularMatrixError,
+                           canonical_form, loewner_leq, metric_from_matrix,
                            read_matrix, sample_metric, write_matrix)
 from .rep_theory import (Irrep, SpectralResult, assemble_minus_CA,
                          biinvariant_lambda1, character_irrep,

@@ -12,11 +12,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .lie_core import LieGroupCatalogEntry, ell_index
+from .lie_core import LieGroupCatalogEntry
 
 __all__ = [
     "MetricSpec",
@@ -27,11 +27,6 @@ __all__ = [
     "loewner_leq",
     "sample_metric",
     "random_rotation",
-    "SigmaRatioClass",
-    "RotationBlockClass",
-    "DiagonalClass",
-    "class_member",
-    "class_build",
     "read_matrix",
     "write_matrix",
     "parse_matrix_text",
@@ -162,118 +157,6 @@ def sample_metric(entry: LieGroupCatalogEntry, lo: float, hi: float,
     sigma = np.exp(rng.uniform(math.log(lo), math.log(hi), size=m))
     sigma = np.sort(sigma)[::-1]
     return metric_from_matrix(random_rotation(m, rng) @ np.diag(sigma))
-
-
-# ---------------------------------------------------------------------------
-# Restricted metric classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SigmaRatioClass:
-    """Metrics with sigma_2 <= c0 * sigma_{k_max}."""
-
-    c0: float
-
-    def __post_init__(self):
-        if self.c0 < 1.0:
-            raise ValueError("c0 must be >= 1")
-
-
-@dataclass(frozen=True)
-class RotationBlockClass:
-    """Metrics A = P Q D with Q block-diagonal of shape (k-1, 1, m-k).
-
-    The split index k is the bracket-generating index of P and must be
-    computed against a group entry before building or testing members.
-    """
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float).copy()
-        P.flags.writeable = False
-        object.__setattr__(self, "P", P)
-
-
-@dataclass(frozen=True)
-class DiagonalClass:
-    """Metrics diagonal in the rotated basis: A = P D, any positive diagonal D."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float).copy()
-        P.flags.writeable = False
-        object.__setattr__(self, "P", P)
-
-
-MetricClassSpec = Union[SigmaRatioClass, RotationBlockClass, DiagonalClass]
-
-
-# Relative tolerance of class membership: against sigma_1^2 for the block
-# tests, against the compared sigma for the ratio test.
-_CLASS_TOL = 1e-9
-
-
-def class_member(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
-                 spec: MetricSpec) -> bool:
-    if isinstance(klass, SigmaRatioClass):
-        return bool(spec.sigma[1] <= klass.c0 * spec.sigma[entry.k_max - 1] * (1 + _CLASS_TOL))
-    if isinstance(klass, DiagonalClass):
-        M = klass.P.T @ spec.AAt @ klass.P
-        off = M - np.diag(np.diag(M))
-        return bool(np.max(np.abs(off)) <= _CLASS_TOL * spec.sigma[0] ** 2)
-    if isinstance(klass, RotationBlockClass):
-        k = ell_index(entry, klass.P)
-        M = klass.P.T @ spec.AAt @ klass.P
-        scale = spec.sigma[0] ** 2
-        mask = np.zeros_like(M, dtype=bool)
-        mask[:k - 1, :k - 1] = True
-        mask[k - 1, k - 1] = True
-        mask[k:, k:] = True
-        if np.max(np.abs(np.where(mask, 0.0, M))) > _CLASS_TOL * scale:
-            return False
-        top = M[:k - 1, :k - 1]
-        mid = M[k - 1, k - 1]
-        bot = M[k:, k:]
-        lo_top = np.linalg.eigvalsh(top)[0] if top.size else math.inf
-        hi_bot = np.linalg.eigvalsh(bot)[-1] if bot.size else 0.0
-        return bool(lo_top >= mid - _CLASS_TOL * scale and mid >= hi_bot - _CLASS_TOL * scale)
-    raise TypeError(f"unknown metric class {klass!r}")
-
-
-def class_build(entry: LieGroupCatalogEntry, klass: MetricClassSpec,
-                sigma: Sequence[float], seed: int = 0) -> MetricSpec:
-    """Build a member of the class with the given diagonal values.
-
-    For SigmaRatioClass the sigmas are sorted and then clipped so that
-    sigma_2 <= c0 * sigma_{k_max}; for RotationBlockClass they must already be
-    descending and the two orthogonal blocks are drawn from the seed.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    m = entry.dim
-    if sigma.shape != (m,) or np.any(sigma <= 0):
-        raise ValueError("sigma must be m positive values")
-    rng = np.random.default_rng(seed)
-    if isinstance(klass, SigmaRatioClass):
-        s = np.sort(sigma)[::-1]
-        cap = klass.c0 * s[entry.k_max - 1]
-        s[1:entry.k_max - 1] = np.minimum(s[1:entry.k_max - 1], cap)
-        P = random_rotation(m, rng)
-        return metric_from_matrix(P @ np.diag(s))
-    if isinstance(klass, DiagonalClass):
-        return metric_from_matrix(klass.P @ np.diag(sigma))
-    if isinstance(klass, RotationBlockClass):
-        if np.any(np.diff(sigma) > 1e-12 * sigma[0]):
-            raise ValueError("RotationBlockClass needs descending sigma")
-        k = ell_index(entry, klass.P)
-        Q = np.eye(m)
-        if k - 1 >= 1:
-            Q[:k - 1, :k - 1] = random_rotation(k - 1, rng) if k - 1 > 1 else [[1.0]]
-        if m - k >= 1:
-            Q[k:, k:] = random_rotation(m - k, rng) if m - k > 1 else [[1.0]]
-        return metric_from_matrix(klass.P @ Q @ np.diag(sigma))
-    raise TypeError(f"unknown metric class {klass!r}")
 
 
 # ---------------------------------------------------------------------------

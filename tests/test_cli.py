@@ -13,6 +13,7 @@ import pytest
 import liespec as ls
 from liespec import egs_scan
 from liespec.cli import build_parser, main
+from liespec.metric_space import random_rotation
 
 
 def run(capsys, *argv):
@@ -110,6 +111,7 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     (("lambda1", "--group", "su2xsu2",
       "--matrix", ",".join(f"{v:g}" for v in (1e154 * np.eye(6)).ravel())),
      "overflows the float range"),
+    (("ell", "--group", "su2", "--rotation", "1,0,0,0,2,0,0,0,1"), "P must be orthogonal"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     # A refusal is its error line alone, with no numpy warning before it.
@@ -294,11 +296,25 @@ class TestDiam:
 
 
 class TestEll:
-    def test_examples(self, capsys):
+    def test_examples(self, capsys, tmp_path):
         for group, expect in (("su2", 2), ("t3", 3), ("su2xsu2", 5)):
             code, out, _ = run(capsys, "ell", "--group", group)
             assert code == 0
             assert f"ell={expect}" in out
+        # Rotated frames, read from files: a generic rotation of su2 needs
+        # two directions, a torus always all three, and the two-generator
+        # frame of su2xsu2 only its first two.
+        R = random_rotation(3, np.random.default_rng(1))
+        for group, P, lines in (
+                ("su2", R, ["ell=2", "prefix_dims= 1 3 3"]),
+                ("t3", R, ["ell=3", "prefix_dims= 1 2 3"]),
+                ("su2xsu2", egs_scan.two_generator_rotation_su2xsu2(),
+                 ["ell=2", "prefix_dims= 1 6 6 6 6 6"])):
+            path = tmp_path / f"{group}.mat"
+            ls.write_matrix(str(path), P)
+            code, out, _ = run(capsys, "ell", "--group", group, "--rotation", str(path))
+            assert code == 0
+            assert out.splitlines() == lines
 
     def test_prefix_dims_printed(self, capsys):
         code, out, _ = run(capsys, "ell", "--group", "su2xsu2")

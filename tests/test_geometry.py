@@ -1,6 +1,7 @@
 """Diameter estimators: covering radii, closed forms, geodesic graphs."""
 
 import dataclasses
+import importlib
 import math
 import os
 import pickle
@@ -438,3 +439,12 @@ print([name in sys.modules for name in ("scipy.spatial", "scipy.sparse")])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env, timeout=60)
     assert out.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize("module", ["lie_core", "metric_space", "rep_theory",
+                                    "geometry", "egs_scan", "_lattice"])
+def test_all_names_resolve(module):
+    """Every name a module exports exists, so a star import succeeds."""
+    mod = importlib.import_module(f"liespec.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    exec(f"from liespec.{module} import *", {})

@@ -1,4 +1,4 @@
-"""Metric parameterisation, samplers, restricted classes, matrix files."""
+"""Metric parameterisation, canonical form, Loewner order, samplers, matrix files."""
 
 import io
 import math
@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 import liespec as ls
-from liespec.metric_space import (DiagonalClass, RotationBlockClass,
-                                  SigmaRatioClass, parse_matrix_text,
-                                  random_rotation)
+from liespec.metric_space import parse_matrix_text, random_rotation
 
 
 class TestMetricFromMatrix:
@@ -195,61 +193,6 @@ class TestSampler:
             ls.sample_metric(su2, 2.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             ls.sample_metric(su2, 1.0, math.inf, seed=0)
-
-
-class TestMetricClasses:
-    def test_sigma_ratio_membership(self, su2, su2xsu2):
-        klass = SigmaRatioClass(1.0)
-        spec = ls.metric_from_matrix(3.0 * np.eye(3))
-        assert ls.class_member(su2, klass, spec)
-        # On su2 the split index is 2, so every metric is a member; a real
-        # exclusion needs a group with a larger index.
-        assert ls.class_member(su2, klass, ls.metric_from_matrix(np.diag([5.0, 2.0, 1.0])))
-        skew6 = ls.metric_from_matrix(np.diag([5.0, 4.0, 3.0, 2.0, 1.0, 1.0]))
-        assert not ls.class_member(su2xsu2, klass, skew6)
-        assert ls.class_member(su2xsu2, klass, ls.metric_from_matrix(np.eye(6)))
-
-    def test_sigma_ratio_builder(self, su2xsu2):
-        klass = SigmaRatioClass(2.0)
-        spec = ls.class_build(su2xsu2, klass, [9.0, 8.0, 5.0, 3.0, 2.0, 1.0], seed=1)
-        assert ls.class_member(su2xsu2, klass, spec)
-        assert spec.sigma[1] <= 2.0 * spec.sigma[su2xsu2.k_max - 1] * (1 + 1e-12)
-
-    def test_rotation_block_builder_membership(self, su2):
-        rng = np.random.default_rng(9)
-        P = random_rotation(3, rng)
-        klass = RotationBlockClass(P)
-        spec = ls.class_build(su2, klass, [3.0, 2.0, 0.5], seed=2)
-        assert ls.class_member(su2, klass, spec)
-        assert np.allclose(spec.sigma, [3.0, 2.0, 0.5], atol=1e-10)
-        # generic metrics are not members
-        assert not ls.class_member(su2, klass, ls.sample_metric(su2, 0.5, 2.0, 7))
-
-    def test_diagonal_class_covers_unsorted_diagonals(self, su2):
-        # A metric diagonal in the rotated frame lies in a block class for
-        # the permutation that sorts the diagonal.
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            P = random_rotation(3, rng)
-            d = rng.uniform(0.3, 3.0, 3)
-            spec = ls.metric_from_matrix(P @ np.diag(d))
-            assert ls.class_member(su2, DiagonalClass(P), spec)
-            perm = np.argsort(-d)
-            R = np.eye(3)[:, perm]
-            assert ls.class_member(su2, RotationBlockClass(P @ R), spec)
-
-    def test_diagonal_class_builder(self, su2):
-        rng = np.random.default_rng(11)
-        P = random_rotation(3, rng)
-        klass = DiagonalClass(P)
-        spec = ls.class_build(su2, klass, [0.5, 3.0, 2.0])
-        assert ls.class_member(su2, klass, spec)
-        assert np.allclose(spec.sigma, [3.0, 2.0, 0.5], rtol=1e-12)
-        assert not ls.class_member(su2, DiagonalClass(random_rotation(3, rng)), spec)
-
-    def test_block_builder_rejects_unsorted(self, su2):
-        with pytest.raises(ValueError):
-            ls.class_build(su2, RotationBlockClass(np.eye(3)), [1.0, 2.0, 3.0], 0)
 
 
 class TestMatrixFiles:
