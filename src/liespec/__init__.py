@@ -11,22 +11,20 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .lie_core import (GroupElement, LieGroupCatalogEntry, Subalgebra, bracket,
-                       ell_index, entry_from_key, generated_subalgebra,
-                       group_exp, group_inv, group_log, group_log_with_flag,
-                       group_mul, identity_element, is_bracket_generating,
-                       product_entry, so3_entry, su2_entry, su_n_k_max,
-                       torus_entry)
+from .lie_core import (LieGroupCatalogEntry, Subalgebra, bracket, ell_index,
+                       entry_from_key, generated_subalgebra,
+                       is_bracket_generating, product_entry, so3_entry,
+                       su2_entry, su_n_k_max, torus_entry)
 from .metric_space import (MatrixFormatError, MetricSpec, SingularMatrixError,
-                           canonical_form, loewner_leq, metric_from_matrix,
-                           read_matrix, sample_metric, write_matrix)
+                           loewner_leq, metric_from_matrix, read_matrix,
+                           sample_metric, write_matrix)
 from .rep_theory import (Irrep, SpectralResult, assemble_minus_CA,
                          biinvariant_lambda1, character_irrep,
                          enumerate_irreps, invariant_dim, lambda1_certified,
                          lambda1_restricted, lambda_min_hermitian, spin_irrep)
 from .geometry import (DiameterEstimate, Net, PaperBounds,
-                       biinvariant_diameter, biinvariant_distance, build_net,
-                       graph_diameter, paper_diameter_bounds, torus_diameter)
+                       biinvariant_diameter, build_net, graph_diameter,
+                       paper_diameter_bounds, torus_diameter)
 from .egs_scan import (DiamConfig, DegenerationReport, PropertyReport,
                        ScanRecord, ScanSummary, degeneration_experiment,
                        egs_ratio, property_suite, scan)

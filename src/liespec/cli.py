@@ -5,9 +5,10 @@ parameters), ``lambda1`` (certified spectral gap), ``diam`` (diameter
 estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 ``degenerate`` (degeneration sweeps), ``verify`` (randomized invariant checks).
 
-Exit codes: 0 success, 2 input validation failure (including unreadable or
-unwritable paths and non-finite values), 3 computation failure (certification
-of a su2xsu2 gap impossible under the requested cap).  All randomness sits behind explicit
+Exit codes: 0 success, 2 input validation failure (including unreadable,
+missing or unwritable paths and non-finite values), 3 computation failure
+(certification of a su2xsu2 gap impossible under the requested cap, or a
+``verify`` run with a failed check).  All randomness sits behind explicit
 seeds (default 0).
 """
 
@@ -40,12 +41,21 @@ class ComputationError(RuntimeError):
 
 
 def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
-    """The identity when the flag is absent, else a matrix file or inline text."""
+    """The identity when the flag is absent, else a matrix file or inline text.
+
+    Text that names no file and is not numbers is taken for a mistyped path.
+    """
     if text is None:
         return np.eye(entry.dim)
     if os.path.exists(text):
         return read_matrix(text, entry.dim)
-    return parse_matrix_text(text, entry.dim)
+    try:
+        return parse_matrix_text(text, entry.dim)
+    except MatrixFormatError as e:
+        if isinstance(e.__cause__, ValueError):  # raised where float() failed
+            raise MatrixFormatError(f"no such matrix file: {text!r} "
+                                    "(nor is it inline matrix entries)") from None
+        raise
 
 
 def _diam_config(args) -> DiamConfig:

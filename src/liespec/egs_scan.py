@@ -134,8 +134,7 @@ def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
     if s1 - sm <= 1e-12 * s1:
         d0 = biinvariant_diameter(entry)
         return DiameterEstimate(value=d0.value / s1, lower=d0.value / s1,
-                                upper=d0.value / sm, method=d0.method,
-                                farthest_point=d0.farthest_point)
+                                upper=d0.value / sm, method=d0.method)
     if entry.kind == "torus":
         return torus_diameter(spec, grid_resolution=config.grid_resolution)
     if entry.kind in ("su2", "so3"):

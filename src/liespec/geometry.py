@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from . import _lattice
-from .lie_core import (GroupElement, LieGroupCatalogEntry, group_log,
-                       quat_conj, quat_log, quat_mul, so3_representative)
+from .lie_core import (LieGroupCatalogEntry, quat_conj, quat_log, quat_mul,
+                       so3_representative)
 from .metric_space import MetricSpec
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "PaperBounds",
     "Net",
     "torus_diameter",
-    "biinvariant_distance",
     "biinvariant_diameter",
     "build_net",
     "graph_diameter",
@@ -81,7 +80,6 @@ class DiameterEstimate:
     upper: float
     method: str
     params: tuple[tuple[str, Any], ...] = ()
-    farthest_point: Optional[GroupElement] = None
 
     def __post_init__(self):
         if not (self.lower <= self.value <= self.upper):
@@ -215,45 +213,32 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
     local = _grid_points(17, m) * (2 * h) - h + x0
     near = _near_max(sq_distances(local))
     ld = _closest_lattice_distances(gram, local[near])
-    j0 = int(np.argmax(ld))
-    value = max(coarse, float(ld[j0]))
-    best_x = local[near[j0]] if ld[j0] >= coarse else x0
+    value = max(coarse, float(np.max(ld)))
 
     corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
     slack = math.sqrt(max(float(c @ gram @ c) for c in corners))
     upper = coarse + slack
     return DiameterEstimate(
         value=value, lower=value, upper=upper, method="TorusCoveringRadius",
-        params={"grid_resolution": grid_resolution},
-        farthest_point=GroupElement("torus", np.mod(best_x, 1.0)))
+        params={"grid_resolution": grid_resolution})
 
 
 # ---------------------------------------------------------------------------
 # Bi-invariant closed forms
 # ---------------------------------------------------------------------------
 
-def biinvariant_distance(entry: LieGroupCatalogEntry, a: GroupElement) -> float:
-    """Distance from the identity under the reference bi-invariant metric."""
-    return float(np.linalg.norm(group_log(entry, a)))
-
-
 def biinvariant_diameter(entry: LieGroupCatalogEntry) -> DiameterEstimate:
-    """Exact diameter of the reference bi-invariant metric with a witness."""
+    """Exact diameter of the reference bi-invariant metric."""
     if entry.kind == "su2":
-        far = GroupElement("su2", np.array([-1.0, 0.0, 0.0, 0.0]))
         value = math.pi
     elif entry.kind == "so3":
-        far = GroupElement("so3", np.array([0.0, 1.0, 0.0, 0.0]))
         value = math.pi / 2
     elif entry.kind == "torus":
-        far = GroupElement("torus", np.full(entry.dim, 0.5))
         value = math.sqrt(entry.dim) / 2
     else:
-        parts = [biinvariant_diameter(f) for f in entry.factors]
-        far = GroupElement("product", tuple(p.farthest_point for p in parts))
-        value = math.sqrt(sum(p.value ** 2 for p in parts))
+        value = math.sqrt(sum(biinvariant_diameter(f).value ** 2 for f in entry.factors))
     return DiameterEstimate(value=value, lower=value, upper=value,
-                            method="BiInvariantClosedForm", farthest_point=far)
+                            method="BiInvariantClosedForm")
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +404,12 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
     dist = dijkstra(g, directed=False, indices=0)
     if not np.all(np.isfinite(dist)):
         raise AssertionError("net is not connected")
-    i = int(np.argmax(dist))
-    value = float(dist[i])
+    value = float(np.max(dist))
     return DiameterEstimate(
         value=value, lower=value * (1.0 - eps_net), upper=value,
         method="GeodesicGraph",
         params={"net_size": net.n_nodes, "knn": net.knn, "eps_net": eps_net,
-                "seed": net.seed},
-        farthest_point=GroupElement(net.kind, net.nodes[i]))
+                "seed": net.seed})
 
 
 # ---------------------------------------------------------------------------

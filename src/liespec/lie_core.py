@@ -1,4 +1,4 @@
-"""Catalog of supported compact groups: brackets, subalgebras, group arithmetic.
+"""Catalog of supported compact groups: brackets, subalgebras, quaternions.
 
 Every group is described by a `LieGroupCatalogEntry` holding the structure
 constants of its Lie algebra in a fixed orthonormal basis.  The catalog covers
@@ -11,8 +11,8 @@ Conventions baked into the catalog:
   basis vectors act like the imaginary quaternion units i, j, k under the
   commutator.  The reference inner product makes {X1,X2,X3} orthonormal.
 * Torus: exp(t*X_j) is the closed loop of period 1 in the j-th circle factor,
-  so group elements are coordinate vectors in [0,1)^m.
-* SO(3) shares the su(2) structure constants; elements are unit quaternions
+  so points are coordinate vectors in [0,1)^m.
+* SO(3) shares the su(2) structure constants; points are unit quaternions
   with q and -q identified.
 """
 
@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "LieGroupCatalogEntry",
-    "GroupElement",
     "Subalgebra",
     "torus_entry",
     "su2_entry",
@@ -39,12 +37,6 @@ __all__ = [
     "generated_subalgebra",
     "is_bracket_generating",
     "ell_index",
-    "group_exp",
-    "group_log",
-    "group_log_with_flag",
-    "group_mul",
-    "group_inv",
-    "identity_element",
     "quat_mul",
     "quat_conj",
     "quat_log",
@@ -191,38 +183,6 @@ def entry_from_key(key: str) -> LieGroupCatalogEntry:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Group element with a kind-dependent payload.
-
-    torus: coordinate vector in [0,1)^m; su2: unit quaternion (w, x, y, z);
-    so3: unit quaternion modulo sign, stored with real part >= 0;
-    product: tuple of factor elements.
-    """
-
-    kind: str
-    data: Union[np.ndarray, tuple]
-
-    def __post_init__(self):
-        if self.kind in ("su2", "so3"):
-            q = np.asarray(self.data, dtype=float)
-            if q.shape != (4,):
-                raise ValueError("quaternion payload must be a 4-vector")
-            n = np.linalg.norm(q)
-            if abs(n - 1.0) > 1e-12:
-                raise ValueError("quaternion payload must have unit norm")
-            if self.kind == "so3":
-                q = so3_representative(q)
-            q = q.copy()
-            q.flags.writeable = False
-            object.__setattr__(self, "data", q)
-        elif self.kind == "torus":
-            x = np.mod(np.asarray(self.data, dtype=float), 1.0)
-            x = np.where(x >= 1.0, 0.0, x)  # mod can return 1.0 for tiny negatives
-            x.flags.writeable = False
-            object.__setattr__(self, "data", x)
-
-
-@dataclass(frozen=True)
 class Subalgebra:
     """Span closed under the bracket, stored as orthonormal row vectors."""
 
@@ -233,14 +193,6 @@ class Subalgebra:
         basis = np.array(self.basis, dtype=float)
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
-
-
-def identity_element(entry: LieGroupCatalogEntry) -> GroupElement:
-    if entry.kind == "torus":
-        return GroupElement("torus", np.zeros(entry.dim))
-    if entry.kind in ("su2", "so3"):
-        return GroupElement(entry.kind, np.array([1.0, 0.0, 0.0, 0.0]))
-    return GroupElement("product", tuple(identity_element(f) for f in entry.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +296,6 @@ def so3_representative(q: np.ndarray) -> np.ndarray:
     return np.where(q[..., :1] < 0, -q, q)
 
 
-def _quat_exp(v: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(v))
-    if theta < 1e-300:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    s = math.sin(theta) / theta
-    return np.concatenate([[math.cos(theta)], s * np.asarray(v, dtype=float)])
-
-
 def quat_log(q: np.ndarray, so3: bool = False) -> np.ndarray:
     """Principal logarithm of unit quaternions, broadcast over leading axes.
 
@@ -371,67 +315,3 @@ def quat_log(q: np.ndarray, so3: bool = False) -> np.ndarray:
     if np.any(antipodal):
         v[antipodal] = np.array([math.pi, 0.0, 0.0])
     return v
-
-
-# ---------------------------------------------------------------------------
-# Group arithmetic
-# ---------------------------------------------------------------------------
-
-def group_exp(entry: LieGroupCatalogEntry, X: np.ndarray) -> GroupElement:
-    """Group exponential of an algebra vector (coefficients in the fixed basis)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (entry.dim,):
-        raise ValueError("exp argument must be an m-vector")
-    if entry.kind == "torus":
-        return GroupElement("torus", np.mod(X, 1.0))
-    if entry.kind in ("su2", "so3"):
-        return GroupElement(entry.kind, _quat_exp(X))
-    parts = []
-    off = 0
-    for f in entry.factors:
-        parts.append(group_exp(f, X[off:off + f.dim]))
-        off += f.dim
-    return GroupElement("product", tuple(parts))
-
-
-def group_log_with_flag(entry: LieGroupCatalogEntry,
-                        a: GroupElement) -> tuple[np.ndarray, bool]:
-    """Principal logarithm plus a flag marking cut-locus ambiguity."""
-    if entry.kind == "torus":
-        x = np.asarray(a.data, dtype=float)
-        v = x - np.ceil(x - 0.5)  # representative in (-1/2, 1/2]^m
-        return v, bool(np.any(np.abs(np.abs(v) - 0.5) < 1e-12))
-    if entry.kind == "su2":
-        v = quat_log(a.data)
-        return v, bool(np.linalg.norm(v) > math.pi - 1e-9)
-    if entry.kind == "so3":
-        # Cut locus of SO(3): half turns, i.e. vanishing real part.
-        return quat_log(a.data, so3=True), bool(abs(a.data[0]) < 1e-12)
-    vs, flag = [], False
-    for f, part in zip(entry.factors, a.data):
-        v, fl = group_log_with_flag(f, part)
-        vs.append(v)
-        flag = flag or fl
-    return np.concatenate(vs), flag
-
-
-def group_log(entry: LieGroupCatalogEntry, a: GroupElement) -> np.ndarray:
-    return group_log_with_flag(entry, a)[0]
-
-
-def group_mul(entry: LieGroupCatalogEntry, a: GroupElement, b: GroupElement) -> GroupElement:
-    if entry.kind == "torus":
-        return GroupElement("torus", np.mod(np.asarray(a.data) + np.asarray(b.data), 1.0))
-    if entry.kind in ("su2", "so3"):
-        return GroupElement(entry.kind, quat_mul(a.data, b.data))
-    return GroupElement("product", tuple(
-        group_mul(f, x, y) for f, x, y in zip(entry.factors, a.data, b.data)))
-
-
-def group_inv(entry: LieGroupCatalogEntry, a: GroupElement) -> GroupElement:
-    if entry.kind == "torus":
-        return GroupElement("torus", np.mod(-np.asarray(a.data), 1.0))
-    if entry.kind in ("su2", "so3"):
-        return GroupElement(entry.kind, quat_conj(a.data))
-    return GroupElement("product", tuple(
-        group_inv(f, x) for f, x in zip(entry.factors, a.data)))

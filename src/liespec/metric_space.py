@@ -23,7 +23,6 @@ __all__ = [
     "SingularMatrixError",
     "MatrixFormatError",
     "metric_from_matrix",
-    "canonical_form",
     "loewner_leq",
     "sample_metric",
     "random_rotation",
@@ -122,11 +121,6 @@ def _check_spec(spec: MetricSpec) -> None:
     tol = max(1e-9, 1e-13 * cond)
     if not np.max(np.abs(spec.gram @ spec.AAt - np.eye(spec.m))) <= tol:
         raise AssertionError("gram is not the inverse of A A^t")
-
-
-def canonical_form(spec: MetricSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Return (P_sort, D) with the same metric as spec, A = P_sort @ D."""
-    return spec.P_sort.copy(), np.diag(spec.sigma)
 
 
 def loewner_leq(spec_a: MetricSpec, spec_b: MetricSpec) -> bool:

@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _lattice
-from .lie_core import (LieGroupCatalogEntry, Subalgebra, _orthogonal_matrix,
+from .lie_core import (LieGroupCatalogEntry, _orthogonal_matrix,
                        is_bracket_generating)
 from .metric_space import MetricSpec
 
@@ -478,11 +478,11 @@ def _torus_lambda1_certified(spec: MetricSpec) -> SpectralResult:
 # ---------------------------------------------------------------------------
 
 def invariant_dim(irrep: Irrep, H) -> int:
-    """Dimension of the joint null space of pi(X) over X in the subspace H.
+    """Dimension of the joint null space of pi(X) over X in the span of H.
 
-    H may be a Subalgebra or a nonempty array of m-vectors (rows).
+    H is a nonempty array of m-vectors (rows).
     """
-    rows = H.basis if isinstance(H, Subalgebra) else np.asarray(H, dtype=float)
+    rows = np.asarray(H, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("H must contain at least one vector")
     if not np.any(np.abs(rows) > 0):

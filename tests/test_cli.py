@@ -112,6 +112,12 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
       "--matrix", ",".join(f"{v:g}" for v in (1e154 * np.eye(6)).ravel())),
      "overflows the float range"),
     (("ell", "--group", "su2", "--rotation", "1,0,0,0,2,0,0,0,1"), "P must be orthogonal"),
+    # A path that names no file is reported as one, not as bad inline text.
+    (("lambda1", "--group", "su2", "--matrix", "no-such-dir/missing.txt"),
+     "error: no such matrix file: 'no-such-dir/missing.txt'"),
+    (("ell", "--group", "su2", "--rotation", "no-such-dir/missing.txt"),
+     "error: no such matrix file: 'no-such-dir/missing.txt'"),
+    (("lambda1", "--group", "su2", "--matrix", "1,2"), "error: need 9 entries, got 2"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     # A refusal is its error line alone, with no numpy warning before it.
@@ -120,6 +126,7 @@ def test_out_of_range_inputs_exit_2(capsys, argv, message):
         code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
 

@@ -1,14 +1,13 @@
-"""Catalog, brackets, generated subalgebras, group arithmetic."""
+"""Catalog, brackets, generated subalgebras, quaternion helpers."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import liespec as ls
-from liespec.lie_core import prefix_subalgebra_dims, quat_conj, quat_mul
+from liespec.lie_core import (prefix_subalgebra_dims, quat_conj, quat_log, quat_mul,
+                              so3_representative)
 
 # Spin-1/2 matrices built here from Pauli matrices, independent of the
 # package's ladder construction; they realise the same bracket convention.
@@ -254,56 +253,17 @@ class TestEllIndex:
 
 
 class TestGroupArithmetic:
-    def test_su2_exp_matches_matrix_exponential(self, su2):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            v = rng.standard_normal(3) * rng.uniform(0.1, 2.5)
-            q = ls.group_exp(su2, v).data
-            mat = q[0] * np.eye(2) + sum(a * g for a, g in zip(q[1:], SPIN_HALF))
-            ref = expm(sum(a * g for a, g in zip(v, SPIN_HALF)))
-            assert np.allclose(mat, ref, atol=1e-10)
-
-    def test_su2_one_parameter_subgroup_hits_antipode(self, su2):
-        q = ls.group_exp(su2, np.array([0.0, 0.0, math.pi]))
-        assert np.allclose(q.data, [-1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_torus_exp_and_identity_log(self, t3):
-        a = ls.group_exp(t3, np.array([0.25, 0.0, 0.0]))
-        assert np.allclose(a.data, [0.25, 0.0, 0.0])
-        e = ls.identity_element(t3)
-        assert np.allclose(ls.group_log(t3, e), 0.0)
-
-    def test_exp_log_roundtrip(self, su2, so3, t2, su2xsu2):
+    def test_exp_log_roundtrip(self):
+        # q = (cos|v|, sin|v| v/|v|) is the closed-form exp of v; SO(3) reads
+        # -q as the same rotation.
         rng = np.random.default_rng(13)
-        for entry, scale in ((su2, 2.8), (so3, 1.4), (t2, 0.45), (su2xsu2, 1.2)):
-            for _ in range(25):
-                v = rng.uniform(-1, 1, entry.dim)
-                n = np.linalg.norm(v)
-                if n == 0:
-                    continue
-                v *= rng.uniform(0.05, scale) / n
-                back, flagged = ls.group_log_with_flag(entry, ls.group_exp(entry, v))
-                if not flagged:
-                    assert np.allclose(back, v, atol=1e-10)
-
-    def test_cut_locus_flags(self, su2, so3, t2):
-        antipode = ls.GroupElement("su2", np.array([-1.0, 0.0, 0.0, 0.0]))
-        _, flag = ls.group_log_with_flag(su2, antipode)
-        assert flag
-        half_turn = ls.GroupElement("so3", np.array([0.0, 1.0, 0.0, 0.0]))
-        _, flag = ls.group_log_with_flag(so3, half_turn)
-        assert flag
-        deep = ls.GroupElement("torus", np.array([0.5, 0.25]))
-        _, flag = ls.group_log_with_flag(t2, deep)
-        assert flag
-
-    def test_mul_inv(self, su2, t2, su2xsu2):
-        rng = np.random.default_rng(14)
-        for entry in (su2, t2, su2xsu2):
-            v = rng.uniform(-0.4, 0.4, entry.dim)
-            a = ls.group_exp(entry, v)
-            e = ls.group_mul(entry, a, ls.group_inv(entry, a))
-            assert biinv_dist(entry, e) < 1e-12
+        for so3, scale in ((False, 2.8), (True, 1.4)):
+            v = rng.uniform(-1, 1, (25, 3))
+            v *= rng.uniform(0.05, scale, (25, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+            t = np.linalg.norm(v, axis=1, keepdims=True)
+            q = np.hstack([np.cos(t), np.sin(t) / t * v])
+            back = quat_log(-q if so3 else q, so3=so3)
+            assert np.allclose(back, v, rtol=0, atol=1e-10)
 
     def test_quaternion_helpers_broadcast(self):
         rng = np.random.default_rng(15)
@@ -313,18 +273,10 @@ class TestGroupArithmetic:
         assert np.allclose(prod[:, 0], 1.0) and np.allclose(prod[:, 1:], 0.0)
 
     def test_so3_stored_with_nonnegative_real_part(self):
-        q = ls.GroupElement("so3", np.array([-1e-15, 0.6, 0.8, 0.0]))
-        assert q.data[0] >= 0
-        assert np.array_equal(q.data, [1e-15, -0.6, -0.8, 0.0])
-        half_turn = ls.GroupElement("so3", np.array([0.0, -1.0, 0.0, 0.0]))
-        assert half_turn.data.tolist() == [0.0, -1.0, 0.0, 0.0]
-        assert not np.any(np.signbit(half_turn.data[[0, 2, 3]]))
+        q = so3_representative(np.array([-1e-15, 0.6, 0.8, 0.0]))
+        assert q[0] >= 0
+        assert np.array_equal(q, [1e-15, -0.6, -0.8, 0.0])
+        half_turn = so3_representative(np.array([0.0, -1.0, 0.0, 0.0]))
+        assert half_turn.tolist() == [0.0, -1.0, 0.0, 0.0]
+        assert not np.any(np.signbit(half_turn[[0, 2, 3]]))
 
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            ls.GroupElement("su2", np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def biinv_dist(entry, a):
-    from liespec.geometry import biinvariant_distance
-    return biinvariant_distance(entry, a)

@@ -105,8 +105,7 @@ class TestCanonicalForm:
             if abs(np.linalg.det(A)) < 1e-3:
                 continue
             spec = ls.metric_from_matrix(A)
-            P, D = ls.canonical_form(spec)
-            again = ls.metric_from_matrix(P @ D)
+            again = ls.metric_from_matrix(spec.P_sort @ np.diag(spec.sigma))
             scale = max(1.0, float(np.max(np.abs(spec.gram))))
             assert np.max(np.abs(again.gram - spec.gram)) <= 1e-9 * scale
             # sigma is presentation-free
@@ -133,9 +132,9 @@ class TestCanonicalForm:
         # Ties make the sorting rotation non-unique; sigma itself must not
         # depend on the choice.
         spec = ls.metric_from_matrix(np.diag([2.0, 2.0, 1.0]))
-        P, D = ls.canonical_form(spec)
-        assert np.allclose(np.diag(D), [2.0, 2.0, 1.0])
-        assert np.allclose(ls.metric_from_matrix(P @ D).sigma, spec.sigma)
+        assert np.allclose(spec.sigma, [2.0, 2.0, 1.0])
+        again = ls.metric_from_matrix(spec.P_sort @ np.diag(spec.sigma))
+        assert np.allclose(again.sigma, spec.sigma)
 
 
 class TestLoewner:
