@@ -28,6 +28,15 @@ cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
 spectra, the stop-rule walk of the certified gap on products and the two
 spins of the certified gap on su2 and so3 all read it.
 
+On products the walk needs the eigenvalue of an irrep only where it could
+move the running minimum.  Every irrep after the first is screened by one
+Cholesky factorisation of -C_A - (minimum + margin) I; one that completes
+proves the irrep lies above the minimum (``_lies_above`` derives the margin
+from the backward errors of Cholesky and eigvalsh), and only an irrep that
+fails the screen pays for ``eigvalsh``.  A completed factorisation implies
+that eigvalsh would have returned more than the minimum, so an irrep that
+would become the witness, or tie it, always fails the screen.
+
 On su2 and so3 the gap needs no walk.  Write q = sigma^2, descending.  In the
 principal frame -C_A on spin j is 4 (q1 Jx^2 + q2 Jy^2 + q3 Jz^2): spin 1/2
 gives (q1 + q2 + q3) I, spin 1 has smallest eigenvalue 4 (q2 + q3), and for
@@ -348,6 +357,17 @@ def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
     return _minus_CA(irrep, spec.AAt, 0, {})
 
 
+def _hermitian(M: np.ndarray) -> np.ndarray:
+    """The hermitian part of M, after the checks of ``lambda_min_hermitian``."""
+    M = np.asarray(M)
+    peak = float(np.max(np.abs(M))) if M.size else 0.0
+    if not math.isfinite(peak):
+        raise ValueError(_OVERFLOW)
+    if np.max(np.abs(M - M.conj().T)) > 1e-10 * max(1.0, peak):
+        raise ValueError("matrix is not hermitian")
+    return 0.5 * (M + M.conj().T)
+
+
 def lambda_min_hermitian(M: np.ndarray) -> float:
     """Smallest eigenvalue of a hermitian matrix.
 
@@ -355,14 +375,64 @@ def lambda_min_hermitian(M: np.ndarray) -> float:
     overflowed the float range, and inputs whose anti-hermitian part exceeds
     1e-10 relative to the entry scale.
     """
-    M = np.asarray(M)
-    peak = float(np.max(np.abs(M))) if M.size else 0.0
-    if not math.isfinite(peak):
-        raise ValueError(_OVERFLOW)
-    if np.max(np.abs(M - M.conj().T)) > 1e-10 * max(1.0, peak):
-        raise ValueError("matrix is not hermitian")
-    H = 0.5 * (M + M.conj().T)
-    return float(np.linalg.eigvalsh(H)[0])
+    return float(np.linalg.eigvalsh(_hermitian(M))[0])
+
+
+_EPS = float(np.finfo(float).eps)  # 2u, u the unit roundoff
+_ETA = float(np.finfo(float).smallest_subnormal)
+
+
+def _lies_above(H: np.ndarray, lam: float) -> bool:
+    """True when one Cholesky factorisation proves eigvalsh(H)[0] > lam.
+
+    H is an exactly hermitian matrix of order d, as ``_hermitian`` returns
+    it.  With T = sum_i |h_ii| + d |lam|, the test factors the computed
+    B = fl(H - s I), s = fl(lam + margin), where
+
+        margin = 12 (d + 1) (eps T + d eta),
+
+    eps = 2u is the machine epsilon and eta the smallest subnormal.  When the
+    factorisation completes, eigvalsh(H)[0] > lam, so the running minimum of
+    a walk, which moves only on a strict ``<``, would not have moved:
+
+    * Shift.  |s - (lam + margin)| <= u |s|, and only the diagonal of H is
+      rounded: B = H - s I + E, E diagonal, ||E||_2 <= u max_i |h_ii - s|
+      <= u (T + 2 margin).
+    * Cholesky.  A factorisation that completes gives R with
+      R* R = B + dB, |dB| <= gamma |R*| |R| (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., Thm 10.3).  A complex
+      flop errs by at most sqrt(2) gamma_2 < 3u (ibid. sec. 3.6), so
+      gamma = gamma_{3(d+1)}.  As ||R||_F^2 = tr(B + dB) <= tr B
+      + gamma ||R||_F^2, ||dB||_2 <= gamma / (1 - gamma) tr B, and
+      tr B <= (1 + u) sum_i |h_ii - s| <= (1 + u) (T + 2 d margin).
+      Gradual underflow adds a few eta to each of the O(d) flops behind an
+      entry of R* R; the d eta term of the margin covers it.
+    * So H - (lam + margin - ||E||_2 - ||dB||_2) I is positive definite.
+      Once the margin exceeds those two norms every eigenvalue of H lies
+      above lam, hence ||H||_2 <= max(tr H - (d - 1) lam, -lam) <= T.
+    * eigvalsh.  LAPACK's symmetric eigensolvers are backward stable: the
+      computed eigenvalues are those of H + F, ||F||_2 <= p(d) u ||H||_2,
+      with p(d) a modestly growing function (LAPACK Users' Guide, sec.
+      4.7).  Taking p(d) u = 4 d eps, Weyl's inequality puts eigvalsh(H)[0]
+      within 4 d eps T of lambda_min(H).
+
+    For 1 <= d <= 10^7 the sum of the four bounds is at most 6 (d + 1) eps T
+    plus half the margin plus the underflow term, so the margin above covers
+    it with room for the rounding of T and of the margin itself.  A
+    factorisation that fails proves nothing: the caller runs eigvalsh.
+    """
+    d = H.shape[0]
+    T = float(np.abs(H.diagonal().real).sum()) + d * abs(lam)
+    s = lam + 12 * (d + 1) * (_EPS * T + d * _ETA)
+    if not math.isfinite(T + abs(s)):  # a finite T + |s| bounds every |h_ii - s|
+        return False
+    B = H.copy()
+    B.flat[::d + 1] -= s
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +450,12 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     never binds.  The cap must be positive on every group, but only product
     walks read it: the su2/so3 gap evaluates spin 1/2 and spin 1, and a torus
     gap is an exact shortest-vector search; both are always certified.
-    Overflow of the operator is refused by ``lambda_min_hermitian``.
+    Overflow of the operator is refused by ``lambda_min_hermitian``'s checks,
+    which run on every irrep.  A product irrep after the first whose
+    Cholesky screen (``_lies_above``) proves it above the running minimum
+    counts as evaluated without an eigensolve; the screen's margin keeps
+    ``lambda1``, the witness and ties exactly as a walk that solves every
+    irrep would give them.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
@@ -408,9 +483,12 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
                     lambda1=lam_hat, witness=witness, certified=False,
                     window=examined, evaluations=evals,
                     reason=f"certification needs Casimir window beyond cap {window_cap:g}")
-            lm = lambda_min_hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
+            H = _hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
             evals += 1
             examined = irrep.casimir
+            if _lies_above(H, lam_hat):
+                continue
+            lm = float(np.linalg.eigvalsh(H)[0])
             if lm < lam_hat:
                 lam_hat = lm
                 witness = irrep.label

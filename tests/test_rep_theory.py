@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import liespec as ls
 from liespec import _lattice
@@ -106,6 +106,54 @@ def spin_walk_reference(entry, spec):
         if lam < best:
             best, witness = lam, irrep.label
         j += step
+
+
+def unscreened_walk(entry, spec, window_cap=rep_theory.DEFAULT_WINDOW_CAP):
+    """(lambda1, witness, certified, window, evaluations) of a product gap by
+    the stop-rule walk with ``lambda_min_hermitian`` on every irrep: no
+    Cholesky screen, strict ``<`` for the running minimum.
+    """
+    sm2 = spec.sigma[-1] ** 2
+    best, witness, evals, examined = math.inf, "", 0, 0.0
+    for irrep in _irrep_stream(entry):
+        if sm2 * irrep.casimir > best:
+            return best, witness, True, irrep.casimir, evals
+        if irrep.casimir > window_cap:
+            return best, witness, False, examined, evals
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(irrep, spec))
+        evals += 1
+        examined = irrep.casimir
+        if lam < best:
+            best, witness = lam, irrep.label
+
+
+@st.composite
+def su2xsu2_metrics(draw):
+    """Rotated metrics, homotheties c I, and block metrics whose two factors
+    have one spectrum (exact ties between mirrored pairs, up to rounding) or
+    spectra split by a relative 1e-15 to 1e-9."""
+    kind = draw(st.sampled_from(["rotated", "scalar", "tie", "near-tie"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    log_sigma = st.floats(math.log(0.4), math.log(2.5))
+    if kind == "scalar":
+        return ls.metric_from_matrix(math.exp(draw(log_sigma)) * np.eye(6))
+    if kind == "rotated":
+        sigma = np.exp(draw(st.lists(log_sigma, min_size=6, max_size=6)))
+        return ls.metric_from_matrix(random_rotation(6, rng) @ np.diag(sigma))
+    block = np.diag(np.exp(draw(st.lists(log_sigma, min_size=3, max_size=3))))
+    split = 0.0 if kind == "tie" else draw(st.sampled_from([1e-15, 1e-12, 1e-9]))
+    A = np.zeros((6, 6))
+    A[:3, :3] = random_rotation(3, rng) @ block
+    A[3:, 3:] = (1.0 + split) * random_rotation(3, rng) @ block
+    return ls.metric_from_matrix(A)
+
+
+def hermitian_with_spectrum(lam, rng):
+    """U diag(lam) U* for a random unitary U."""
+    d = len(lam)
+    X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    U, _ = np.linalg.qr(X)
+    return rep_theory._hermitian((U * lam) @ U.conj().T)
 
 
 def rotated_metric(sigma, seed):
@@ -584,6 +632,18 @@ class TestCertifiedGap:
         assert not res.certified
         assert res.reason
         assert res.evaluations == 5
+        assert (res.lambda1, res.witness, res.certified, res.window, res.evaluations) == \
+            unscreened_walk(su2xsu2, spec, window_cap=10.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=su2xsu2_metrics(), window_cap=st.sampled_from([1e6, 10.0]))
+    @example(spec=ls.metric_from_matrix(np.eye(6)), window_cap=1e6)
+    def test_screened_walk_matches_unscreened(self, su2xsu2, spec, window_cap):
+        # The Cholesky screen only skips eigvalsh where the running minimum
+        # cannot move, so every field matches the walk without it bit for bit.
+        res = ls.lambda1_certified(su2xsu2, spec, window_cap=window_cap)
+        assert (res.lambda1, res.witness, res.certified, res.window, res.evaluations) == \
+            unscreened_walk(su2xsu2, spec, window_cap=window_cap)
 
     @settings(max_examples=60, deadline=None)
     @given(log_sigma=st.lists(st.floats(math.log(0.2), math.log(5.0)),
@@ -641,6 +701,54 @@ class TestCertifiedGap:
             assert res.certified
             assert res.lambda1 == pytest.approx(lam, rel=1e-12)
             assert (res.witness, res.evaluations) == (witness, evals)
+
+
+class TestCholeskyScreen:
+    @pytest.mark.parametrize("d", [2, 9, 50, 156])
+    def test_never_accepts_below_and_accepts_clear_of_the_minimum(self, d):
+        rng = np.random.default_rng(d)
+        for lam in (1e-3, 0.37, 1.0, 2.5e4):
+            rest = lam * np.exp(rng.uniform(0.0, math.log(10.0), d - 1))
+            for ulps in (-4, -1, 0, 1, 4):
+                low = lam + ulps * math.ulp(lam)
+                H = hermitian_with_spectrum(np.concatenate([[low], rest]), rng)
+                if rep_theory._lies_above(H, lam):
+                    assert np.linalg.eigvalsh(H)[0] >= lam, (d, lam, ulps)
+            H = hermitian_with_spectrum(np.concatenate([[lam * (1 + 1e-8)], rest]), rng)
+            assert rep_theory._lies_above(H, lam), (d, lam)
+
+    def test_first_irrep_is_never_screened(self):
+        assert not rep_theory._lies_above(np.eye(3, dtype=complex), math.inf)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda M: M.__setitem__((0, -1), np.inf), "overflows the float range"),
+        (lambda M: M.__setitem__((0, -1), M[0, -1] + 1e3), "matrix is not hermitian"),
+    ], ids=["overflow", "not-hermitian"])
+    def test_refusals_come_before_the_screen(self, su2xsu2, monkeypatch, corrupt, message):
+        # Factor 1 is twice as large, so the first pair, pair(spin(0),spin(1/2)),
+        # gives 3 and the second, pair(spin(1/2),spin(0)), gives 12: the screen
+        # accepts the second, and it reads only the lower triangle.
+        spec = ls.metric_from_matrix(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
+        first, second = ls.enumerate_irreps(su2xsu2, 3.0)
+        assert rep_theory._lies_above(
+            rep_theory._hermitian(ls.assemble_minus_CA(second, spec)), 3.0)
+        real = rep_theory._minus_CA
+        pairs = []
+
+        def bad_second_pair(irrep, *args):
+            M = real(irrep, *args)
+            if irrep.factors:  # the walk's own call, not a factor block
+                pairs.append(irrep.label)
+                if len(pairs) == 2:
+                    M = M.copy()
+                    corrupt(M)
+            return M
+
+        monkeypatch.setattr(rep_theory, "_minus_CA", bad_second_pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                ls.lambda1_certified(su2xsu2, spec)
+        assert pairs == [first.label, second.label]
 
 
 class TestTorusGap:
