@@ -6,10 +6,10 @@ estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 ``degenerate`` (degeneration sweeps), ``verify`` (randomized invariant checks).
 
 Exit codes: 0 success, 2 input validation failure (including unreadable,
-missing or unwritable paths and non-finite values), 3 computation failure
-(certification of a su2xsu2 gap impossible under the requested cap, or a
-``verify`` run with a failed check).  All randomness sits behind explicit
-seeds (default 0).
+missing or unwritable paths, non-finite values and metrics whose spectral
+operator overflows), 3 a ``verify`` run with a failed check.  Every
+``lambda1`` result is certified.  All randomness sits behind explicit seeds
+(default 0).
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
 from .metric_space import (MatrixFormatError, SingularMatrixError,
                            metric_from_matrix, parse_matrix_text, read_matrix)
-from .rep_theory import DEFAULT_WINDOW_CAP, lambda1_certified
-
-
-class ComputationError(RuntimeError):
-    """Raised when a requested computation cannot be completed/certified."""
+from .rep_theory import lambda1_certified
 
 
 def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
@@ -97,9 +93,7 @@ def _cmd_sigma(entry: LieGroupCatalogEntry, args) -> int:
 
 def _cmd_lambda1(entry: LieGroupCatalogEntry, args) -> int:
     spec = metric_from_matrix(_matrix_arg(entry, args.matrix))
-    res = lambda1_certified(entry, spec, window_cap=args.window_cap)
-    if not res.certified:
-        raise ComputationError(f"uncertified result: {res.reason}")
+    res = lambda1_certified(entry, spec)
     lines = [f"lambda1={res.lambda1:.12g} witness={res.witness} certified=true",
              f"window={res.window:.12g} evaluations={res.evaluations}"]
     _emit(args, {"lambda1": res.lambda1, "witness": res.witness,
@@ -222,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda1", help="certified spectral gap")
     common(p)
-    p.add_argument("--window-cap", type=float, default=DEFAULT_WINDOW_CAP,
-                   help="largest Casimir value a walk may reach before it gives "
-                        "up uncertified; inf for none. su2xsu2 walks only; "
-                        "validated everywhere")
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")
@@ -278,9 +268,6 @@ def main(argv=None) -> int:
     except (MatrixFormatError, SingularMatrixError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ComputationError, RuntimeError) as e:
-        print(f"computation failed: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

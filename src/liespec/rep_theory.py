@@ -77,8 +77,6 @@ __all__ = [
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
-DEFAULT_WINDOW_CAP = 1.0e6
-
 _OVERFLOW = "the spectral operator overflows the float range; rescale the metric"
 
 
@@ -180,12 +178,12 @@ class Irrep:
 class SpectralResult:
     """Output of a spectral-gap computation.
 
-    For certified results ``window`` is the certification boundary: the
-    smallest Casimir eigenvalue not evaluated; every irrep at or beyond it
-    provably lies above ``lambda1``.  On products the stop rule proves it, on
-    tori the shell order, on su2 and so3 the spin bound (window 15 on su2,
-    24 on so3).  Window-limited (uncertified) results, which only product
-    walks return, report the largest value actually examined.
+    ``window`` is the certification boundary: every irrep whose Casimir is at
+    or beyond it provably lies above ``lambda1``.  On products it is the
+    smallest Casimir not evaluated and the stop rule proves it; on su2 and
+    so3 the spin bound does (window 15 on su2, 24 on so3); on tori it is the
+    shell 4 pi^2 k past the gap, which need not be a character's Casimir.
+    Every gap is certified, so ``certified`` is always true.
     """
 
     lambda1: float
@@ -193,7 +191,6 @@ class SpectralResult:
     certified: bool
     window: float
     evaluations: int
-    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +358,21 @@ def _hermitian(M: np.ndarray) -> np.ndarray:
     """The hermitian part of M, after the checks of ``lambda_min_hermitian``."""
     M = np.asarray(M)
     peak = float(np.max(np.abs(M))) if M.size else 0.0
-    if not math.isfinite(peak):
+    if not math.isfinite(2.0 * peak):  # M + M^* must not overflow either
         raise ValueError(_OVERFLOW)
-    if np.max(np.abs(M - M.conj().T)) > 1e-10 * max(1.0, peak):
+    MH = M.conj().T
+    if np.max(np.abs(M - MH)) > 1e-10 * max(1.0, peak):
         raise ValueError("matrix is not hermitian")
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + MH)
 
 
 def lambda_min_hermitian(M: np.ndarray) -> float:
     """Smallest eigenvalue of a hermitian matrix.
 
-    Rejects inputs with an entry that is not finite, such as an operator that
-    overflowed the float range, and inputs whose anti-hermitian part exceeds
-    1e-10 relative to the entry scale.
+    Rejects inputs with an entry that is not finite or so large that
+    symmetrising would overflow, such as an operator that overflowed the
+    float range, and inputs whose anti-hermitian part exceeds 1e-10 relative
+    to the entry scale.
     """
     return float(np.linalg.eigvalsh(_hermitian(M))[0])
 
@@ -439,28 +438,23 @@ def _lies_above(H: np.ndarray, lam: float) -> bool:
 # Certified spectral gap
 # ---------------------------------------------------------------------------
 
-def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
-                      window_cap: float = DEFAULT_WINDOW_CAP) -> SpectralResult:
+def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> SpectralResult:
     """Smallest positive Laplace eigenvalue of the metric, with certification.
 
     On products, walks irreps in ascending Casimir order keeping the running
     minimum of lambda_min(-C_A); stops certified once the next Casimir value
-    nu satisfies sigma_m^2 * nu > running minimum.  If that would require nu
-    beyond ``window_cap`` the result is returned uncertified; an infinite cap
-    never binds.  The cap must be positive on every group, but only product
-    walks read it: the su2/so3 gap evaluates spin 1/2 and spin 1, and a torus
-    gap is an exact shortest-vector search; both are always certified.
-    Overflow of the operator is refused by ``lambda_min_hermitian``'s checks,
-    which run on every irrep.  A product irrep after the first whose
-    Cholesky screen (``_lies_above``) proves it above the running minimum
-    counts as evaluated without an eigensolve; the screen's margin keeps
-    ``lambda1``, the witness and ties exactly as a walk that solves every
-    irrep would give them.
+    nu satisfies sigma_m^2 * nu > running minimum, and not before, so its
+    cost grows with lambda1 / sigma_m^2.  The su2/so3 gap evaluates spin 1/2
+    and spin 1, and a torus gap is an exact shortest-vector search.  Every
+    result is certified.  Overflow of the operator is refused by
+    ``lambda_min_hermitian``'s checks, which run on every irrep.  A product
+    irrep after the first whose Cholesky screen (``_lies_above``) proves it
+    above the running minimum counts as evaluated without an eigensolve; the
+    screen's margin keeps ``lambda1``, the witness and ties exactly as a walk
+    that solves every irrep would give them.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
-    if not window_cap > 0:
-        raise ValueError(f"window cap must be positive, got {window_cap:g}")
     if entry.kind == "torus":
         return _torus_lambda1_certified(spec)
     if entry.kind in ("su2", "so3"):
@@ -469,23 +463,15 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec,
     lam_hat = math.inf
     witness = ""
     evals = 0
-    examined = 0.0
     blocks: dict = {}  # factor blocks shared by the pairs of this walk
-    # The cap is no cutoff of the walk: the first irrep past it may still certify.
     # An overflow is refused right after it happens, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for irrep in _irrep_stream(entry):
             if sm2 * irrep.casimir > lam_hat:
                 return SpectralResult(lambda1=lam_hat, witness=witness, certified=True,
                                       window=irrep.casimir, evaluations=evals)
-            if irrep.casimir > window_cap:
-                return SpectralResult(
-                    lambda1=lam_hat, witness=witness, certified=False,
-                    window=examined, evaluations=evals,
-                    reason=f"certification needs Casimir window beyond cap {window_cap:g}")
             H = _hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
             evals += 1
-            examined = irrep.casimir
             if _lies_above(H, lam_hat):
                 continue
             lm = float(np.linalg.eigvalsh(H)[0])
@@ -574,8 +560,10 @@ def invariant_dim(irrep: Irrep, H) -> int:
     return irrep.dim - rank
 
 
-def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int,
-                       window_cap: float = DEFAULT_WINDOW_CAP) -> float:
+_RESTRICTED_CUTOFF = 1.0e6  # the Casimir past which a restricted walk gives up
+
+
+def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int) -> float:
     """Spectral gap of the bi-invariant Laplacian on functions annihilated by
     the first k-1 rotated basis directions.
 
@@ -591,8 +579,8 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int,
     prefix = P[:, :k - 1].T
     if is_bracket_generating(entry, prefix):
         return math.inf
-    for irrep in _irrep_stream(entry, window_cap):
+    for irrep in _irrep_stream(entry, _RESTRICTED_CUTOFF):
         if invariant_dim(irrep, prefix) > 0:
             return irrep.casimir
-    raise RuntimeError(f"no invariant vector found below Casimir cap {window_cap:g}; "
+    raise RuntimeError(f"no invariant vector found below Casimir {_RESTRICTED_CUTOFF:g}; "
                        "the prefix may generate a dense (non-closed) subgroup")

@@ -108,21 +108,18 @@ def spin_walk_reference(entry, spec):
         j += step
 
 
-def unscreened_walk(entry, spec, window_cap=rep_theory.DEFAULT_WINDOW_CAP):
+def unscreened_walk(entry, spec):
     """(lambda1, witness, certified, window, evaluations) of a product gap by
     the stop-rule walk with ``lambda_min_hermitian`` on every irrep: no
     Cholesky screen, strict ``<`` for the running minimum.
     """
     sm2 = spec.sigma[-1] ** 2
-    best, witness, evals, examined = math.inf, "", 0, 0.0
+    best, witness, evals = math.inf, "", 0
     for irrep in _irrep_stream(entry):
         if sm2 * irrep.casimir > best:
             return best, witness, True, irrep.casimir, evals
-        if irrep.casimir > window_cap:
-            return best, witness, False, examined, evals
         lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(irrep, spec))
         evals += 1
-        examined = irrep.casimir
         if lam < best:
             best, witness = lam, irrep.label
 
@@ -606,44 +603,36 @@ class TestCertifiedGap:
             assert res.lambda1 == pytest.approx(so3_gap_oracle(spec.sigma), rel=1e-11)
 
     def test_certified_window_invariant(self, su2, so3, t2, su2xsu2):
-        # Every irrep at or beyond the window lies above lambda1: by the stop
-        # rule on walks, by the spin bound on su2 and so3.
-        for entry in (t2, su2xsu2):
+        # The window means one thing on every group: each irrep at or beyond
+        # it lies strictly above lambda1, by the spin bound on su2 and so3,
+        # the shell order on t2 and the stop rule on su2xsu2, checked up to
+        # Casimir 100 past the window.
+        for entry in (su2, so3, t2, su2xsu2):
             for seed in range(20):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
                 res = ls.lambda1_certified(entry, spec)
                 assert res.certified
-                assert res.window * spec.sigma[-1] ** 2 >= res.lambda1 - 1e-12
-        for entry, window in ((su2, 15.0), (so3, 24.0)):
-            for seed in range(20):
-                spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
-                res = ls.lambda1_certified(entry, spec)
-                assert res.certified and res.window == window
-                later = [irrep for irrep in ls.enumerate_irreps(entry, 200.0)
+                if entry.kind in ("su2", "so3"):
+                    assert res.window == {"su2": 15.0, "so3": 24.0}[entry.kind]
+                else:  # the stop rule: sigma_m^2 times the window passes lambda1
+                    assert res.window * spec.sigma[-1] ** 2 >= res.lambda1 - 1e-12
+                later = [irrep for irrep in ls.enumerate_irreps(entry, res.window + 100.0)
                          if irrep.casimir >= res.window]
                 assert later
                 for irrep in later:
                     M = ls.assemble_minus_CA(irrep, spec)
-                    assert ls.lambda_min_hermitian(M) > res.lambda1, (seed, irrep.label)
-
-    def test_window_cap_returns_uncertified(self, su2xsu2):
-        spec = ls.metric_from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.2]))
-        res = ls.lambda1_certified(su2xsu2, spec, window_cap=10.0)
-        assert not res.certified
-        assert res.reason
-        assert res.evaluations == 5
-        assert (res.lambda1, res.witness, res.certified, res.window, res.evaluations) == \
-            unscreened_walk(su2xsu2, spec, window_cap=10.0)
+                    assert ls.lambda_min_hermitian(M) > res.lambda1, \
+                        (entry.kind, seed, irrep.label)
 
     @settings(max_examples=100, deadline=None)
-    @given(spec=su2xsu2_metrics(), window_cap=st.sampled_from([1e6, 10.0]))
-    @example(spec=ls.metric_from_matrix(np.eye(6)), window_cap=1e6)
-    def test_screened_walk_matches_unscreened(self, su2xsu2, spec, window_cap):
+    @given(spec=su2xsu2_metrics())
+    @example(spec=ls.metric_from_matrix(np.eye(6)))
+    def test_screened_walk_matches_unscreened(self, su2xsu2, spec):
         # The Cholesky screen only skips eigvalsh where the running minimum
         # cannot move, so every field matches the walk without it bit for bit.
-        res = ls.lambda1_certified(su2xsu2, spec, window_cap=window_cap)
+        res = ls.lambda1_certified(su2xsu2, spec)
         assert (res.lambda1, res.witness, res.certified, res.window, res.evaluations) == \
-            unscreened_walk(su2xsu2, spec, window_cap=window_cap)
+            unscreened_walk(su2xsu2, spec)
 
     @settings(max_examples=60, deadline=None)
     @given(log_sigma=st.lists(st.floats(math.log(0.2), math.log(5.0)),
@@ -662,7 +651,7 @@ class TestCertifiedGap:
     def test_thin_and_tied_metrics_certify(self, su2, so3, sigma):
         spec = rotated_metric(sigma, 1)
         for entry, oracle in ((su2, su2_gap_oracle), (so3, so3_gap_oracle)):
-            res = ls.lambda1_certified(entry, spec, window_cap=1.0)
+            res = ls.lambda1_certified(entry, spec)
             assert res.certified
             assert res.evaluations == (2 if entry is su2 else 1)
             assert res.lambda1 == pytest.approx(oracle(spec.sigma), rel=1e-11)
@@ -884,11 +873,6 @@ class TestRestrictedGap:
     def test_bad_k(self, su2):
         with pytest.raises(ValueError):
             ls.lambda1_restricted(su2, np.eye(3), 0)
-
-    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
-    def test_nonpositive_cap_rejected(self, t2, cap):
-        with pytest.raises(ValueError, match="cutoff must be positive"):
-            ls.lambda1_restricted(t2, np.eye(2), 2, window_cap=cap)
 
 
 class TestSpectralBounds:
