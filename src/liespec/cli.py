@@ -8,8 +8,9 @@ estimates), ``ell`` (bracket-generating index), ``scan`` (ratio scans),
 Exit codes: 0 success, 2 input validation failure (including unreadable,
 missing or unwritable paths, non-finite values and metrics whose spectral
 operator overflows), 3 a ``verify`` run with a failed check.  Every
-``lambda1`` result is certified.  All randomness sits behind explicit seeds
-(default 0).
+``lambda1`` result is certified.  An internal failure (a broken ``scan
+--jobs`` worker pool, say) is not caught and ends in a traceback, exit 1.  All
+randomness sits behind explicit seeds (default 0).
 """
 
 from __future__ import annotations

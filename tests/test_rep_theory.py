@@ -606,7 +606,7 @@ class TestCertifiedGap:
         # The window means one thing on every group: each irrep at or beyond
         # it lies strictly above lambda1, by the spin bound on su2 and so3,
         # the shell order on t2 and the stop rule on su2xsu2, checked up to
-        # Casimir 100 past the window.
+        # Casimir 200 on su2 and so3 and 100 past the window on the others.
         for entry in (su2, so3, t2, su2xsu2):
             for seed in range(20):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
@@ -614,9 +614,11 @@ class TestCertifiedGap:
                 assert res.certified
                 if entry.kind in ("su2", "so3"):
                     assert res.window == {"su2": 15.0, "so3": 24.0}[entry.kind]
+                    bound = 200.0
                 else:  # the stop rule: sigma_m^2 times the window passes lambda1
                     assert res.window * spec.sigma[-1] ** 2 >= res.lambda1 - 1e-12
-                later = [irrep for irrep in ls.enumerate_irreps(entry, res.window + 100.0)
+                    bound = res.window + 100.0
+                later = [irrep for irrep in ls.enumerate_irreps(entry, bound)
                          if irrep.casimir >= res.window]
                 assert later
                 for irrep in later:
