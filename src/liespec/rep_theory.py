@@ -29,19 +29,32 @@ spectra, the stop-rule walk of the certified gap on products and the two
 spins of the certified gap on su2 and so3 all read it.
 
 On products the walk needs the eigenvalue of an irrep only where it could
-move the running minimum.  Every irrep after the first is screened by one
-Cholesky factorisation of -C_A - (minimum + margin) I; one that completes
-proves the irrep lies above the minimum (``_lies_above`` derives the margin
-from the backward errors of Cholesky and eigvalsh), and only an irrep that
-fails the screen pays for ``eigvalsh``.  A completed factorisation implies
-that eigvalsh would have returned more than the minimum, so an irrep that
-would become the witness, or tie it, always fails the screen.
+move the running minimum.  Every irrep it assembles after the first is
+screened by one Cholesky factorisation of -C_A - (minimum + margin) I; one
+that completes proves the irrep lies above the minimum (``_lies_above``
+derives the margin from the backward errors of Cholesky and eigvalsh), and
+only an irrep that fails the screen pays for ``eigvalsh``.  A completed
+factorisation implies that eigvalsh would have returned more than the
+minimum, so an irrep that would become the witness, or tie it, always fails
+the screen.
 
 On su2 and so3 the gap needs no walk.  Write q = sigma^2, descending.  In the
 principal frame -C_A on spin j is 4 (q1 Jx^2 + q2 Jy^2 + q3 Jz^2): spin 1/2
 gives (q1 + q2 + q3) I, spin 1 has smallest eigenvalue 4 (q2 + q3), and for
 j >= 3/2 every eigenvalue is at least 4 j (q2 + j q3) >= 6 q2 + 9 q3, above
 spin 1's.  So spin 1/2 and spin 1, the irreps with Casimir <= 8, settle it.
+The floor follows from Jx^2 >= 0 and Jz^2 <= j^2: 4 (q1 Jx^2 + q2 Jy^2 +
+q3 Jz^2) >= 4 (q2 j (j + 1) - (q2 - q3) Jz^2) >= 4 j (q2 + j q3).  It needs
+only q1 >= q2 >= q3, and a rotation takes any symmetric 3x3 block to its
+eigenframe, so ``_spin_floor`` applies it to any such block.
+
+On a product of two su2/so3 factors the walk also skips, and stops before,
+the pairs that the factor spin bounds put above the running minimum.  For v
+in a pair, <v, -C_A v> = sum_ij Q_ij <pi(X_i) v, pi(X_j) v> with Q = A A^t,
+so -C_A is monotone in Q (Loewner).  A split Q >= blockdiag(D1, D2) thus puts
+pair(j1, j2) above its value on blockdiag(D1, D2), a Kronecker sum, hence at
+or above F(j1, D1) + F(j2, D2), F the spin floor.  ``_PairBounds`` takes the
+largest such bound over a few splits and derives the rounding they need.
 """
 
 from __future__ import annotations
@@ -180,10 +193,14 @@ class SpectralResult:
 
     ``window`` is the certification boundary: every irrep whose Casimir is at
     or beyond it provably lies above ``lambda1``.  On products it is the
-    smallest Casimir not evaluated and the stop rule proves it; on su2 and
-    so3 the spin bound does (window 15 on su2, 24 on so3); on tori it is the
-    shell 4 pi^2 k past the gap, which need not be a character's Casimir.
-    Every gap is certified, so ``certified`` is always true.
+    smallest Casimir the walk did not reach, and the stop rule or the factor
+    spin bounds prove it; on su2 and so3 the spin bound does (window 15 on
+    su2, 24 on so3); on tori it is the shell 4 pi^2 k past the gap, which
+    need not be a character's Casimir.  On products ``evaluations`` counts
+    the irreps below the window, assembled or skipped by the spin bounds, so
+    the first ``evaluations`` of ``enumerate_irreps(entry, window)`` are the
+    irreps the walk went through.  Every gap is certified, so ``certified``
+    is always true.
     """
 
     lambda1: float
@@ -434,6 +451,140 @@ def _lies_above(H: np.ndarray, lam: float) -> bool:
     return True
 
 
+def _spin_floor(n: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """F: a floor under lambda_min(-C_A) on spin n/2 for a symmetric 3x3 block.
+
+    ``n`` holds twice-spins and ``q`` the block's eigenvalues, descending, on
+    its last axis; the result has shape ``q.shape[:-1] + n.shape``.  F is 0 at
+    spin 0, q1 + q2 + q3 at spin 1/2 and 4 j (q2 + j q3) from spin 1 on,
+    exact up to spin 1 (module docstring).  It grows with each of q1, q2, q3,
+    and lowering the block by s I lowers it by exactly s 4 j (j + 1), s times
+    the spin's Casimir.
+    """
+    j = 0.5 * n
+    q1, q2, q3 = (q[..., i, None] for i in range(3))
+    return np.where(n == 1, q1 + q2 + q3, 4.0 * j * (q2 + j * q3))
+
+
+_SPLIT_THETAS = (1e-3, 0.03, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+_TABLE_CELLS = 1 << 18  # the most pairs a bound table holds, 4 MiB
+
+
+class _PairBounds:
+    """The pairs of a product of two su2/so3 factors that spin bounds exclude.
+
+    The bound of pair(j1, j2) is the largest F(j1, D1) + F(j2, D2) over the
+    splits Q >= blockdiag(D1, D2) of Q = A A^t (module docstring):
+
+    * the isotropic split sigma_m^2 I, whose bound is sigma_m^2 times the
+      Casimir: the walk's stop rule, computed as the walk computes it;
+    * for each theta in ``_SPLIT_THETAS``, D1 = Q11 - Q12 Q22^-1 Q21 /
+      (1 - theta) with D2 = theta Q22, and its mirror, the roles of the two
+      blocks swapped.  Q - blockdiag(D1, D2) is [[Q12 Q22^-1 Q21 / (1 -
+      theta), Q12], [Q21, (1 - theta) Q22]], PSD since its Schur complement
+      is 0.
+
+    Rounding.  A computed split holds only up to rounding, so both blocks of
+    each are lowered by
+
+        s = max(0, -r) + 2^-35 N,   r = eigvalsh(fl(Q - blockdiag(D1, D2)))[0],
+
+    with N = ||Q||_inf + ||blockdiag(D1, D2)||_inf.  A split is kept only
+    when every figure of it is finite and both lowered blocks are positive
+    definite.  Let u be the unit roundoff and eps = 2u, and take a pair of
+    order d < 16000 and Casimir C >= 3 whose computed bound exceeds the
+    running minimum:
+
+    * Shift.  Lowering both blocks by s I lowers the bound by exactly s C
+      (``_spin_floor``).
+    * Split.  fl(Q - D) errs by at most u |Q - D| entrywise, and eigvalsh by
+      at most 24 eps times the 2-norm on order 6 (p(d) u = 4 d eps, as in
+      ``_lies_above``).  Both norms are below 2.5 N, so Q - blockdiag(D1,
+      D2) has no eigenvalue below r - 2^-46 N, and the split lowered by
+      max(0, -r) + 2^-46 N holds exactly.
+    * Blocks.  eigvalsh puts each eigenvalue of D1 and D2 within 12 eps N of
+      the exact one, and F grows with each, so the computed bound of the
+      pair errs high by at most 24 u N C from this; rounding q - s, F, the
+      sum and the maximum adds at most 16 u N C.
+    * The walk.  -C_A on the pair has 2-norm at most lambda_max(Q) C <= N C.
+      Its assembly is taken to err by at most 8 d u N C, the growth that
+      eigvalsh's p(d) allows, and eigvalsh by 8 d u N C.
+
+    For d < 16000 the remaining (2^-35 - 2^-46) N C covers (40 + 16 d) u N C,
+    so the value that assembling and solving the pair would give lies above
+    the minimum: it would neither move nor tie it, and ``lambda1``, the
+    witness and ties come out as from a walk that solves every pair.  A
+    complex operator of order 16000 takes 4 GiB.  The isotropic split is
+    not lowered: its bound is the stop rule of a walk without spin bounds.
+
+    The table holds the bound of every pair with twice-spins up to floor(t)
+    + 1 per factor, lam the first minimum and t the smallest of sqrt(lam /
+    sigma_m^2) and, over the kept splits, min(lam / (2 q2), sqrt(lam / q3))
+    for that factor: past t, the split that attains it gives 4 j (q2 + j q3)
+    > lam, so a pair outside the table lies above lam and every later
+    minimum.  On an so3 factor odd twice-spins name no irrep; their bound is
+    inf.
+    """
+
+    def __init__(self, casimir: np.ndarray, bound: np.ndarray):
+        self.casimir = casimir  # (rows, cols) by twice-spins (2 j1, 2 j2)
+        self.bound = bound      # the pair bounds, isotropic split included
+
+    def excludes(self, irrep: Irrep, lam: float) -> bool:
+        """True when the pair's bound lies strictly above lam."""
+        a, b = irrep.factors
+        rows, cols = self.bound.shape
+        return a.dim > rows or b.dim > cols or bool(self.bound[a.dim - 1, b.dim - 1] > lam)
+
+    def stop(self, lam: float) -> float:
+        """The largest Casimir of a pair whose bound does not exceed lam."""
+        return float(self.casimir[self.bound <= lam].max())
+
+
+def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
+                 lam: float) -> _PairBounds | None:
+    """The spin bounds of a product of two su2/so3 factors, sized by the
+    first minimum lam; None on other groups, or when no Schur split is kept
+    or the table would pass ``_TABLE_CELLS``: the stop rule alone then ends
+    the walk."""
+    kinds = tuple(f.kind for f in entry.factors)
+    if len(kinds) != 2 or not set(kinds) <= {"su2", "so3"}:
+        return None
+    Q = spec.AAt
+    Q11, Q12, Q22 = Q[:3, :3], Q[:3, 3:], Q[3:, 3:]
+    theta = np.array(_SPLIT_THETAS)[:, None, None]
+    D = np.stack([  # factor, split, 3 x 3 block
+        np.concatenate([Q11 - Q12 @ np.linalg.solve(Q22, Q12.T) / (1.0 - theta), theta * Q11]),
+        np.concatenate([theta * Q22, Q22 - Q12.T @ np.linalg.solve(Q11, Q12) / (1.0 - theta)])])
+    R = np.repeat(Q[None], D.shape[1], axis=0)
+    R[:, :3, :3] -= D[0]
+    R[:, 3:, 3:] -= D[1]
+    N = np.abs(Q).sum(1).max() + np.abs(D).sum(3).max(axis=(0, 2))
+    keep = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(N)
+    if not keep.any():
+        return None
+    s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
+    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1] - s[:, None]  # descending, lowered
+    q = q[:, np.all(q[..., 2] > 0, axis=0)]
+    if not q.shape[1]:
+        return None
+    sm2 = spec.sigma[-1] ** 2
+    top = np.minimum(lam / (2.0 * q[..., 1]), np.sqrt(lam / q[..., 2])).min(axis=1)
+    rows, cols = (math.floor(min(t, math.sqrt(lam / sm2))) + 2 for t in top)
+    if rows * cols > _TABLE_CELLS:
+        return None
+    n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
+    casimir = (n1 * (n1 + 2.0))[:, None] + (n2 * (n2 + 2.0))[None, :]
+    bound = sm2 * casimir
+    for f1, f2 in zip(_spin_floor(n1, q[0]), _spin_floor(n2, q[1])):
+        np.maximum(bound, f1[:, None] + f2[None, :], out=bound)
+    if kinds[0] == "so3":
+        bound[1::2] = math.inf
+    if kinds[1] == "so3":
+        bound[:, 1::2] = math.inf
+    return _PairBounds(casimir, bound)
+
+
 # ---------------------------------------------------------------------------
 # Certified spectral gap
 # ---------------------------------------------------------------------------
@@ -442,16 +593,22 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Spectral
     """Smallest positive Laplace eigenvalue of the metric, with certification.
 
     On products, walks irreps in ascending Casimir order keeping the running
-    minimum of lambda_min(-C_A); stops certified once the next Casimir value
-    nu satisfies sigma_m^2 * nu > running minimum, and not before, so its
-    cost grows with lambda1 / sigma_m^2.  The su2/so3 gap evaluates spin 1/2
-    and spin 1, and a torus gap is an exact shortest-vector search.  Every
-    result is certified.  Overflow of the operator is refused by
-    ``lambda_min_hermitian``'s checks, which run on every irrep.  A product
-    irrep after the first whose Cholesky screen (``_lies_above``) proves it
-    above the running minimum counts as evaluated without an eigensolve; the
-    screen's margin keeps ``lambda1``, the witness and ties exactly as a walk
-    that solves every irrep would give them.
+    minimum of lambda_min(-C_A), strict ``<`` in stream order; it stops
+    certified at the first Casimir nu with sigma_m^2 * nu > running minimum.
+    On two su2/so3 factors the first irrep's value also sizes the factor
+    spin bounds (``_PairBounds``): a pair they put above the running minimum
+    is skipped without assembly, and the walk stops past the largest Casimir
+    of a pair they cannot exclude, recomputed whenever the minimum moves.
+    Other products have only the stop rule, so their cost grows with
+    lambda1 / sigma_m^2.  The su2/so3 gap evaluates spin 1/2 and spin 1, and
+    a torus gap is an exact shortest-vector search.  Every result is
+    certified.  Overflow of the operator is refused by
+    ``lambda_min_hermitian``'s checks, which run on every irrep assembled.
+    An assembled irrep after the first whose Cholesky screen
+    (``_lies_above``) proves it above the running minimum needs no
+    eigensolve.  The margins of the screen and of the spin bounds keep
+    ``lambda1``, the witness and ties exactly as a walk that solves every
+    irrep would give them.
     """
     if spec.m != entry.dim:
         raise ValueError("metric and group have different dimensions")
@@ -463,21 +620,29 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Spectral
     lam_hat = math.inf
     witness = ""
     evals = 0
+    bounds = None  # the spin bounds, built once the first irrep sets the minimum
+    last = math.inf  # the largest Casimir the spin bounds cannot exclude
     blocks: dict = {}  # factor blocks shared by the pairs of this walk
     # An overflow is refused right after it happens, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for irrep in _irrep_stream(entry):
-            if sm2 * irrep.casimir > lam_hat:
+            if sm2 * irrep.casimir > lam_hat or irrep.casimir > last:
                 return SpectralResult(lambda1=lam_hat, witness=witness, certified=True,
                                       window=irrep.casimir, evaluations=evals)
-            H = _hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
             evals += 1
+            if bounds is not None and bounds.excludes(irrep, lam_hat):
+                continue
+            H = _hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
             if _lies_above(H, lam_hat):
                 continue
             lm = float(np.linalg.eigvalsh(H)[0])
             if lm < lam_hat:
                 lam_hat = lm
                 witness = irrep.label
+                if evals == 1:
+                    bounds = _pair_bounds(entry, spec, lam_hat)
+                if bounds is not None:
+                    last = bounds.stop(lam_hat)
     raise AssertionError("irrep stream is infinite")  # pragma: no cover
 
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +22,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_isolated(*argv, timeout=30):
+    """The CLI in a fresh interpreter: a run that never returns fails the
+    test at the timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "liespec.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -120,9 +132,9 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     (("ell", "--group", "su2", "--rotation", "no-such-dir/missing.txt"),
      "error: no such matrix file: 'no-such-dir/missing.txt'"),
     (("lambda1", "--group", "su2", "--matrix", "1,2"), "error: need 9 entries, got 2"),
-    # Entries of pair(spin(3/2),spin(4)) reach 9.5e307: M + M^* would overflow.
+    # The first pair, 3 (A A^t) = 1.19e308 I, is finite, but M + M^* would overflow.
     (("lambda1", "--group", "su2xsu2", "--matrix",
-      ",".join(f"{v:g}" for v in np.diag([1e153] * 5 + [1e152]).ravel())),
+      ",".join(f"{v:g}" for v in (6.3e153 * np.eye(6)).ravel())),
      "error: the spectral operator overflows the float range; rescale the metric"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
@@ -201,6 +213,21 @@ class TestLambda1:
         code, out, _ = run(capsys, "lambda1", "--group", "so3")
         assert code == 0
         assert "lambda1=8 witness=spin(1) certified=true" in out
+
+    @pytest.mark.parametrize("diag, expect", [
+        # One thin direction: the spin bounds settle the gap in two pairs.
+        ([1e-5] + [1.0] * 5, "lambda1=2.0000000001 witness=pair(spin(1/2),spin(0)) "),
+        ([1.0] * 5 + [1e-5], "lambda1=2.0000000001 witness=pair(spin(0),spin(1/2)) "),
+        # Near the top of the float range: pair(spin(1/2),spin(0)) is bounded
+        # away, so no operator whose entries overflow is ever assembled.
+        ([1e153] * 5 + [1e152], "lambda1=2.01e+306 witness=pair(spin(0),spin(1/2)) "),
+    ])
+    def test_su2xsu2_certified_by_spin_bounds(self, diag, expect):
+        proc = run_isolated("lambda1", "--group", "su2xsu2", "--matrix",
+                            ",".join(f"{v:g}" for v in np.diag(diag).ravel()))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert expect + "certified=true" in proc.stdout
+        assert proc.stdout.rstrip().endswith(" evaluations=2")
 
     def test_t2_identity_json(self, capsys):
         code, out, _ = run(capsys, "lambda1", "--group", "t2", "--format", "json")

@@ -67,6 +67,7 @@ def su2xsu2_gap_reference(spec, max_twice_spin=30):
 
     Pairs are walked in ascending Casimir order; the list is complete up to
     Casimir 4 j (j + 1) at 2 j = max_twice_spin, and the walk must stop below.
+    Returns lambda1, the witness and the (label, value) of every pair walked.
     """
     spins = [ls.spin_irrep(Fraction(n, 2)) for n in range(max_twice_spin + 1)]
     pairs = sorted(((a.casimir + b.casimir, ia, ib)
@@ -74,17 +75,17 @@ def su2xsu2_gap_reference(spec, max_twice_spin=30):
                     if ia or ib), key=lambda t: t[0])
     complete = spins[-1].casimir
     sm2 = spec.sigma[-1] ** 2
-    best, witness, evals = math.inf, "", 0
+    best, witness, walked = math.inf, "", []
     for cas, ia, ib in pairs:
         assert cas <= complete
         if sm2 * cas > best:
-            return best, witness, evals
+            return best, witness, walked
         a, b = spins[ia], spins[ib]
         M = assemble_reference(kron_pair_generators(a, b), spec.AAt)
         lam = float(np.linalg.eigvalsh(M)[0])
-        evals += 1
+        walked.append((f"pair({a.label},{b.label})", lam))
         if lam < best:
-            best, witness = lam, f"pair({a.label},{b.label})"
+            witness, best = walked[-1]
     raise AssertionError("pair list too short for the stop rule")
 
 
@@ -109,19 +110,45 @@ def spin_walk_reference(entry, spec):
 
 
 def unscreened_walk(entry, spec):
-    """(lambda1, witness, certified, window, evaluations) of a product gap by
-    the stop-rule walk with ``lambda_min_hermitian`` on every irrep: no
-    Cholesky screen, strict ``<`` for the running minimum.
+    """(lambda1, witness, certified) of a product gap by the stop-rule walk
+    with ``lambda_min_hermitian`` on every irrep: no spin bounds, no Cholesky
+    screen, strict ``<`` for the running minimum.
     """
     sm2 = spec.sigma[-1] ** 2
-    best, witness, evals = math.inf, "", 0
+    best, witness = math.inf, ""
     for irrep in _irrep_stream(entry):
         if sm2 * irrep.casimir > best:
-            return best, witness, True, irrep.casimir, evals
+            return best, witness, True
         lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(irrep, spec))
-        evals += 1
         if lam < best:
             best, witness = lam, irrep.label
+
+
+def replayed_walk(entry, res, spec):
+    """(lambda1, witness) from the first ``evaluations`` irreps below the
+    window, each assembled afresh and solved."""
+    best, witness = math.inf, ""
+    for irrep in ls.enumerate_irreps(entry, res.window)[:res.evaluations]:
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(irrep, spec))
+        if lam < best:
+            best, witness = lam, irrep.label
+    return best, witness
+
+
+@pytest.fixture
+def spin_bound_skips(monkeypatch):
+    """Labels of the pairs the spin bounds excluded from assembly."""
+    skipped = []
+    real = rep_theory._PairBounds.excludes
+
+    def spy(self, irrep, lam):
+        out = real(self, irrep, lam)
+        if out:
+            skipped.append(irrep.label)
+        return out
+
+    monkeypatch.setattr(rep_theory._PairBounds, "excludes", spy)
+    return skipped
 
 
 @st.composite
@@ -559,6 +586,17 @@ class TestLambdaMinHermitian:
                 with pytest.raises(ValueError, match="overflows the float range"):
                     ls.lambda1_certified(entry, spec)
 
+    def test_finite_pair_whose_symmetrisation_overflows_is_refused(self, su2xsu2):
+        # 6.3e153 I: the first pair, 3 (A A^t) = 1.19e308 I, is finite, but
+        # M + M^* is not, so the 2 * peak test refuses it.
+        spec = ls.metric_from_matrix(6.3e153 * np.eye(6))
+        first = ls.enumerate_irreps(su2xsu2, 3.0)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = ls.assemble_minus_CA(first, spec)
+            assert np.isfinite(M).all() and not math.isfinite(2.0 * float(np.abs(M).max()))
+            with pytest.raises(ValueError, match="overflows the float range"):
+                ls.lambda1_certified(su2xsu2, spec)
+
 
 class TestCertifiedGap:
     def test_biinvariant_gap_is_certified_identity_gap(self, so3):
@@ -602,25 +640,31 @@ class TestCertifiedGap:
             assert res.certified
             assert res.lambda1 == pytest.approx(so3_gap_oracle(spec.sigma), rel=1e-11)
 
-    def test_certified_window_invariant(self, su2, so3, t2, su2xsu2):
+    def test_certified_window_invariant(self, su2, so3, t2, su2xsu2, spin_bound_skips):
         # The window means one thing on every group: each irrep at or beyond
         # it lies strictly above lambda1, by the spin bound on su2 and so3,
-        # the shell order on t2 and the stop rule on su2xsu2, checked up to
-        # Casimir 200 on su2 and so3 and 100 past the window on the others.
+        # the shell order on t2 and the factor spin bounds on su2xsu2, checked
+        # up to Casimir 200 on su2 and so3 and 100 past the window on the
+        # others.  So does each pair below the window that the spin bounds
+        # kept from assembly.
         for entry in (su2, so3, t2, su2xsu2):
             for seed in range(20):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+                del spin_bound_skips[:]
                 res = ls.lambda1_certified(entry, spec)
                 assert res.certified
                 if entry.kind in ("su2", "so3"):
                     assert res.window == {"su2": 15.0, "so3": 24.0}[entry.kind]
                     bound = 200.0
-                else:  # the stop rule: sigma_m^2 times the window passes lambda1
-                    assert res.window * spec.sigma[-1] ** 2 >= res.lambda1 - 1e-12
+                else:
+                    if entry.kind == "torus":  # sigma_m^2 times the window passes lambda1
+                        assert res.window * spec.sigma[-1] ** 2 >= res.lambda1 - 1e-12
                     bound = res.window + 100.0
                 later = [irrep for irrep in ls.enumerate_irreps(entry, bound)
-                         if irrep.casimir >= res.window]
+                         if irrep.casimir >= res.window or irrep.label in spin_bound_skips]
                 assert later
+                if entry is su2xsu2 and seed == 0:
+                    assert len(spin_bound_skips) > 10
                 for irrep in later:
                     M = ls.assemble_minus_CA(irrep, spec)
                     assert ls.lambda_min_hermitian(M) > res.lambda1, \
@@ -629,12 +673,16 @@ class TestCertifiedGap:
     @settings(max_examples=100, deadline=None)
     @given(spec=su2xsu2_metrics())
     @example(spec=ls.metric_from_matrix(np.eye(6)))
+    @example(spec=ls.metric_from_matrix(np.diag([0.1, 1.0, 1.0, 1.0, 1.0, 1.0])))
+    @example(spec=ls.metric_from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.1])))
     def test_screened_walk_matches_unscreened(self, su2xsu2, spec):
-        # The Cholesky screen only skips eigvalsh where the running minimum
-        # cannot move, so every field matches the walk without it bit for bit.
+        # The spin bounds and the Cholesky screen only skip work where the
+        # running minimum cannot move, so lambda1, the witness and ties match
+        # the walk without them bit for bit.  The irreps below the window, the
+        # skipped ones included, replay the gap: benchmark traces rely on it.
         res = ls.lambda1_certified(su2xsu2, spec)
-        assert (res.lambda1, res.witness, res.certified, res.window, res.evaluations) == \
-            unscreened_walk(su2xsu2, spec)
+        assert (res.lambda1, res.witness, res.certified) == unscreened_walk(su2xsu2, spec)
+        assert replayed_walk(su2xsu2, res, spec) == (res.lambda1, res.witness)
 
     @settings(max_examples=60, deadline=None)
     @given(log_sigma=st.lists(st.floats(math.log(0.2), math.log(5.0)),
@@ -682,16 +730,25 @@ class TestCertifiedGap:
         assert res.certified and res.evaluations > 20
         assert kron_sums_calls == []
 
-    def test_product_matches_kron_einsum_reference(self, su2xsu2):
-        # Seeds 0-11 certify within 80 evaluations; 13 and 40 are the two
-        # costliest benchmark pool seeds (243 and 233, pairs up to dimension 156).
+    def test_product_matches_kron_einsum_reference(self, su2xsu2, spin_bound_skips):
+        # Under the stop rule alone seeds 0-11 certify within 80 pairs; 13 and
+        # 40 are the two costliest benchmark pool seeds (243 and 233 pairs, up
+        # to dimension 156).  The walk goes through a prefix of those pairs,
+        # and every reference pair it skipped or left past its window lies
+        # above lambda1.
         for seed in (0, 4, 5, 11, 13, 40):
             spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=seed)
+            del spin_bound_skips[:]
             res = ls.lambda1_certified(su2xsu2, spec)
-            lam, witness, evals = su2xsu2_gap_reference(spec)
+            lam, witness, walked = su2xsu2_gap_reference(spec)
             assert res.certified
             assert res.lambda1 == pytest.approx(lam, rel=1e-12)
-            assert (res.witness, res.evaluations) == (witness, evals)
+            assert res.witness == witness
+            assert res.evaluations <= len(walked)
+            assert set(spin_bound_skips) <= {label for label, _ in walked[:res.evaluations]}
+            for i, (label, value) in enumerate(walked):
+                if label in spin_bound_skips or i >= res.evaluations:
+                    assert value > lam * (1 + 1e-12), (seed, label)
 
 
 class TestCholeskyScreen:
@@ -716,13 +773,16 @@ class TestCholeskyScreen:
         (lambda M: M.__setitem__((0, -1), M[0, -1] + 1e3), "matrix is not hermitian"),
     ], ids=["overflow", "not-hermitian"])
     def test_refusals_come_before_the_screen(self, su2xsu2, monkeypatch, corrupt, message):
-        # Factor 1 is twice as large, so the first pair, pair(spin(0),spin(1/2)),
-        # gives 3 and the second, pair(spin(1/2),spin(0)), gives 12: the screen
-        # accepts the second, and it reads only the lower triangle.
-        spec = ls.metric_from_matrix(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
+        # At sample seed 12 the first pair, pair(spin(0),spin(1/2)), gives 4.26
+        # and the second, pair(spin(1/2),spin(0)), gives 14.5.  The spin bounds
+        # put the second only above 1.14, so the walk assembles it; the screen
+        # accepts it, and it reads only the lower triangle.
+        spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=12)
         first, second = ls.enumerate_irreps(su2xsu2, 3.0)
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(first, spec))
+        assert not rep_theory._pair_bounds(su2xsu2, spec, lam).excludes(second, lam)
         assert rep_theory._lies_above(
-            rep_theory._hermitian(ls.assemble_minus_CA(second, spec)), 3.0)
+            rep_theory._hermitian(ls.assemble_minus_CA(second, spec)), lam)
         real = rep_theory._minus_CA
         pairs = []
 
@@ -740,6 +800,71 @@ class TestCholeskyScreen:
             with pytest.raises(ValueError, match=message):
                 ls.lambda1_certified(su2xsu2, spec)
         assert pairs == [first.label, second.label]
+
+
+class TestSpinBounds:
+    def test_spin_floor_is_exact_to_spin_one_and_a_floor_above(self):
+        # Any symmetric block, indefinite ones included.
+        rng = np.random.default_rng(3)
+        n = np.arange(9)
+        for _ in range(20):
+            X = rng.standard_normal((3, 3))
+            D = X + X.T + rng.uniform(-1.0, 3.0) * np.eye(3)
+            floor = rep_theory._spin_floor(n, np.linalg.eigvalsh(D)[::-1])
+            for twice, F in zip(n, floor):
+                irrep = ls.spin_irrep(Fraction(int(twice), 2))
+                lam = ls.lambda_min_hermitian(rep_theory._minus_CA(irrep, D, 0, {}))
+                scale = 1e-12 * max(1.0, float(np.abs(D).max())) * (1 + irrep.casimir)
+                if twice <= 2:
+                    assert F == pytest.approx(lam, abs=scale), twice
+                else:
+                    assert F <= lam + scale, twice
+
+    def test_spin_floor_moves_by_the_casimir(self):
+        n = np.arange(9)
+        q = np.array([3.0, 2.0, 0.5])
+        casimir = n * (n + 2.0)
+        assert np.allclose(rep_theory._spin_floor(n, q) - rep_theory._spin_floor(n, q - 0.25),
+                           0.25 * casimir, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kinds", [("su2", "so3"), ("so3", "su2"), ("so3", "so3")])
+    def test_mixed_spin_factors_match_unscreened(self, kinds):
+        entry = ls.product_entry([ls.entry_from_key(k) for k in kinds], k_max=5)
+        skipped = 0
+        for seed in range(8):
+            spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+            res = ls.lambda1_certified(entry, spec)
+            assert (res.lambda1, res.witness, res.certified) == unscreened_walk(entry, spec)
+            assert replayed_walk(entry, res, spec) == (res.lambda1, res.witness)
+            bounds = rep_theory._pair_bounds(entry, spec, res.lambda1)
+            skipped += sum(bounds.excludes(irrep, res.lambda1)
+                           for irrep in ls.enumerate_irreps(entry, res.window))
+        assert skipped > 0
+
+    def test_other_products_keep_the_stop_rule(self, su2):
+        entry = ls.product_entry([su2, su2, su2], k_max=8)
+        spec = ls.sample_metric(entry, 0.8, 1.25, seed=0)
+        assert rep_theory._pair_bounds(entry, spec, 3.0) is None
+        res = ls.lambda1_certified(entry, spec)
+        assert res.window * spec.sigma[-1] ** 2 > res.lambda1
+        assert (res.lambda1, res.witness, res.certified) == unscreened_walk(entry, spec)
+
+    def test_split_that_overflows_is_dropped(self, su2xsu2):
+        # Q12 Q22^-1 Q21 / (1 - 0.99) overflows at theta = 0.99; the other
+        # splits stay, and no bound is NaN.
+        A = np.eye(6)
+        A[:3, 3:] = 0.9 * np.eye(3)
+        spec = ls.metric_from_matrix(2e153 * A)
+        Q = spec.AAt
+        with np.errstate(over="ignore"):
+            P = Q[:3, 3:] @ np.linalg.solve(Q[3:, 3:], Q[3:, :3])
+            assert not np.isfinite(P / (1 - 0.99)).all()
+            res = ls.lambda1_certified(su2xsu2, spec)
+            bounds = rep_theory._pair_bounds(su2xsu2, spec, res.lambda1)
+        assert not np.isnan(bounds.bound).any()
+        assert res.lambda1 == pytest.approx(1.2e307, rel=1e-12)
+        assert res.witness == "pair(spin(0),spin(1/2))"
+        assert (res.lambda1, res.witness, res.certified) == unscreened_walk(su2xsu2, spec)
 
 
 class TestTorusGap:
