@@ -10,11 +10,12 @@ discretisation bias.
 
 ``build_net`` does all the work that depends only on the net, once: the knn
 search (a k-d tree) and the straightened two-hop graph, stored as one
-upper-triangular edge list with its logs and read undirected by Dijkstra.
-The default net (20000 nodes, knn 12) takes about 0.4 s to build (0.7 s for
+symmetric CSR structure whose entries map to the logs of the upper edges.
+The default net (20000 nodes, knn 12) takes about 0.5 s to build (0.7 s for
 the first build in a process, which also imports scipy), so nets are not
-cached across runs.  Each metric then pays for one weight per edge and one
-Dijkstra, about 45 ms.
+cached across runs.  Each metric then pays for one weight per edge, a
+gather of those weights into both directions and one directed Dijkstra,
+about 40 ms.
 
 The torus grid sweep covers half the grid: Z^m = -Z^m, so a grid point and
 its mirror are equally far from the lattice.  It screens those points in
@@ -245,8 +246,9 @@ def biinvariant_diameter(entry: LieGroupCatalogEntry) -> DiameterEstimate:
 # Quaternion nets
 # ---------------------------------------------------------------------------
 
-# Edges per chunk when computing edge logs; bounds the temporaries of the
-# quaternion products, which would otherwise set the peak memory of a build.
+# Edges per chunk when computing edge logs and weights and gathering the
+# weights; bounds the temporaries of the quaternion products, which would
+# otherwise set the peak memory of a build, and those of each metric.
 _LOG_CHUNK = 1 << 16
 
 
@@ -257,11 +259,15 @@ class Net:
     ``rows``/``cols`` (rows < cols) is the symmetrised knn adjacency and
     ``mesh`` the largest nearest-neighbour distance.  Shortest paths run over
     the straightened graph: the adjacency plus every two-hop shortcut, stored
-    once as an upper-triangular edge list, read undirected.  Row i's edges go
-    to ``edge_cols[indptr[i]:indptr[i + 1]]`` (all > i, ascending), and
-    ``edge_logs[e]`` is log(p^-1 q) for edge e; reversing an edge only flips
-    the sign of the log, so a metric supplies one weight per edge.  ``knn``
-    and ``seed`` are the build arguments.  Every array is read-only.
+    as a symmetric CSR structure for directed Dijkstra.  Row i's neighbours
+    are ``edge_cols[indptr[i]:indptr[i + 1]]`` (ascending, never i), and
+    ``edge[k]`` is the id of the undirected edge behind CSR entry k, so
+    every id appears twice, once in each direction.  Ids number the upper
+    edges (row < col) in row-major order, and ``edge_logs[e]`` is
+    log(p^-1 q) for upper edge e from p to q; reversing an edge only flips
+    the sign of the log, so a metric supplies one weight per edge and the
+    logs are stored once.  ``knn`` and ``seed`` are the build arguments.
+    Every array is read-only; the index arrays are int32.
     """
 
     kind: str
@@ -271,6 +277,7 @@ class Net:
     mesh: float
     indptr: np.ndarray
     edge_cols: np.ndarray
+    edge: np.ndarray
     edge_logs: np.ndarray
     knn: int
     seed: int
@@ -324,8 +331,9 @@ def _straightened_graph(n: int, rows: np.ndarray, cols: np.ndarray):
     edge directions are quantised; admitting neighbour-of-neighbour hops (each
     still an exactly weighted one-parameter arc) removes most of that bias
     while keeping every path admissible.  A disconnected knn graph is refused
-    with ``ValueError``.  Returns ``(edge_cols, indptr)``: row i's edges, all
-    to columns > i in ascending order, are ``edge_cols[indptr[i]:indptr[i + 1]]``.
+    with ``ValueError``.  Returns ``(indices, indptr)``, both int32: row i's
+    edges, all to columns > i in ascending order, are
+    ``indices[indptr[i]:indptr[i + 1]]``.
     """
     from scipy.sparse import csr_matrix, triu  # deferred: only nets pay for it
     from scipy.sparse.csgraph import connected_components
@@ -339,6 +347,33 @@ def _straightened_graph(n: int, rows: np.ndarray, cols: np.ndarray):
     upper = triu(sym @ sym + sym, k=1, format="csr")
     upper.sort_indices()
     return upper.indices.astype(np.int32), upper.indptr.astype(np.int32)
+
+
+def _symmetric_csr(n: int, cols: np.ndarray, indptr: np.ndarray):
+    """Both directions of an upper-triangular CSR structure, with edge ids.
+
+    Upper edge e is entry e of ``(cols, indptr)``.  The CSC-to-CSR
+    conversion of the transpose leaves each of its rows ascending.  Row i of
+    the transpose holds only columns < i and row i of the upper structure
+    only columns > i, so each symmetric row is the transposed row followed
+    by the upper row, ascending without a sort.  Returns
+    ``(sym_cols, sym_indptr, edge)`` with ``edge[k]`` the upper id of
+    symmetric entry k, all int32.
+    """
+    from scipy.sparse import csr_matrix
+
+    ids = np.arange(cols.size, dtype=np.int32)
+    lower = csr_matrix((ids, cols, indptr), shape=(n, n)).T.tocsr()
+    counts = np.stack([np.diff(lower.indptr), np.diff(indptr)], axis=1)
+    is_upper = np.repeat(np.tile([False, True], n), counts.ravel())
+    is_lower = ~is_upper
+    sym_cols = np.empty(2 * cols.size, dtype=np.int32)
+    sym_cols[is_lower] = lower.indices
+    sym_cols[is_upper] = cols
+    edge = np.empty(2 * cols.size, dtype=np.int32)
+    edge[is_lower] = lower.data
+    edge[is_upper] = ids
+    return sym_cols, (lower.indptr + indptr).astype(np.int32), edge
 
 
 def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
@@ -368,12 +403,30 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     rows, cols, mesh = _knn_pairs(entry.kind, nodes, knn)
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
-    edge_cols, indptr = _straightened_graph(n, rows, cols)
-    edge_rows = np.repeat(np.arange(n), np.diff(indptr))
+    upper_cols, upper_indptr = _straightened_graph(n, rows, cols)
+    # The logs first: the symmetric arrays would otherwise be held while the
+    # log temporaries peak.
+    edge_logs = _edge_logs(entry.kind, nodes,
+                           np.repeat(np.arange(n), np.diff(upper_indptr)), upper_cols)
+    edge_cols, indptr, edge = _symmetric_csr(n, upper_cols, upper_indptr)
     return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
-               indptr=indptr, edge_cols=edge_cols,
-               edge_logs=_edge_logs(entry.kind, nodes, edge_rows, edge_cols),
-               knn=knn, seed=seed)
+               indptr=indptr, edge_cols=edge_cols, edge=edge,
+               edge_logs=edge_logs, knn=knn, seed=seed)
+
+
+def _edge_weights(net: Net, spec: MetricSpec) -> np.ndarray:
+    """Metric length |log(p^-1 q)|_g of each upper edge of the net.
+
+    |v|_g^2 = v^t gram v = |L^t v|^2 with gram = L L^t, so a chunk of edges
+    costs one 3 x 3 by 3 x chunk GEMM and a column sum of squares.
+    """
+    lt = np.linalg.cholesky(spec.gram).T
+    w = np.empty(net.edge_logs.shape[0])
+    for start in range(0, w.size, _LOG_CHUNK):
+        y = lt @ net.edge_logs[start:start + _LOG_CHUNK].T
+        np.square(y, out=y)
+        np.sqrt(y.sum(axis=0), out=w[start:start + y.shape[1]])
+    return w
 
 
 def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
@@ -392,16 +445,22 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
         raise ValueError(f"eps_net must be in [0, 1), got {eps_net}")
     if spec.m != 3:
         raise ValueError("graph diameter expects a 3-dimensional metric")
-    # |v|_g^2 = v^t gram v = |L^t v|^2 with gram = L L^t.
-    y = net.edge_logs @ np.linalg.cholesky(spec.gram)
-    w = np.sqrt(np.einsum("ei,ei->e", y, y))
-    # A fresh CSR matrix over the net's read-only structure, never modified;
-    # dijkstra reads each upper-triangular edge in both directions.
+    w = _edge_weights(net, spec)
+    # Gather in chunks: np.take widens an int32 index to intp, and the whole
+    # map would widen to a temporary as large as the gathered weights.  The
+    # ids lie in range by construction, and mode="clip" skips the bounds
+    # pass that the default mode makes over each chunk.
+    w_sym = np.empty(net.edge.size)
+    for start in range(0, net.edge.size, _LOG_CHUNK):
+        stop = start + _LOG_CHUNK
+        np.take(w, net.edge[start:stop], out=w_sym[start:stop], mode="clip")
+    # A fresh CSR matrix over the net's read-only structure, never modified.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    g = csr_matrix((w, net.edge_cols, net.indptr), shape=(net.n_nodes, net.n_nodes))
-    dist = dijkstra(g, directed=False, indices=0)
+    g = csr_matrix((w_sym, net.edge_cols, net.indptr),
+                   shape=(net.n_nodes, net.n_nodes))
+    dist = dijkstra(g, directed=True, indices=0)
     if not np.all(np.isfinite(dist)):
         raise AssertionError("net is not connected")
     value = float(np.max(dist))

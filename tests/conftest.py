@@ -39,6 +39,12 @@ def small_net(su2):
 
 
 @pytest.fixture(scope="session")
+def so3_small_net(so3):
+    """2000-node so3 net, the so3 counterpart of small_net."""
+    return ls.build_net(so3, 2000, 12, seed=0)
+
+
+@pytest.fixture(scope="session")
 def mid_net(su2):
     """4000-node net for monotonicity sweeps at moderate cost."""
     return ls.build_net(su2, 4000, 12, seed=0)

@@ -16,7 +16,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import liespec as ls
 from liespec import _lattice
-from liespec.geometry import DiameterEstimate, _closest_lattice_distances, _grid_points
+from liespec.geometry import (DiameterEstimate, _closest_lattice_distances,
+                               _edge_weights, _grid_points)
 from liespec.lie_core import quat_conj, quat_log, quat_mul
 
 
@@ -73,31 +74,31 @@ def reference_edges(net):
                                 so3=net.kind == "so3")
 
 
-def reference_distances(n, rows, cols, w):
-    """Dijkstra from node 0 on a graph built afresh from undirected edges."""
+def reference_symmetric(n, rows, cols, w):
+    """Undirected edges stored in both directions, built afresh, sorted rows."""
     g = csr_matrix((np.concatenate([w, w]),
                     (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
                    shape=(n, n))
-    return dijkstra(g, directed=True, indices=0)
+    g.sort_indices()
+    return g
 
 
-def net_edge_rows(net):
-    """Row of each straightened edge, read off the net's upper CSR."""
+def reference_distances(n, rows, cols, w):
+    """Dijkstra from node 0 on a graph built afresh from undirected edges."""
+    return dijkstra(reference_symmetric(n, rows, cols, w), directed=True, indices=0)
+
+
+def net_entry_rows(net):
+    """Row of each entry of the net's symmetric CSR."""
     return np.repeat(np.arange(net.n_nodes), np.diff(net.indptr))
 
 
-def symmetric_dijkstra_reference(net, spec):
-    """Distances from directed Dijkstra on the symmetric graph.
-
-    Every edge is stored in both directions and carries graph_diameter's own
-    Cholesky weight, so the distances must match it bit for bit.
-    """
-    y = net.edge_logs @ np.linalg.cholesky(spec.gram)
-    w = np.sqrt(np.einsum("ei,ei->e", y, y))
-    upper = csr_matrix((w, net.edge_cols, net.indptr), shape=(net.n_nodes, net.n_nodes))
-    both = (upper + upper.T).tocsr()
-    both.sort_indices()
-    return dijkstra(both, directed=True, indices=0)
+def upper_appearances(net):
+    """(rows, cols) of the upper entry of each edge id, in id order."""
+    rows, cols = net_entry_rows(net), net.edge_cols
+    upper = rows < cols
+    order = np.argsort(net.edge[upper])
+    return rows[upper][order], cols[upper][order]
 
 
 def graph_diameter_reference(net, spec):
@@ -213,9 +214,9 @@ class TestNet:
         assert fine.mesh < coarse.mesh
 
     def test_edge_logs_are_exact_distances(self, su2, small_net):
+        rows, cols = upper_appearances(small_net)
         w = np.linalg.norm(small_net.edge_logs, axis=1)
-        p = small_net.nodes[net_edge_rows(small_net)]
-        q = small_net.nodes[small_net.edge_cols]
+        p, q = small_net.nodes[rows], small_net.nodes[cols]
         ref = np.arccos(np.clip(np.einsum("ni,ni->n", p, q), -1, 1))
         assert np.max(np.abs(w - ref)) < 1e-12
 
@@ -265,20 +266,48 @@ class TestNet:
                 assert np.array_equal(net.cols, cols)
                 assert net.mesh == pytest.approx(mesh, rel=1e-12)
 
-    def test_straightened_edges_match_reference(self, small_net):
-        rows, cols, logs = reference_edges(small_net)
-        assert np.array_equal(net_edge_rows(small_net), rows)
-        assert np.array_equal(small_net.edge_cols, cols)
-        assert np.array_equal(small_net.edge_logs, logs)
+    def test_straightened_edges_match_reference(self, small_net, so3_small_net):
+        # The reference edges plus their transpose, exactly: sorted within
+        # each row and without a diagonal.
+        for net in (small_net, so3_small_net):
+            rows, cols, _ = reference_edges(net)
+            ref = reference_symmetric(net.n_nodes, rows, cols, np.ones(rows.size))
+            assert np.array_equal(net.indptr, ref.indptr)
+            assert np.array_equal(net.edge_cols, ref.indices)
+            assert net.indptr.dtype == net.edge_cols.dtype == np.int32
+            entry_rows = net_entry_rows(net)
+            assert np.all(entry_rows != net.edge_cols)
+            # Row-major and sorted within each row: the flat keys ascend strictly.
+            assert np.all(np.diff(entry_rows * net.n_nodes + net.edge_cols) > 0)
 
-    def test_edges_are_one_upper_csr(self, small_net):
-        net = small_net
-        rows = net_edge_rows(net)
-        assert net.indptr.size == net.n_nodes + 1 and net.indptr[0] == 0
-        assert net.indptr[-1] == net.edge_cols.size == net.edge_logs.shape[0]
-        assert np.all(rows < net.edge_cols)
-        # Row-major and sorted within each row: the flat keys ascend strictly.
-        assert np.all(np.diff(rows * net.n_nodes + net.edge_cols) > 0)
+    def test_edge_ids_name_each_upper_edge_twice(self, small_net, so3_small_net):
+        for net in (small_net, so3_small_net):
+            assert net.edge.dtype == np.int32
+            n_edges = net.edge_logs.shape[0]
+            assert net.edge.size == 2 * n_edges
+            rows, cols = net_entry_rows(net), net.edge_cols
+            for side in (rows < cols, rows > cols):
+                assert np.array_equal(np.sort(net.edge[side]), np.arange(n_edges))
+            # Ids number the upper edges in row-major order, and each log is
+            # that of its upper appearance.
+            up_rows, up_cols = upper_appearances(net)
+            ref_rows, ref_cols, _ = reference_edges(net)
+            assert np.array_equal(up_rows, ref_rows) and np.array_equal(up_cols, ref_cols)
+            ref = quat_log(quat_mul(quat_conj(net.nodes[up_rows]), net.nodes[up_cols]),
+                           so3=net.kind == "so3")
+            assert np.max(np.abs(net.edge_logs - ref)) <= 1e-12
+
+    def test_build_memory(self, su2):
+        # The default net's build peaks at about 37.9 MiB, while the symmetric
+        # structure is derived; the log pass peaks at 36.9 MiB, as the whole
+        # build did with an upper-only layout.  An intp edge map reads 42.4.
+        tracemalloc.start()
+        try:
+            ls.build_net(su2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2 ** 20
 
     def test_arrays_are_read_only(self, small_net):
         with pytest.raises(ValueError):
@@ -331,13 +360,29 @@ class TestGraphDiameter:
                 assert est.value == pytest.approx(graph_diameter_reference(net, spec),
                                                   rel=1e-12)
 
-    def test_undirected_read_matches_symmetric_graph(self, su2, so3, small_net):
-        so3_net = ls.build_net(so3, 2000, 12, seed=0)
-        for entry, net in ((su2, small_net), (so3, so3_net)):
+    def test_matches_fresh_symmetric_graph(self, su2, so3, small_net, so3_small_net):
+        # Directed Dijkstra on the upper edges and their transpose, built
+        # afresh with the same weights, must give the diameter bit for bit.
+        for entry, net in ((su2, small_net), (so3, so3_small_net)):
+            rows, cols, _ = reference_edges(net)
             for seed in range(20):
                 spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
                 est = ls.graph_diameter(entry, spec, net)
-                assert est.value == float(np.max(symmetric_dijkstra_reference(net, spec)))
+                dist = reference_distances(net.n_nodes, rows, cols, _edge_weights(net, spec))
+                assert est.value == float(np.max(dist))
+
+    def test_call_memory(self, su2, big_net):
+        # On the default net a call allocates about 14.8 MiB: the weights and
+        # their gather into both directions.  Weighing the logs in one product
+        # and reading the upper edges undirected took 25.3 MiB.
+        spec = ls.sample_metric(su2, 0.2, 5.0, seed=0)
+        tracemalloc.start()
+        try:
+            ls.graph_diameter(su2, spec, big_net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
 
     def test_eps_net_outside_unit_interval_rejected(self, su2, small_net):
         spec = ls.metric_from_matrix(np.diag([3.0, 2.0, 1.0]))
