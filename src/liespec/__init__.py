@@ -11,13 +11,13 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .lie_core import (LieGroupCatalogEntry, Subalgebra, bracket, ell_index,
-                       entry_from_key, generated_subalgebra,
-                       is_bracket_generating, product_entry, so3_entry,
-                       su2_entry, su_n_k_max, torus_entry)
+from .lie_core import (LieGroupCatalogEntry, bracket, ell_index, entry_from_key,
+                       generated_subalgebra, is_bracket_generating,
+                       product_entry, so3_entry, su2_entry, su_n_k_max,
+                       torus_entry)
 from .metric_space import (MatrixFormatError, MetricSpec, SingularMatrixError,
-                           loewner_leq, metric_from_matrix, read_matrix,
-                           sample_metric, write_matrix)
+                           metric_from_matrix, read_matrix, sample_metric,
+                           write_matrix)
 from .rep_theory import (Irrep, SpectralResult, assemble_minus_CA,
                          biinvariant_lambda1, character_irrep,
                          enumerate_irreps, invariant_dim, lambda1_certified,

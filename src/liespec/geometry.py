@@ -11,8 +11,10 @@ discretisation bias.
 ``build_net`` does all the work that depends only on the net, once: the knn
 search (a k-d tree) and the straightened two-hop graph, stored as one
 symmetric CSR structure whose entries map to the logs of the upper edges.
-The default net (20000 nodes, knn 12) takes about 0.5 s to build (0.7 s for
-the first build in a process, which also imports scipy), so nets are not
+Every graph is scipy sparse algebra on the knn adjacency: a sum with the
+transpose, a product and an upper triangle.  The default net (20000 nodes,
+knn 12) takes about 0.5 s to build (0.7 s for the first build in a process,
+which also imports scipy) and peaks at 34.4 MiB traced, so nets are not
 cached across runs.  Each metric then pays for one weight per edge, a
 gather of those weights into both directions and one directed Dijkstra,
 about 40 ms.
@@ -303,77 +305,38 @@ def _edge_logs(kind: str, nodes: np.ndarray, rows: np.ndarray,
     return logs
 
 
-def _knn_pairs(kind: str, nodes: np.ndarray,
-               k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Symmetrised k-nearest-neighbour pairs (rows < cols) and the mesh.
+def _knn_adjacency(kind: str, nodes: np.ndarray, k: int):
+    """Symmetrised k-nearest-neighbour adjacency, a boolean CSR matrix, and the mesh.
 
     Chordal distance in R^4 is monotone in the geodesic angle on S^3, so a
     k-d tree over the nodes finds the geodesic neighbours of SU(2).  On SO(3)
     q and -q are one point: the tree holds both signs and indices reduce
     mod n.  Column 0 of a query is the node itself.
     """
+    from scipy.sparse import csr_matrix
     from scipy.spatial import cKDTree  # deferred: ~50 ms that only nets pay
 
     n = nodes.shape[0]
     points = np.vstack([nodes, -nodes]) if kind == "so3" else nodes
     chord, idx = cKDTree(points).query(nodes, k=k + 1)
-    nbr = idx[:, 1:] % n
-    own = np.repeat(np.arange(n), k)
-    pairs = np.unique(np.minimum(own, nbr.ravel()) * n + np.maximum(own, nbr.ravel()))
     mesh = 2.0 * math.asin(min(1.0, float(np.max(chord[:, 1])) / 2.0))
-    return pairs // n, pairs % n, mesh
+    query = csr_matrix((np.ones(n * k, dtype=bool), idx[:, 1:].ravel() % n,
+                        np.arange(0, n * k + 1, k)), shape=(n, n))
+    return query + query.T, mesh
 
 
-def _straightened_graph(n: int, rows: np.ndarray, cols: np.ndarray):
-    """Adjacency plus two-hop shortcuts, as an upper-triangular CSR structure.
+def _upper(a):
+    """Strict upper triangle of a sparse matrix, CSR with each row ascending."""
+    from scipy.sparse import triu
 
-    Shortest paths on the raw knn graph overshoot by several percent because
-    edge directions are quantised; admitting neighbour-of-neighbour hops (each
-    still an exactly weighted one-parameter arc) removes most of that bias
-    while keeping every path admissible.  A disconnected knn graph is refused
-    with ``ValueError``.  Returns ``(indices, indptr)``, both int32: row i's
-    edges, all to columns > i in ascending order, are
-    ``indices[indptr[i]:indptr[i + 1]]``.
-    """
-    from scipy.sparse import csr_matrix, triu  # deferred: only nets pay for it
-    from scipy.sparse.csgraph import connected_components
-
-    one = csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
-    sym = one + one.T
-    ncomp, _ = connected_components(sym, directed=False)
-    if ncomp != 1:
-        raise ValueError(f"knn graph of the net has {ncomp} components; "
-                         "raise the net size or knn")
-    upper = triu(sym @ sym + sym, k=1, format="csr")
+    upper = triu(a, k=1, format="csr")
     upper.sort_indices()
-    return upper.indices.astype(np.int32), upper.indptr.astype(np.int32)
+    return upper
 
 
-def _symmetric_csr(n: int, cols: np.ndarray, indptr: np.ndarray):
-    """Both directions of an upper-triangular CSR structure, with edge ids.
-
-    Upper edge e is entry e of ``(cols, indptr)``.  The CSC-to-CSR
-    conversion of the transpose leaves each of its rows ascending.  Row i of
-    the transpose holds only columns < i and row i of the upper structure
-    only columns > i, so each symmetric row is the transposed row followed
-    by the upper row, ascending without a sort.  Returns
-    ``(sym_cols, sym_indptr, edge)`` with ``edge[k]`` the upper id of
-    symmetric entry k, all int32.
-    """
-    from scipy.sparse import csr_matrix
-
-    ids = np.arange(cols.size, dtype=np.int32)
-    lower = csr_matrix((ids, cols, indptr), shape=(n, n)).T.tocsr()
-    counts = np.stack([np.diff(lower.indptr), np.diff(indptr)], axis=1)
-    is_upper = np.repeat(np.tile([False, True], n), counts.ravel())
-    is_lower = ~is_upper
-    sym_cols = np.empty(2 * cols.size, dtype=np.int32)
-    sym_cols[is_lower] = lower.indices
-    sym_cols[is_upper] = cols
-    edge = np.empty(2 * cols.size, dtype=np.int32)
-    edge[is_lower] = lower.data
-    edge[is_upper] = ids
-    return sym_cols, (lower.indptr + indptr).astype(np.int32), edge
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """Row index of each entry of a CSR structure, int32."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
 
 
 def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
@@ -385,7 +348,19 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     that depends only on the net, the straightened edges with their logs
     included, is computed here once, so each metric pays for its edge weights
     and one Dijkstra only.
+
+    Shortest paths on the raw knn graph overshoot by several percent because
+    edge directions are quantised; admitting neighbour-of-neighbour hops (each
+    still an exactly weighted one-parameter arc) removes most of that bias
+    while keeping every path admissible.  The straightened graph is the
+    upper triangle of ``sym @ sym + sym`` for the knn adjacency ``sym``.
+    Numbering its entries from 1 (a sparse sum drops zeros) and adding the
+    transpose gives the symmetric structure, each entry holding its upper
+    id plus one.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if entry.kind not in ("su2", "so3"):
         raise ValueError("nets are only built on su2/so3")
     if n_nodes < 100:
@@ -400,17 +375,29 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
         nodes = so3_representative(nodes)
 
     n = nodes.shape[0]
-    rows, cols, mesh = _knn_pairs(entry.kind, nodes, knn)
+    sym, mesh = _knn_adjacency(entry.kind, nodes, knn)
     if mesh <= 0:
         raise ValueError("duplicate nodes in net")
-    upper_cols, upper_indptr = _straightened_graph(n, rows, cols)
-    # The logs first: the symmetric arrays would otherwise be held while the
-    # log temporaries peak.
-    edge_logs = _edge_logs(entry.kind, nodes,
-                           np.repeat(np.arange(n), np.diff(upper_indptr)), upper_cols)
-    edge_cols, indptr, edge = _symmetric_csr(n, upper_cols, upper_indptr)
+    ncomp, _ = connected_components(sym, directed=False)
+    if ncomp != 1:
+        raise ValueError(f"knn graph of the net has {ncomp} components; "
+                         "raise the net size or knn")
+    knn_upper = _upper(sym)
+    rows, cols = _row_ids(knn_upper.indptr), knn_upper.indices
+    upper = _upper(sym @ sym + sym)
+    del sym, knn_upper
+    # The logs first, with every other temporary released: the symmetric
+    # arrays would otherwise be held while the log temporaries peak.
+    edge_logs = _edge_logs(entry.kind, nodes, _row_ids(upper.indptr), upper.indices)
+    ids = csr_matrix((np.arange(1, upper.nnz + 1, dtype=np.int32), upper.indices,
+                      upper.indptr), shape=(n, n))
+    del upper
+    both = ids + ids.T
+    del ids
+    both.sort_indices()
+    both.data -= 1
     return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
-               indptr=indptr, edge_cols=edge_cols, edge=edge,
+               indptr=both.indptr, edge_cols=both.indices, edge=both.data,
                edge_logs=edge_logs, knn=knn, seed=seed)
 
 

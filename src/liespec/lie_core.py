@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "LieGroupCatalogEntry",
-    "Subalgebra",
     "torus_entry",
     "su2_entry",
     "so3_entry",
@@ -182,19 +181,6 @@ def entry_from_key(key: str) -> LieGroupCatalogEntry:
     raise ValueError(f"unknown group key: {key!r}")
 
 
-@dataclass(frozen=True)
-class Subalgebra:
-    """Span closed under the bracket, stored as orthonormal row vectors."""
-
-    basis: np.ndarray  # shape (dim, m), orthonormal rows, read-only
-    dim: int
-
-    def __post_init__(self):
-        basis = np.array(self.basis, dtype=float)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-
-
 # ---------------------------------------------------------------------------
 # Algebra operations
 # ---------------------------------------------------------------------------
@@ -219,12 +205,12 @@ def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def generated_subalgebra(entry: LieGroupCatalogEntry,
-                         S: Sequence[np.ndarray]) -> Subalgebra:
-    """Smallest subalgebra containing the span of S.
+                         S: Sequence[np.ndarray]) -> np.ndarray:
+    """Smallest subalgebra containing the span of S, as orthonormal rows.
 
-    Iteratively adjoins brackets of current basis pairs and re-orthonormalises
-    until the rank stabilises.  Rank decisions use singular values above
-    RANK_TOL relative to the largest.
+    Its dimension is the row count.  Iteratively adjoins brackets of current
+    basis pairs and re-orthonormalises until the rank stabilises.  Rank
+    decisions use singular values above RANK_TOL relative to the largest.
     """
     rows = np.asarray(list(S), dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != entry.dim:
@@ -241,12 +227,12 @@ def generated_subalgebra(entry: LieGroupCatalogEntry,
             basis = new
             break
         basis = new
-    return Subalgebra(basis=basis, dim=basis.shape[0])
+    return basis
 
 
 def is_bracket_generating(entry: LieGroupCatalogEntry,
                           S: Sequence[np.ndarray]) -> bool:
-    return generated_subalgebra(entry, S).dim == entry.dim
+    return generated_subalgebra(entry, S).shape[0] == entry.dim
 
 
 def _orthogonal_matrix(entry: LieGroupCatalogEntry, P: np.ndarray) -> np.ndarray:
@@ -269,7 +255,8 @@ def ell_index(entry: LieGroupCatalogEntry, P: np.ndarray) -> int:
 def prefix_subalgebra_dims(entry: LieGroupCatalogEntry, P: np.ndarray) -> list[int]:
     """Dimensions of the subalgebras generated by each column prefix of P."""
     P = _orthogonal_matrix(entry, P)
-    return [generated_subalgebra(entry, P[:, :k].T).dim for k in range(1, entry.dim + 1)]
+    return [generated_subalgebra(entry, P[:, :k].T).shape[0]
+            for k in range(1, entry.dim + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "SingularMatrixError",
     "MatrixFormatError",
     "metric_from_matrix",
-    "loewner_leq",
     "sample_metric",
     "random_rotation",
     "read_matrix",
@@ -121,14 +120,6 @@ def _check_spec(spec: MetricSpec) -> None:
     tol = max(1e-9, 1e-13 * cond)
     if not np.max(np.abs(spec.gram @ spec.AAt - np.eye(spec.m))) <= tol:
         raise AssertionError("gram is not the inverse of A A^t")
-
-
-def loewner_leq(spec_a: MetricSpec, spec_b: MetricSpec) -> bool:
-    """True iff B B^t - A A^t is positive semidefinite (up to 1e-10 relative)."""
-    if spec_a.m != spec_b.m:
-        raise ValueError("metrics live on different dimensions")
-    diff = spec_b.AAt - spec_a.AAt
-    return bool(np.linalg.eigvalsh(diff)[0] >= -1e-10 * spec_b.sigma[0] ** 2)
 
 
 def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:

@@ -576,8 +576,9 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
     casimir = (n1 * (n1 + 2.0))[:, None] + (n2 * (n2 + 2.0))[None, :]
     bound = sm2 * casimir
-    for f1, f2 in zip(_spin_floor(n1, q[0]), _spin_floor(n2, q[1])):
-        np.maximum(bound, f1[:, None] + f2[None, :], out=bound)
+    for q1, q2 in zip(q[0], q[1]):  # one split at a time: one table-sized sum is live
+        np.maximum(bound, _spin_floor(n1, q1)[:, None] + _spin_floor(n2, q2)[None, :],
+                   out=bound)
     if kinds[0] == "so3":
         bound[1::2] = math.inf
     if kinds[1] == "so3":

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import liespec as ls
 
@@ -62,8 +63,10 @@ def disconnected_knn(monkeypatch):
     def two_chains(kind, nodes, k):
         n = nodes.shape[0]
         rows = np.array([i for i in range(n - 1) if i != n // 2 - 1])
-        return rows, rows + 1, 0.1
-    monkeypatch.setattr(ls.geometry, "_knn_pairs", two_chains)
+        chains = csr_matrix((np.ones(rows.size, dtype=bool), (rows, rows + 1)),
+                            shape=(n, n))
+        return chains + chains.T, 0.1
+    monkeypatch.setattr(ls.geometry, "_knn_adjacency", two_chains)
 
 
 @pytest.fixture

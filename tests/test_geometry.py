@@ -274,7 +274,8 @@ class TestNet:
             ref = reference_symmetric(net.n_nodes, rows, cols, np.ones(rows.size))
             assert np.array_equal(net.indptr, ref.indptr)
             assert np.array_equal(net.edge_cols, ref.indices)
-            assert net.indptr.dtype == net.edge_cols.dtype == np.int32
+            assert (net.rows.dtype == net.cols.dtype == net.indptr.dtype
+                    == net.edge_cols.dtype == np.int32)
             entry_rows = net_entry_rows(net)
             assert np.all(entry_rows != net.edge_cols)
             # Row-major and sorted within each row: the flat keys ascend strictly.
@@ -298,9 +299,11 @@ class TestNet:
             assert np.max(np.abs(net.edge_logs - ref)) <= 1e-12
 
     def test_build_memory(self, su2):
-        # The default net's build peaks at about 37.9 MiB, while the symmetric
-        # structure is derived; the log pass peaks at 36.9 MiB, as the whole
-        # build did with an upper-only layout.  An intp edge map reads 42.4.
+        # The default net's build peaks at about 34.4 MiB, while the symmetric
+        # structure is summed from the numbered upper edges and their
+        # transpose; the log pass peaks at 34.2 MiB.  Interleaving the
+        # symmetric rows by hand, with int64 knn pairs, peaked at 37.9 MiB,
+        # and an intp edge map at 42.4.
         tracemalloc.start()
         try:
             ls.build_net(su2)

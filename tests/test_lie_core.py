@@ -138,8 +138,8 @@ class TestBracket:
 class TestGeneratedSubalgebra:
     def test_su2_dims(self, su2):
         e = np.eye(3)
-        assert ls.generated_subalgebra(su2, [e[0]]).dim == 1
-        assert ls.generated_subalgebra(su2, [e[0], e[1]]).dim == 3
+        assert ls.generated_subalgebra(su2, [e[0]]).shape == (1, 3)
+        assert ls.generated_subalgebra(su2, [e[0], e[1]]).shape == (3, 3)
 
     def test_matches_exact_closure(self, su2, su2xsu2):
         rng = np.random.default_rng(5)
@@ -149,35 +149,30 @@ class TestGeneratedSubalgebra:
                 vecs = rng.integers(-2, 3, size=(k, entry.dim)).astype(float)
                 if not np.any(vecs):
                     continue
-                got = ls.generated_subalgebra(entry, vecs).dim
+                got = ls.generated_subalgebra(entry, vecs).shape[0]
                 assert got == exact_closure_dim(entry, vecs)
 
     def test_torus_is_span(self, t3):
         rng = np.random.default_rng(6)
         vecs = rng.standard_normal((2, 3))
-        assert ls.generated_subalgebra(t3, vecs).dim == 2
+        assert ls.generated_subalgebra(t3, vecs).shape[0] == 2
 
     def test_closure_under_bracket(self, su2xsu2):
         rng = np.random.default_rng(7)
-        sub = ls.generated_subalgebra(su2xsu2, rng.standard_normal((2, 6)))
-        for u in sub.basis:
-            for v in sub.basis:
+        basis = ls.generated_subalgebra(su2xsu2, rng.standard_normal((2, 6)))
+        for u in basis:
+            for v in basis:
                 br = ls.bracket(su2xsu2, u, v)
-                resid = br - sub.basis.T @ (sub.basis @ br)
+                resid = br - basis.T @ (basis @ br)
                 assert np.linalg.norm(resid) <= 1e-9 * max(1.0, np.linalg.norm(br))
-
-    def test_basis_read_only(self, su2):
-        sub = ls.generated_subalgebra(su2, [np.eye(3)[0]])
-        with pytest.raises(ValueError):
-            sub.basis[0, 0] = 2.0
 
     def test_monotone_in_generators(self, su2xsu2):
         rng = np.random.default_rng(8)
         for _ in range(20):
             big = rng.standard_normal((3, 6))
             small = big[:2]
-            assert (ls.generated_subalgebra(su2xsu2, small).dim
-                    <= ls.generated_subalgebra(su2xsu2, big).dim)
+            assert (ls.generated_subalgebra(su2xsu2, small).shape[0]
+                    <= ls.generated_subalgebra(su2xsu2, big).shape[0])
 
     def test_empty_rejected(self, su2):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -848,6 +849,25 @@ class TestSpinBounds:
         res = ls.lambda1_certified(entry, spec)
         assert res.window * spec.sigma[-1] ** 2 > res.lambda1
         assert (res.lambda1, res.witness, res.certified) == unscreened_walk(entry, spec)
+
+    def test_table_memory(self, su2xsu2, monkeypatch):
+        # The first minimum on this metric sizes a 2 x 95240 table.  Adding
+        # the floors one split at a time peaks at about 6.6 MiB; building all
+        # sixteen split tables before the maximum took 21.2 MiB.
+        spec = ls.metric_from_matrix(np.diag([1.0] * 4 + [1.05e-5] * 2))
+        firsts = []
+        real = rep_theory._pair_bounds
+        monkeypatch.setattr(rep_theory, "_pair_bounds",
+                            lambda entry, spec, lam: firsts.append(lam) or real(entry, spec, lam))
+        ls.lambda1_certified(su2xsu2, spec)
+        tracemalloc.start()
+        try:
+            bounds = real(su2xsu2, spec, firsts[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds.bound.shape == (2, 95240)
+        assert peak <= 10 * 2 ** 20
 
     def test_split_that_overflows_is_dropped(self, su2xsu2):
         # Q12 Q22^-1 Q21 / (1 - 0.99) overflows at theta = 0.99; the other
