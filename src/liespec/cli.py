@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sigma-lo", type=float, default=DEFAULT_SIGMA_LO)
     p.add_argument("--sigma-hi", type=float, default=DEFAULT_SIGMA_HI)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, capped at the sample and CPU counts; "
+                        "the output does not depend on it")
     net_flags(p)
     p.set_defaults(fn=_cmd_scan)
 

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from types import MappingProxyType
@@ -220,8 +221,9 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     """Seeded scan over random metrics; per-sample seed = base_seed + index.
 
     Output is independent of ``jobs``: records are always ordered by index and
-    aggregation is order-free.  A scan reads only its arguments, so threads
-    may scan at once.
+    aggregation is order-free.  At most min(jobs, n_samples, CPU count)
+    worker processes run, all started at once.  A scan reads only its
+    arguments, so threads may scan at once.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -230,12 +232,14 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     sample = functools.partial(_sample_record, entry, lo, hi, diam_config,
                                _net_for(entry, diam_config, net))
     seeds = [base_seed + i for i in range(n_samples)]
-    if jobs == 1:
+    workers = min(jobs, n_samples, os.cpu_count() or 1)
+    if workers == 1:
         records = list(map(sample, seeds))
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(sample,)) as ex:
-            records = list(ex.map(_pool_sample, seeds, chunksize=max(1, n_samples // (4 * jobs))))
+            records = list(ex.map(_pool_sample, seeds,
+                                  chunksize=max(1, n_samples // (4 * workers))))
     violations = [(r.seed, name) for r in records for name in r.violated()]
     counts = {name: sum(1 for _, n in violations if n == name) for name in CHECK_NAMES}
     best = max(records, key=lambda r: r.ratio)

@@ -3,7 +3,7 @@
 Every group is described by a `LieGroupCatalogEntry` holding the structure
 constants of its Lie algebra in a fixed orthonormal basis.  The catalog covers
 flat tori T^m, the unit quaternions SU(2), the rotation group SO(3) (unit
-quaternions modulo sign), and finite products of these.
+quaternions modulo sign), and products of two SU(2)/SO(3) factors.
 
 Conventions baked into the catalog:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,6 +89,13 @@ class LieGroupCatalogEntry:
 def _validate_structure(entry: LieGroupCatalogEntry) -> None:
     c = entry.structure_constants
     m = entry.dim
+    # Catalog consistency for the supported kinds, checked first: it is cheap.
+    if entry.kind == "product" and (
+            len(entry.factors) != 2 or any(f.kind not in ("su2", "so3") for f in entry.factors)):
+        raise ValueError("a product has exactly two su2/so3 factors")
+    expected = {"torus": m, "su2": 2, "so3": 2, "product": 5}.get(entry.kind)
+    if expected is not None and entry.k_max != expected:
+        raise ValueError(f"k_max={entry.k_max} inconsistent for {entry.kind}")
     if not np.all(np.isfinite(c)):
         raise ValueError("structure constants must be finite")
     if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > _STRUCTURE_TOL:
@@ -102,14 +109,6 @@ def _validate_structure(entry: LieGroupCatalogEntry) -> None:
     # i.e. c_{ij}^k + c_{ik}^j = 0.
     if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > _STRUCTURE_TOL:
         raise ValueError("reference inner product is not Ad-invariant")
-    # Catalog consistency for the supported kinds.
-    expected = {"torus": m, "su2": 2, "so3": 2}.get(entry.kind)
-    if expected is not None and entry.k_max != expected:
-        raise ValueError(f"k_max={entry.k_max} inconsistent for {entry.kind}")
-    if entry.kind == "product":
-        kinds = tuple(f.kind for f in entry.factors)
-        if kinds == ("su2", "su2") and entry.k_max != 5:
-            raise ValueError("k_max(su2 x su2) must be 5")
 
 
 def _su2_constants() -> np.ndarray:
@@ -134,24 +133,13 @@ def so3_entry() -> LieGroupCatalogEntry:
     return LieGroupCatalogEntry("so3", 3, _su2_constants(), k_max=2)
 
 
-def product_entry(factors: Sequence[LieGroupCatalogEntry],
-                  k_max: Optional[int] = None) -> LieGroupCatalogEntry:
-    """Direct product of catalog entries.
+def product_entry(factors: Sequence[LieGroupCatalogEntry]) -> LieGroupCatalogEntry:
+    """Direct product of two su2/so3 factors, with k_max = 5.
 
-    ``k_max`` is only known in closed form for a few combinations: products of
-    tori (where it equals the total dimension, and the product is returned as
-    a flat torus outright) and su2 x su2 (k_max = 5).  Anything else requires
-    an explicit value; products mixing torus and semisimple factors are not
-    part of the catalog.
+    Anything else, tori and three or more factors included, is refused where
+    every catalog entry is checked; ``torus_entry`` builds tori of any rank.
     """
     factors = tuple(factors)
-    if len(factors) < 2:
-        raise ValueError("a product needs at least two factors")
-    kinds = {f.kind for f in factors}
-    if kinds == {"torus"}:
-        return torus_entry(sum(f.dim for f in factors))
-    if "torus" in kinds or "product" in kinds:
-        raise ValueError("unsupported product combination (torus/semisimple mix or nesting)")
     m = sum(f.dim for f in factors)
     c = np.zeros((m, m, m))
     off = 0
@@ -159,16 +147,11 @@ def product_entry(factors: Sequence[LieGroupCatalogEntry],
         d = f.dim
         c[off:off + d, off:off + d, off:off + d] = f.structure_constants
         off += d
-    if k_max is None:
-        if tuple(f.kind for f in factors) == ("su2", "su2"):
-            k_max = 5
-        else:
-            raise ValueError("k_max is not tabulated for this product; pass it explicitly")
-    return LieGroupCatalogEntry("product", m, c, k_max=k_max, factors=factors)
+    return LieGroupCatalogEntry("product", m, c, k_max=5, factors=factors)
 
 
 def entry_from_key(key: str) -> LieGroupCatalogEntry:
-    """Resolve a CLI-style group key like 't2', 'su2', 'so3', 'su2xsu2'."""
+    """Resolve a CLI-style group key: 't1' to 't4', 'su2', 'so3' or 'su2xsu2'."""
     key = key.strip().lower()
     if key == "su2":
         return su2_entry()
@@ -176,7 +159,7 @@ def entry_from_key(key: str) -> LieGroupCatalogEntry:
         return so3_entry()
     if key == "su2xsu2":
         return product_entry([su2_entry(), su2_entry()])
-    if key.startswith("t") and key[1:].isdigit():
+    if key in ("t1", "t2", "t3", "t4"):
         return torus_entry(int(key[1:]))
     raise ValueError(f"unknown group key: {key!r}")
 

@@ -17,16 +17,16 @@ Irrep catalog:
   torus gap itself is a shortest-vector problem, 4 pi^2 min n^t (A A^t) n,
   solved exactly by ellipsoid enumeration (``_lattice.short_vectors``)
   rather than by walking characters.
-* products: outer Kronecker pairs of validated factors, never re-validated,
-  lambda^pi additive; a left fold of ``_merge_streams`` merges them best-first.
-  A pair assembles -C_A from its factors' small blocks; its Kronecker stack
-  is built only when ``generators`` is read.
+* products of two su2/so3 factors: outer Kronecker pairs of validated spins,
+  never re-validated, lambda^pi additive; ``_merge_streams`` merges the two
+  factor streams best-first.  A pair assembles -C_A from its factors' small
+  blocks; its Kronecker stack is built afresh on each read of ``generators``.
 
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
 cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
-spectra, the stop-rule walk of the certified gap on products and the two
-spins of the certified gap on su2 and so3 all read it.
+spectra, the walk of the certified gap on products and the two spins of the
+certified gap on su2 and so3 all read it.
 
 On products the walk needs the eigenvalue of an irrep only where it could
 move the running minimum.  Every irrep it assembles after the first is
@@ -48,10 +48,10 @@ q3 Jz^2) >= 4 (q2 j (j + 1) - (q2 - q3) Jz^2) >= 4 j (q2 + j q3).  It needs
 only q1 >= q2 >= q3, and a rotation takes any symmetric 3x3 block to its
 eigenframe, so ``_spin_floor`` applies it to any such block.
 
-On a product of two su2/so3 factors the walk also skips, and stops before,
-the pairs that the factor spin bounds put above the running minimum.  For v
-in a pair, <v, -C_A v> = sum_ij Q_ij <pi(X_i) v, pi(X_j) v> with Q = A A^t,
-so -C_A is monotone in Q (Loewner).  A split Q >= blockdiag(D1, D2) thus puts
+On a product the walk also skips, and stops before, the pairs that the
+factor spin bounds put above the running minimum.  For v in a pair,
+<v, -C_A v> = sum_ij Q_ij <pi(X_i) v, pi(X_j) v> with Q = A A^t, so -C_A is
+monotone in Q (Loewner).  A split Q >= blockdiag(D1, D2) thus puts
 pair(j1, j2) above its value on blockdiag(D1, D2), a Kronecker sum, hence at
 or above F(j1, D1) + F(j2, D2), F the spin floor.  ``_PairBounds`` takes the
 largest such bound over a few splits and derives the rounding they need.
@@ -99,6 +99,12 @@ def _contract(G: np.ndarray, W: np.ndarray) -> np.ndarray:
     return G.transpose(1, 0, 2).reshape(d, m * d) @ W.reshape(m * d, d)
 
 
+def _stack_minus_CA(G: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """-sum_ij Q_ij G[i] @ G[j] for a generator stack G and an m x m block Q."""
+    m = G.shape[0]
+    return -_contract(G, (Q @ G.reshape(m, -1)).reshape(G.shape))
+
+
 def _kron_sums(a: Irrep, b: Irrep) -> np.ndarray:
     """Generator stack of the pair (a, b): np.kron(g, I_b), then np.kron(I_a, h)."""
     d = a.dim * b.dim
@@ -116,18 +122,18 @@ def _kron_sums(a: Irrep, b: Irrep) -> np.ndarray:
 class _GeneratorStack:
     """The ``generators`` field of ``Irrep``, a dataclass descriptor field.
 
-    A stack passed in is stored as given.  A product irrep's stack is built
-    by ``_kron_sums`` the first time it is read, then cached read-only.  Two
-    threads that read it at once may both build it; either copy is the same.
+    A stack passed in is stored as given.  A pair stores none: each read
+    builds its stack afresh by ``_kron_sums``.  Its readers
+    (``check_commutators``, ``invariant_dim`` and ``verify``'s mixed-Casimir
+    check) read it once, and the assembly of a pair works from its factors.
     """
 
     def __get__(self, irrep, owner=None):
         if irrep is None:
             return None  # the dataclass default
-        G = irrep.__dict__["_generators"]
-        if G is None and irrep.factors:
-            G = irrep.__dict__["_generators"] = _kron_sums(*irrep.factors)
-        return G
+        if irrep.factors:
+            return _kron_sums(*irrep.factors)
+        return irrep.__dict__["_generators"]
 
     def __set__(self, irrep, G):
         irrep.__dict__["_generators"] = G
@@ -139,11 +145,10 @@ class Irrep:
 
     ``generators[j]`` is the anti-hermitian matrix representing the j-th basis
     vector; ``casimir`` is the scalar by which minus the bi-invariant Casimir
-    acts.  A product irrep takes only ``factors = (a, b)``; its dim and Casimir
-    follow from them and hold without a check.  Its stack of Kronecker sums is
-    built only when ``generators`` is first read: ``check_commutators``,
-    ``invariant_dim``, or the assembly of a pair with this one as first factor
-    read it, while the assembly of the pair itself works from the factors.
+    acts.  A product irrep, a pair, takes only ``factors = (a, b)``, two
+    irreps that are not pairs; its dim and Casimir follow from them and hold
+    without a check.  Its stack of Kronecker sums is built on each read of
+    ``generators``.
     """
 
     label: str
@@ -155,6 +160,8 @@ class Irrep:
     def __post_init__(self):
         if self.factors:
             a, b = self.factors
+            if a.factors or b.factors:
+                raise ValueError(f"{self.label}: a factor of a pair cannot be a pair")
             d, cas = a.dim * b.dim, a.casimir + b.casimir
             if (self.__dict__["_generators"] is not None or self.dim not in (None, d)
                     or self.casimir not in (None, cas)):
@@ -297,7 +304,7 @@ def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:
     if entry.kind == "torus":
         return _character_stream(entry.dim)
     if entry.kind == "product":
-        return functools.reduce(_merge_streams, map(_catalog_stream, entry.factors))
+        return _merge_streams(*map(_catalog_stream, entry.factors))
     raise ValueError(f"no irrep catalog for kind {entry.kind!r}")
 
 
@@ -321,40 +328,29 @@ def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list
 # Operator assembly and eigenvalues
 # ---------------------------------------------------------------------------
 
-def _ngens(irrep: Irrep) -> int:
-    """Number of generators, read from the factors on a product irrep."""
-    return sum(map(_ngens, irrep.factors)) if irrep.factors else irrep.generators.shape[0]
-
-
-def _minus_CA(irrep: Irrep, Q: np.ndarray, lo: int, blocks: dict) -> np.ndarray:
-    """-C_A of the irrep on the generators lo, lo + 1, ... of the metric Q = A A^t.
+def _minus_CA(irrep: Irrep, Q: np.ndarray, blocks: dict) -> np.ndarray:
+    """-C_A of the irrep under the metric Q = A A^t.
 
     A pair (a, b) with Q split into the blocks Q11, Q22 and Q12 assembles as
     kron(M_a(Q11), I) + kron(I, M_b(Q22)) - 2 sum_i kron(g_i, (Q12 . h)_i),
     that is sum_k kron(S_k, T_k) over the factor stacks S = [M_a, I, g] and
     T = [I, M_b, -2 Q12 . h]: one matrix product of shape (da^2, k) @ (k, db^2),
-    so only the factors pay d^3 work.  ``blocks`` keeps S by (label, first
-    generator) and T by (label, first row of Q12, first generator) for the
-    other pairs that share a factor.
+    so only the factors pay d^3 work.  ``blocks`` keeps S and T by (role,
+    label) for the other pairs of the same metric that share a factor.
     """
     if not irrep.factors:
-        G = irrep.generators
-        m = G.shape[0]
-        W = (Q[lo:lo + m, lo:lo + m] @ G.reshape(m, -1)).reshape(G.shape)
-        return -_contract(G, W)
+        return _stack_minus_CA(irrep.generators, Q)
     a, b = irrep.factors
-    mid = lo + _ngens(a)
-    hi = mid + _ngens(b)
-    if (a.label, lo) not in blocks:
-        g = a.generators  # a nested pair builds its stack here, once
-        blocks[a.label, lo] = np.concatenate(
-            [_minus_CA(a, Q, lo, blocks)[None], np.eye(a.dim)[None], g])
-    if (b.label, lo, mid) not in blocks:
-        h = b.generators
-        H = (Q[lo:mid, mid:hi] @ h.reshape(hi - mid, -1)).reshape(mid - lo, b.dim, b.dim)
-        blocks[b.label, lo, mid] = np.concatenate(
-            [np.eye(b.dim)[None], _minus_CA(b, Q, mid, blocks)[None], -2.0 * H])
-    S, T = blocks[a.label, lo], blocks[b.label, lo, mid]
+    g, h = a.generators, b.generators
+    m = g.shape[0]  # Q11 is m x m
+    if ("a", a.label) not in blocks:
+        blocks["a", a.label] = np.concatenate(
+            [_stack_minus_CA(g, Q[:m, :m])[None], np.eye(a.dim)[None], g])
+    if ("b", b.label) not in blocks:
+        H = (Q[:m, m:] @ h.reshape(h.shape[0], -1)).reshape(m, b.dim, b.dim)
+        blocks["b", b.label] = np.concatenate(
+            [np.eye(b.dim)[None], _stack_minus_CA(h, Q[m:, m:])[None], -2.0 * H])
+    S, T = blocks["a", a.label], blocks["b", b.label]
     k, da, db = S.shape[0], a.dim, b.dim
     M = S.reshape(k, da * da).T @ T.reshape(k, db * db)  # index order (ra, ca, rb, cb)
     return M.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
@@ -366,9 +362,9 @@ def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
     One BLAS product over the stacked generators; a product irrep assembles
     from its factors.  ``lambda_min_hermitian`` checks and symmetrises it.
     """
-    if _ngens(irrep) != spec.m:
+    if sum(f.generators.shape[0] for f in irrep.factors or (irrep,)) != spec.m:
         raise ValueError("irrep and metric have different dimensions")
-    return _minus_CA(irrep, spec.AAt, 0, {})
+    return _minus_CA(irrep, spec.AAt, {})
 
 
 def _hermitian(M: np.ndarray) -> np.ndarray:
@@ -543,13 +539,9 @@ class _PairBounds:
 
 def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
                  lam: float) -> _PairBounds | None:
-    """The spin bounds of a product of two su2/so3 factors, sized by the
-    first minimum lam; None on other groups, or when no Schur split is kept
-    or the table would pass ``_TABLE_CELLS``: the stop rule alone then ends
-    the walk."""
-    kinds = tuple(f.kind for f in entry.factors)
-    if len(kinds) != 2 or not set(kinds) <= {"su2", "so3"}:
-        return None
+    """The spin bounds of a product, sized by the first minimum lam; None
+    when no Schur split is kept or the table would pass ``_TABLE_CELLS``:
+    the stop rule alone then ends the walk."""
     Q = spec.AAt
     Q11, Q12, Q22 = Q[:3, :3], Q[:3, 3:], Q[3:, 3:]
     theta = np.array(_SPLIT_THETAS)[:, None, None]
@@ -579,9 +571,9 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     for q1, q2 in zip(q[0], q[1]):  # one split at a time: one table-sized sum is live
         np.maximum(bound, _spin_floor(n1, q1)[:, None] + _spin_floor(n2, q2)[None, :],
                    out=bound)
-    if kinds[0] == "so3":
+    if entry.factors[0].kind == "so3":
         bound[1::2] = math.inf
-    if kinds[1] == "so3":
+    if entry.factors[1].kind == "so3":
         bound[:, 1::2] = math.inf
     return _PairBounds(casimir, bound)
 
@@ -596,12 +588,11 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Spectral
     On products, walks irreps in ascending Casimir order keeping the running
     minimum of lambda_min(-C_A), strict ``<`` in stream order; it stops
     certified at the first Casimir nu with sigma_m^2 * nu > running minimum.
-    On two su2/so3 factors the first irrep's value also sizes the factor
-    spin bounds (``_PairBounds``): a pair they put above the running minimum
-    is skipped without assembly, and the walk stops past the largest Casimir
-    of a pair they cannot exclude, recomputed whenever the minimum moves.
-    Other products have only the stop rule, so their cost grows with
-    lambda1 / sigma_m^2.  The su2/so3 gap evaluates spin 1/2 and spin 1, and
+    The first irrep's value also sizes the factor spin bounds
+    (``_PairBounds``): a pair they put above the running minimum is skipped
+    without assembly, and the walk stops past the largest Casimir of a pair
+    they cannot exclude, recomputed whenever the minimum moves.  The su2/so3
+    gap evaluates spin 1/2 and spin 1, and
     a torus gap is an exact shortest-vector search.  Every result is
     certified.  Overflow of the operator is refused by
     ``lambda_min_hermitian``'s checks, which run on every irrep assembled.
@@ -633,7 +624,7 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Spectral
             evals += 1
             if bounds is not None and bounds.excludes(irrep, lam_hat):
                 continue
-            H = _hermitian(_minus_CA(irrep, spec.AAt, 0, blocks))
+            H = _hermitian(_minus_CA(irrep, spec.AAt, blocks))
             if _lies_above(H, lam_hat):
                 continue
             lm = float(np.linalg.eigvalsh(H)[0])
@@ -656,7 +647,7 @@ def _spin_lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Sp
     """
     cutoff = spin_irrep(1).casimir
     with np.errstate(over="ignore", invalid="ignore"):  # refused by lambda_min_hermitian
-        gaps = [(lambda_min_hermitian(_minus_CA(irrep, spec.AAt, 0, {})), irrep.label)
+        gaps = [(lambda_min_hermitian(_minus_CA(irrep, spec.AAt, {})), irrep.label)
                 for irrep in _irrep_stream(entry, cutoff)]
     lam, witness = min(gaps, key=lambda gap: gap[0])
     window = next(irrep.casimir for irrep in _irrep_stream(entry) if irrep.casimir > cutoff)

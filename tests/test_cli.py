@@ -136,6 +136,9 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     (("lambda1", "--group", "su2xsu2", "--matrix",
       ",".join(f"{v:g}" for v in (6.3e153 * np.eye(6)).ravel())),
      "error: the spectral operator overflows the float range; rescale the metric"),
+    # Only the tori t1..t4 that the help names: a larger one would first ask
+    # for its N^4 Jacobi check.
+    (("sigma", "--group", "t5"), "error: unknown group key: 't5'"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     # A refusal is its error line alone, with no numpy warning before it.

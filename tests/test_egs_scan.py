@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -148,6 +149,34 @@ class TestScan:
     def test_rejects_empty(self, t2):
         with pytest.raises(ValueError):
             scan(t2, 0, diam_config=T2_CONFIG)
+
+    def test_workers_capped_by_samples(self, t2, monkeypatch):
+        # A process pool starts all its workers at the first submit, so a
+        # huge --jobs must never reach it.  The fake runs the pool in process.
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, seeds, chunksize):
+                return map(fn, seeds)
+
+        monkeypatch.setattr(egs_scan, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(egs_scan, "_WORKER", {})
+        serial, _ = scan(t2, 3, diam_config=T2_CONFIG, jobs=1)
+        assert requested == []
+        pooled, _ = scan(t2, 3, diam_config=T2_CONFIG, jobs=10_000)
+        assert requested == [3]
+        assert scan_csv_text(pooled) == scan_csv_text(serial)
 
     def test_rejects_jobs_below_one(self, t2):
         for jobs in (0, -3):

@@ -84,25 +84,43 @@ class TestCatalog:
         assert ls.su_n_k_max(2) == 2
         assert ls.su_n_k_max(3) == 5
 
-    def test_torus_products_flatten(self):
-        entry = ls.product_entry([ls.torus_entry(2), ls.torus_entry(1)])
-        assert entry.kind == "torus" and entry.dim == 3
-
     def test_mixed_products_rejected(self):
         with pytest.raises(ValueError):
             ls.product_entry([ls.su2_entry(), ls.torus_entry(1)])
 
-    def test_unknown_product_needs_explicit_k_max(self):
-        with pytest.raises(ValueError):
-            ls.product_entry([ls.so3_entry(), ls.so3_entry()])
-        entry = ls.product_entry([ls.so3_entry(), ls.so3_entry()], k_max=5)
-        assert entry.k_max == 5
+    def test_product_is_two_spin_factors_with_k_max_5(self):
+        su2, so3 = ls.su2_entry(), ls.so3_entry()
+        for factors in ([su2, su2], [su2, so3], [so3, su2], [so3, so3]):
+            entry = ls.product_entry(factors)
+            assert (entry.kind, entry.dim, entry.k_max) == ("product", 6, 5)
+        for factors in ([su2, so3, su2], [ls.torus_entry(2), ls.torus_entry(1)],
+                        [su2, ls.torus_entry(1)], [su2], []):
+            with pytest.raises(ValueError, match="exactly two su2/so3 factors"):
+                ls.product_entry(factors)
+        with pytest.raises(TypeError):
+            ls.product_entry([su2, so3], k_max=2)
+
+    def test_hand_built_products_are_checked(self, su2, so3, su2xsu2):
+        c = su2xsu2.structure_constants
+        for k_max in (2, 4, 6):
+            with pytest.raises(ValueError, match=f"k_max={k_max} inconsistent"):
+                ls.LieGroupCatalogEntry("product", 6, c, k_max=k_max, factors=(su2, so3))
+        m = 9
+        nested = np.zeros((m, m, m))
+        nested[:6, :6, :6] = c
+        nested[6:, 6:, 6:] = su2.structure_constants
+        with pytest.raises(ValueError, match="exactly two su2/so3 factors"):
+            ls.LieGroupCatalogEntry("product", m, nested, k_max=5, factors=(su2xsu2, su2))
 
     def test_entry_from_key(self):
         assert ls.entry_from_key("t2").dim == 2
+        assert ls.entry_from_key("t4").dim == 4
         assert ls.entry_from_key("su2xsu2").dim == 6
-        with pytest.raises(ValueError):
-            ls.entry_from_key("e8")
+        # Only the tori the commands document: a large key would ask for an
+        # m^4 Jacobi check before any command ran.
+        for key in ("e8", "t0", "t5", "t200"):
+            with pytest.raises(ValueError, match="unknown group key"):
+                ls.entry_from_key(key)
 
 
 class TestBracket:

@@ -236,10 +236,10 @@ def kron_sums_calls(monkeypatch):
 
 
 def spin_catalog(step, cutoff):
-    """(Casimir, label, dim) of spins 0, step, 2 step, ... up to the cutoff."""
+    """(Casimir, label) of spins 0, step, 2 step, ... up to the cutoff."""
     out, j = [], Fraction(0)
     while 4 * j * (j + 1) <= cutoff:
-        out.append((float(4 * j * (j + 1)), f"spin({j})", int(2 * j) + 1))
+        out.append((float(4 * j * (j + 1)), f"spin({j})"))
         j += step
     return out
 
@@ -287,18 +287,21 @@ class TestIrreps:
             assert not pair.generators.flags.writeable
             with pytest.raises(ValueError):
                 pair.generators[0, 0, 0] = 1.0
-            # A pair as the first factor of a pair: three Kronecker sums.
-            c = ls.spin_irrep("1")
-            nested = pair_irrep(pair, c)
-            assert nested.dim == a.dim * b.dim * c.dim
-            assert np.array_equal(nested.generators, kron_pair_generators(pair, c))
-            assert not nested.generators.flags.writeable
 
-    def test_pair_stack_is_built_once_when_read(self, kron_sums_calls):
+    def test_pair_stack_is_built_on_each_read_and_never_stored(self, kron_sums_calls):
         pair = pair_irrep(ls.spin_irrep("1/2"), ls.spin_irrep("1"))
         assert (pair.dim, kron_sums_calls) == (6, [])
-        assert pair.generators is pair.generators
-        assert kron_sums_calls == [("spin(1/2)", "spin(1)")]
+        before = dict(pair.__dict__)
+        assert np.array_equal(pair.generators, pair.generators)
+        assert kron_sums_calls == [("spin(1/2)", "spin(1)")] * 2
+        assert pair.__dict__ == before
+
+    def test_a_pair_is_not_a_factor(self):
+        a, b = ls.spin_irrep("1/2"), ls.spin_irrep("1")
+        pair = pair_irrep(a, b)
+        for factors in ((pair, a), (a, pair), (pair, pair)):
+            with pytest.raises(ValueError, match="cannot be a pair"):
+                ls.Irrep(label="x", factors=factors)
 
     def test_pair_takes_everything_from_its_factors(self):
         a, b = ls.spin_irrep("1/2"), ls.spin_irrep("1")
@@ -399,37 +402,14 @@ class TestIrreps:
         assert got == want[1:]
 
 
-    def test_three_factor_product_stream(self):
-        su2, so3 = ls.su2_entry(), ls.so3_entry()
-        entry = ls.product_entry([su2, so3, su2], k_max=8)
-        cas = [i.casimir for i in itertools.islice(_irrep_stream(entry), 300)]
-        assert all(b >= a for a, b in zip(cas, cas[1:]))
-        # Brute force: every triple of factor irreps, the trivial one left out.
-        cutoff = 40.0
-        half, one = spin_catalog(Fraction(1, 2), cutoff), spin_catalog(1, cutoff)
-        want = sorted((ca + cb + cc, f"pair(pair({a},{b}),{c})", da * db * dc)
-                      for (ca, a, da), (cb, b, db), (cc, c, dc)
-                      in itertools.product(half, one, half)
-                      if 0 < ca + cb + cc <= cutoff)
-        got = ls.enumerate_irreps(entry, cutoff)
-        assert [i.casimir for i in got] == [c for c, _, _ in want]
-        assert sorted((i.casimir, i.label, i.dim) for i in got) == want
-
     def test_product_tie_order(self, su2xsu2):
         # Pairs of equal Casimir come out by first-factor index, then by
-        # second-factor index, on two and on three factors.
+        # second-factor index.
         cutoff = 400.0
-        half = [(c, label) for c, label, _ in spin_catalog(Fraction(1, 2), cutoff)]
-        one = [(c, label) for c, label, _ in spin_catalog(1, cutoff)]
+        half = spin_catalog(Fraction(1, 2), cutoff)
         want = brute_pairs(half, half, cutoff)[1:201]
         assert want[-1][0] < cutoff
         got = [(i.casimir, i.label) for i in itertools.islice(_irrep_stream(su2xsu2), 200)]
-        assert got == want
-        su2, so3 = ls.su2_entry(), ls.so3_entry()
-        entry = ls.product_entry([su2, so3, su2], k_max=8)
-        want = brute_pairs(brute_pairs(half, one, cutoff), half, cutoff)[1:201]
-        assert want[-1][0] < cutoff
-        got = [(i.casimir, i.label) for i in itertools.islice(_irrep_stream(entry), 200)]
         assert got == want
 
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf])
@@ -532,18 +512,8 @@ class TestAssembly:
             for pair in pairs:
                 self.assert_matches_stack_assembly(pair, spec)
 
-    def test_factor_path_matches_stack_assembly_nested(self, su2):
-        entry = ls.product_entry([su2, su2, su2], k_max=8)
-        nested = [irr for irr in ls.enumerate_irreps(entry, 40.0)
-                  if all(f.dim > 1 for f in irr.factors[0].factors + irr.factors[1:])]
-        assert nested and all(irr.factors[0].factors for irr in nested)
-        for seed in range(3):
-            spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
-            for irr in nested:
-                self.assert_matches_stack_assembly(irr, spec)
-
     def test_factor_path_matches_stack_assembly_su2_so3(self, su2, so3):
-        entry = ls.product_entry([su2, so3], k_max=5)
+        entry = ls.product_entry([su2, so3])
         irreps = ls.enumerate_irreps(entry, 60.0)
         assert {f.label for irr in irreps for f in irr.factors} >= {"spin(1/2)", "spin(2)"}
         for seed in range(3):
@@ -789,11 +759,10 @@ class TestCholeskyScreen:
 
         def bad_second_pair(irrep, *args):
             M = real(irrep, *args)
-            if irrep.factors:  # the walk's own call, not a factor block
-                pairs.append(irrep.label)
-                if len(pairs) == 2:
-                    M = M.copy()
-                    corrupt(M)
+            pairs.append(irrep.label)
+            if len(pairs) == 2:
+                M = M.copy()
+                corrupt(M)
             return M
 
         monkeypatch.setattr(rep_theory, "_minus_CA", bad_second_pair)
@@ -814,7 +783,7 @@ class TestSpinBounds:
             floor = rep_theory._spin_floor(n, np.linalg.eigvalsh(D)[::-1])
             for twice, F in zip(n, floor):
                 irrep = ls.spin_irrep(Fraction(int(twice), 2))
-                lam = ls.lambda_min_hermitian(rep_theory._minus_CA(irrep, D, 0, {}))
+                lam = ls.lambda_min_hermitian(rep_theory._minus_CA(irrep, D, {}))
                 scale = 1e-12 * max(1.0, float(np.abs(D).max())) * (1 + irrep.casimir)
                 if twice <= 2:
                     assert F == pytest.approx(lam, abs=scale), twice
@@ -830,7 +799,7 @@ class TestSpinBounds:
 
     @pytest.mark.parametrize("kinds", [("su2", "so3"), ("so3", "su2"), ("so3", "so3")])
     def test_mixed_spin_factors_match_unscreened(self, kinds):
-        entry = ls.product_entry([ls.entry_from_key(k) for k in kinds], k_max=5)
+        entry = ls.product_entry([ls.entry_from_key(k) for k in kinds])
         skipped = 0
         for seed in range(8):
             spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
@@ -841,14 +810,6 @@ class TestSpinBounds:
             skipped += sum(bounds.excludes(irrep, res.lambda1)
                            for irrep in ls.enumerate_irreps(entry, res.window))
         assert skipped > 0
-
-    def test_other_products_keep_the_stop_rule(self, su2):
-        entry = ls.product_entry([su2, su2, su2], k_max=8)
-        spec = ls.sample_metric(entry, 0.8, 1.25, seed=0)
-        assert rep_theory._pair_bounds(entry, spec, 3.0) is None
-        res = ls.lambda1_certified(entry, spec)
-        assert res.window * spec.sigma[-1] ** 2 > res.lambda1
-        assert (res.lambda1, res.witness, res.certified) == unscreened_walk(entry, spec)
 
     def test_table_memory(self, su2xsu2, monkeypatch):
         # The first minimum on this metric sizes a 2 x 95240 table.  Adding
