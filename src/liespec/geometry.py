@@ -20,13 +20,17 @@ gather of those weights into both directions and one directed Dijkstra,
 about 40 ms.
 
 The torus grid sweep covers half the grid: Z^m = -Z^m, so a grid point and
-its mirror are equally far from the lattice.  It screens those points in
-chunks with one matmul against all polish offsets, then re-scores every
-point within a relative 1e-9 of the screened maximum, and its mirror, with
-the direct form.  Mirrors tie only in exact arithmetic, and the refinement
-pass is not mirror-symmetric, so the re-score keeps the argmax, and every
-reported figure, that of a full direct sweep.  t3 at grid 64 takes about
-42 ms.  All timings are one BLAS thread on a 2-core Intel Xeon.
+its mirror are equally far from the lattice.  It screens one point of each
+block of 4^m grid points, then, in chunks with one matmul against all
+polish offsets, the points of the blocks that could hold a near-max point:
+the distance to the lattice is 1-Lipschitz, so a block whose
+representative lies further below the maximum than the block is wide is
+skipped.  It then re-scores every point within a relative 1e-9 of the
+screened maximum, and its mirror, with the direct form.  Mirrors tie only
+in exact arithmetic, and the refinement pass is not mirror-symmetric, so
+the re-score keeps the argmax, and every reported figure, that of a full
+direct sweep.  t3 at grid 64 takes about 11 ms.  All timings are one BLAS
+thread on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ MAX_GRID_POINTS = 1 << 24
 # screened maximum.
 _SWEEP_CHUNK = 8192
 _SCREEN_RTOL = 1e-9
+# The coarse sweep screens one representative per block of _BLOCK grid points
+# per axis, then only the blocks whose Lipschitz bound reaches the maximum.
+_BLOCK = 4
 # Closest-vector polish box [-2, 2]^m around the Babai point, both sweeps.
 _POLISH_RADIUS = 2
 
@@ -136,7 +143,9 @@ def _screen(gram: np.ndarray):
     |E - o|^2 = E'QE - 2E'Qo + o'Qo expanded so that a block of points costs
     one matmul against every offset.  The expansion rounds differently from
     the direct form, so its values only screen candidates for an exact
-    re-score.
+    re-score.  Returns the screen with the two matrices it computes with:
+    ``to_basis``, which takes a point to reduced coordinates, and the
+    reduced form ``Qp``.
     """
     U = _lattice.greedy_reduce(gram).astype(float)
     Qp = U.T @ gram @ U
@@ -152,7 +161,7 @@ def _screen(gram: np.ndarray):
         S += c
         return S.min(axis=0) + ((Qp @ E) * E).sum(axis=0)
 
-    return sq_distances
+    return sq_distances, to_basis, Qp
 
 
 def _near_max(sq: np.ndarray) -> np.ndarray:
@@ -160,24 +169,103 @@ def _near_max(sq: np.ndarray) -> np.ndarray:
     return np.flatnonzero(sq >= (1.0 - _SCREEN_RTOL) * sq.max())
 
 
-def _coarse_argmax(gram: np.ndarray, sq_distances, res: int, m: int):
+def _coarse_argmax(gram: np.ndarray, screen, res: int):
     """First farthest grid point i/res in flat-index order, and its distance.
 
     Z^m = -Z^m, so point i/res ties with its mirror (-i mod res)/res.  Every
     point or its mirror has a leading coordinate of at most res/2, so only
-    that half of the grid, a prefix of the flat order, is screened.
+    that half of the grid, a prefix of the flat order, takes part.  The half
+    grid is cut into blocks of ``_BLOCK`` points per axis (edge blocks may be
+    partial).  One representative per block, its second point along each
+    axis or its only one, is screened first; the points of a block are
+    screened only if the block can hold a point within ``_SCREEN_RTOL`` of
+    the screened maximum.  The points so found, the maximum among them, and
+    so the near-max points and their mirrors re-scored with the direct form,
+    are exactly those of a screen of the whole half grid.
+
+    Why no such point is lost.  Let T = ``to_basis`` and Q = ``Qp`` as the
+    screen holds them, in floating point, and let psi(y) be the squared
+    distance from y to Z^m under the symmetric part of Q.  As everywhere in
+    the torus code, the polish box around rint(y) holds a closest lattice
+    vector, so the screen s(x) evaluates psi(fl(T x)), and sqrt(psi) is
+    1-Lipschitz in that form.  With eps the machine epsilon,
+    q = sum |Q_ij|, t = ||T||_inf and a = sum |Q_ij - Q_ji|, set
+
+        delta = a + 4096 eps q (1 + t)^2.
+
+    * Screen.  After rounding, |E| <= 1/2 and |o| <= 2 entrywise, so the
+      three expanded terms are at most q/4, 2q and 4q in absolute value.
+      Writing the cross term as -2 o'QE errs by o'(Q' - Q)E, at most a, and
+      each term takes at most m^2 + 2 roundings, so
+      |s(x) - psi(fl(T x))| <= a + 4 (m^2 + 2) eps q.
+    * Points.  x = fl(i/res) and fl(T x) = T i/res + eta with
+      |eta|_inf <= (m + 2) eps t / 2, in whatever batch x is screened; so
+      two points lie apart in the form by at most their exact offset plus
+      (m + 2) eps t sqrt(q), and one point screened twice differs by
+      O(eps t q), far below delta.
+    * Slack.  Every point of a block is rep + c/res with c in
+      {-1, 0, 1, 2}^m.  ``slack`` is the largest computed |T c|_Q / res over
+      those c.  The computed T c errs by at most m eps t entrywise and its
+      form value by at most (m^2 + 2) eps (2 t)^2 q / 2, so the exact slack
+      exceeds ``slack`` by at most
+      (2 t sqrt((m^2 + 2) eps q) + m eps t sqrt(q)) / res + 2 eps slack.
+      With res >= 4, this and the point term stay far below
+      sqrt(delta) >= 64 sqrt(eps q) (1 + t).
+    * So a point x in the block of representative r has
+      s(x) <= (sqrt(s(r) + delta) + slack + sqrt(delta))^2 + delta, while
+      the screened maximum S of the half grid is at least the largest
+      representative value R minus 2 delta.  A block is screened when
+      (sqrt(s(r) + delta) + slack + sqrt(delta))^2 + 4 delta >=
+      (1 - _SCREEN_RTOL) R, which every block holding a point with
+      s(x) >= (1 - _SCREEN_RTOL) S meets: the fourth delta covers the
+      rounding of both sides, which are below q (1 + t)^2.
+
+    At grid 64 the t3 pool metrics (``sample_metric`` seeds 0-255) screen
+    2-58% of the half grid, 8% in the median, representatives included.
     """
+    sq_distances, to_basis, Qp = screen
+    m = gram.shape[0]
     shape = (res,) * m
+    half = np.array((res // 2 + 1,) + shape[1:])
+    blocks = tuple(-(-half // _BLOCK))
+    steps = np.indices((_BLOCK,) * m).reshape(m, -1).T
 
     def coords(flat):
         return np.stack(np.unravel_index(flat, shape), axis=1)
 
-    limit = (res // 2 + 1) * res ** (m - 1)
-    sq = np.empty(limit)
-    for start in range(0, limit, _SWEEP_CHUNK):
-        stop = min(start + _SWEEP_CHUNK, limit)
-        sq[start:stop] = sq_distances(coords(np.arange(start, stop)) / res)
-    near = _near_max(sq)
+    def origins(ids):
+        return np.stack(np.unravel_index(ids, blocks), axis=1) * _BLOCK
+
+    eps = np.finfo(float).eps
+    q = float(np.abs(Qp).sum())
+    t = float(np.abs(to_basis).sum(axis=1).max())
+    delta = float(np.abs(Qp - Qp.T).sum()) + 4096 * eps * q * (1 + t) ** 2
+    c = (steps - 1) @ to_basis.T
+    slack = math.sqrt(float(np.max(np.einsum("ki,ij,kj->k", c, Qp, c)))) / res
+
+    n_blocks = math.prod(blocks)
+    rep_sq = np.empty(n_blocks)
+    for start in range(0, n_blocks, _SWEEP_CHUNK):
+        ids = np.arange(start, min(start + _SWEEP_CHUNK, n_blocks))
+        rep_sq[ids] = sq_distances(np.minimum(origins(ids) + 1, half - 1) / res)
+    reach = np.sqrt(rep_sq + delta) + (slack + math.sqrt(delta))
+    kept = np.flatnonzero(reach * reach + 4 * delta
+                          >= (1.0 - _SCREEN_RTOL) * rep_sq.max())
+
+    # Screen the kept blocks a chunk at a time, keeping only the points that
+    # may still lie within the tolerance of the final maximum.
+    top = -np.inf
+    found, found_sq = [], []
+    per_chunk = _SWEEP_CHUNK // _BLOCK ** m
+    for start in range(0, kept.size, per_chunk):
+        idx = (origins(kept[start:start + per_chunk])[:, None, :] + steps).reshape(-1, m)
+        idx = idx[np.all(idx < half, axis=1)]
+        sq = sq_distances(idx / res)
+        top = max(top, float(sq.max()))
+        near = sq >= (1.0 - _SCREEN_RTOL) * top
+        found.append(np.ravel_multi_index(idx[near].T, shape))
+        found_sq.append(sq[near])
+    near = np.concatenate(found)[_near_max(np.concatenate(found_sq))]
     mirrors = np.ravel_multi_index((-coords(near) % res).T, shape)
     pts = coords(np.union1d(near, mirrors)) / res
     dists = _closest_lattice_distances(gram, pts)
@@ -194,10 +282,15 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
 
     Both sweeps screen with the expanded form and re-score every point within
     ``_SCREEN_RTOL`` of the screened maximum with the direct form, then take
-    the first maximum.  The coarse sweep screens half the grid and re-scores
+    the first maximum.  The coarse sweep covers half the grid and re-scores
     the near-max points together with their mirrors: mirrors tie exactly in
     theory, the refinement grid is not mirror-symmetric, and only the direct
-    form breaks such ties the way the full-grid sweep does.
+    form breaks such ties the way the full-grid sweep does.  It screens one
+    representative per block of grid points first, and then only the blocks
+    whose Lipschitz bound, the same one as behind ``upper``, reaches the
+    screened maximum; the margin of that bound covers the rounding of the
+    screen and of the bound itself, so the re-scored points, and every
+    reported figure, are those of a screen of the whole half grid.
     """
     m = spec.m
     if m > 3:
@@ -208,8 +301,9 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
         raise ValueError(f"grid resolution {grid_resolution} gives more than "
                          f"{MAX_GRID_POINTS} grid points at m = {m}")
     gram = spec.gram
-    sq_distances = _screen(gram)
-    x0, coarse = _coarse_argmax(gram, sq_distances, grid_resolution, m)
+    screen = _screen(gram)
+    x0, coarse = _coarse_argmax(gram, screen, grid_resolution)
+    sq_distances = screen[0]
 
     # Refinement: finer sweep of the cell around the argmax.
     h = 1.0 / grid_resolution

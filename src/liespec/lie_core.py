@@ -98,6 +98,10 @@ def _validate_structure(entry: LieGroupCatalogEntry) -> None:
         raise ValueError(f"k_max={entry.k_max} inconsistent for {entry.kind}")
     if not np.all(np.isfinite(c)):
         raise ValueError("structure constants must be finite")
+    catalog = _catalog_constants(entry)
+    if catalog is not None and (catalog.shape != c.shape
+                                or np.max(np.abs(c - catalog)) > _STRUCTURE_TOL):
+        raise ValueError(f"structure constants do not match the {entry.kind} catalog")
     if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > _STRUCTURE_TOL:
         raise ValueError("structure constants are not antisymmetric")
     # Jacobi identity: sum over cyclic permutations of c_{ij}^l c_{lk}^r.
@@ -117,6 +121,29 @@ def _su2_constants() -> np.ndarray:
         c[i, j, k] = 2.0
         c[j, i, k] = -2.0
     return c
+
+
+def _block_sum(factors: Sequence[LieGroupCatalogEntry]) -> np.ndarray:
+    """Structure constants of a direct product: the factors' blocks on the diagonal."""
+    m = sum(f.dim for f in factors)
+    c = np.zeros((m, m, m))
+    off = 0
+    for f in factors:
+        d = f.dim
+        c[off:off + d, off:off + d, off:off + d] = f.structure_constants
+        off += d
+    return c
+
+
+def _catalog_constants(entry: LieGroupCatalogEntry):
+    """The structure constants the catalog fixes for the entry's kind, or None."""
+    if entry.kind == "torus":
+        return np.zeros((entry.dim,) * 3)
+    if entry.kind in ("su2", "so3"):
+        return _su2_constants()
+    if entry.kind == "product":
+        return _block_sum(entry.factors)
+    return None
 
 
 def torus_entry(m: int) -> LieGroupCatalogEntry:
@@ -140,14 +167,8 @@ def product_entry(factors: Sequence[LieGroupCatalogEntry]) -> LieGroupCatalogEnt
     every catalog entry is checked; ``torus_entry`` builds tori of any rank.
     """
     factors = tuple(factors)
-    m = sum(f.dim for f in factors)
-    c = np.zeros((m, m, m))
-    off = 0
-    for f in factors:
-        d = f.dim
-        c[off:off + d, off:off + d, off:off + d] = f.structure_constants
-        off += d
-    return LieGroupCatalogEntry("product", m, c, k_max=5, factors=factors)
+    c = _block_sum(factors)
+    return LieGroupCatalogEntry("product", c.shape[0], c, k_max=5, factors=factors)
 
 
 def entry_from_key(key: str) -> LieGroupCatalogEntry:

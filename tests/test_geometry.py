@@ -11,14 +11,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import liespec as ls
-from liespec import _lattice
+from liespec import _lattice, geometry
 from liespec.geometry import (DiameterEstimate, _closest_lattice_distances,
                                _edge_weights, _grid_points)
 from liespec.lie_core import quat_conj, quat_log, quat_mul
+
+
+# FCC-type lattice: its Voronoi cell has many vertices at the covering
+# radius, so many grid points tie for the maximum.
+FCC = np.sqrt(0.5) * np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
 
 
 def bruteforce_lattice_distance(gram, points, radius=12):
@@ -42,6 +48,19 @@ def torus_diameter_reference(spec, res):
     corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
     upper = coarse + math.sqrt(max(float(c @ gram @ c) for c in corners))
     return value, value, upper
+
+
+def half_grid_candidates(gram, res):
+    """Flat indices of the near-max points of a screen of the whole half
+    grid and of their mirrors, ascending."""
+    sq_distances = geometry._screen(gram)[0]
+    shape = (res,) * gram.shape[0]
+    idx = np.stack(np.unravel_index(np.arange((res // 2 + 1) * res ** (len(shape) - 1)),
+                                    shape), axis=1)
+    sq = np.concatenate([sq_distances(idx[i:i + 8192] / res)
+                         for i in range(0, len(idx), 8192)])
+    near = np.flatnonzero(sq >= (1.0 - geometry._SCREEN_RTOL) * sq.max())
+    return np.union1d(near, np.ravel_multi_index((-idx[near] % res).T, shape))
 
 
 def dense_knn_reference(kind, nodes, k):
@@ -169,17 +188,87 @@ class TestTorusDiameter:
             assert np.allclose([est.lower, est.value, est.upper], ref,
                                rtol=1e-12, atol=0), (m, res, seed)
 
+    @pytest.mark.parametrize("A", [FCC, np.diag([3.0, 2.0, 1.0]),
+                                   np.diag([5.0, 0.2, 1.0]), np.eye(3),
+                                   np.diag([1.0, 7.0]), np.eye(1)],
+                             ids=["fcc", "diag321", "diag5-0.2-1", "t3-id",
+                                  "t2-diag17", "t1"])
+    def test_matches_full_grid_sweep_on_ties(self, A):
+        # Symmetric lattices put many grid points at the maximum, so the
+        # block pruning must keep every one of them for the first maximum
+        # to stay that of the full sweep.
+        spec = ls.metric_from_matrix(A)
+        for res in (4, 5, 6, 7, 9, 37, 64):
+            est = ls.torus_diameter(spec, grid_resolution=res)
+            ref = torus_diameter_reference(spec, res)
+            assert np.allclose([est.lower, est.value, est.upper], ref,
+                               rtol=1e-12, atol=0), res
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 3), res=st.integers(4, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_full_grid_sweep_property(self, m, res, seed):
+        spec = ls.sample_metric(ls.torus_entry(m), 0.2, 5.0, seed=seed)
+        est = ls.torus_diameter(spec, grid_resolution=res)
+        ref = torus_diameter_reference(spec, res)
+        assert np.allclose([est.lower, est.value, est.upper], ref,
+                           rtol=1e-12, atol=0)
+
+    def test_rescores_the_points_of_a_whole_half_grid_screen(self, monkeypatch):
+        # The pruning may only skip work: the points re-scored with the
+        # direct form are the near-max points of a screen of every point of
+        # the half grid, and their mirrors.
+        rescored = []
+        direct = geometry._closest_lattice_distances
+
+        def recording(gram, points):
+            rescored.append(points)
+            return direct(gram, points)
+
+        monkeypatch.setattr(geometry, "_closest_lattice_distances", recording)
+        res = 64
+        cases = [(2, seed) for seed in range(100)] + [(3, seed) for seed in range(12)]
+        for m, seed in cases:
+            spec = ls.sample_metric(ls.torus_entry(m), 0.2, 5.0, seed=seed)
+            rescored.clear()
+            ls.torus_diameter(spec, grid_resolution=res)
+            shape = (res,) * m
+            got = np.ravel_multi_index(np.rint(rescored[0] * res).astype(int).T, shape)
+            assert np.array_equal(got, half_grid_candidates(spec.gram, res)), (m, seed)
+
+    def test_sweep_screens_few_points(self, t3, monkeypatch):
+        # The Lipschitz bound rules out most blocks of the half grid, which
+        # has 33 * 64 * 64 = 135168 points at grid 64; representatives and
+        # the refinement pass are counted too.
+        screened = []
+        screen = geometry._screen
+
+        def counting_screen(gram):
+            sq_distances, *rest = screen(gram)
+
+            def counted(points):
+                screened.append(len(points))
+                return sq_distances(points)
+
+            return (counted, *rest)
+
+        monkeypatch.setattr(geometry, "_screen", counting_screen)
+        ls.torus_diameter(ls.sample_metric(t3, 0.2, 5.0, seed=0), grid_resolution=64)
+        assert sum(screened) < 0.35 * 135168
+
     def test_sweep_memory(self, t3):
-        # A full-grid sweep peaks at 34 MiB on this call; the chunked half-grid
-        # sweep at about 10 MiB, mostly one chunk's offsets-by-points block.
-        spec = ls.sample_metric(t3, 0.2, 5.0, seed=0)
-        tracemalloc.start()
-        try:
-            ls.torus_diameter(spec, grid_resolution=64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        # A full-grid sweep peaks at 34 MiB on these calls and a screen of
+        # the whole half grid at 9.7 MiB; the pruned sweep at about 9 MiB,
+        # mostly one chunk's offsets-by-points block.
+        for seed in (0, 215):
+            spec = ls.sample_metric(t3, 0.2, 5.0, seed=seed)
+            tracemalloc.start()
+            try:
+                ls.torus_diameter(spec, grid_resolution=64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * 2 ** 20, seed
 
 
 class TestBiInvariant:

@@ -112,6 +112,26 @@ class TestCatalog:
         with pytest.raises(ValueError, match="exactly two su2/so3 factors"):
             ls.LieGroupCatalogEntry("product", m, nested, k_max=5, factors=(su2xsu2, su2))
 
+    def test_constants_must_match_the_catalog(self, su2, so3, t3, su2xsu2):
+        zeros = np.zeros((3, 3, 3))
+        forged = [("product", 6, np.zeros((6, 6, 6)), 5, (su2, su2)),
+                  ("su2", 3, zeros, 2, ()), ("so3", 3, zeros, 2, ()),
+                  ("torus", 3, su2.structure_constants, 3, ())]
+        for kind, dim, c, k_max, factors in forged:
+            with pytest.raises(ValueError, match="do not match the"):
+                ls.LieGroupCatalogEntry(kind, dim, c, k_max=k_max, factors=factors)
+        # A product's constants are the block sum of its own factors'.
+        mixed = ls.product_entry([so3, su2])
+        with pytest.raises(ValueError, match="do not match the product catalog"):
+            ls.LieGroupCatalogEntry("product", 6, mixed.structure_constants[::-1, ::-1, ::-1],
+                                    k_max=5, factors=(so3, su2))
+        for entry in (su2, so3, t3, su2xsu2, mixed, ls.product_entry([so3, so3])):
+            again = ls.LieGroupCatalogEntry(entry.kind, entry.dim, entry.structure_constants,
+                                            k_max=entry.k_max, factors=entry.factors)
+            assert again.name == entry.name
+        for key in ("t1", "t2", "t3", "t4", "su2", "so3", "su2xsu2"):
+            ls.entry_from_key(key)
+
     def test_entry_from_key(self):
         assert ls.entry_from_key("t2").dim == 2
         assert ls.entry_from_key("t4").dim == 4
