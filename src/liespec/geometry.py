@@ -19,25 +19,27 @@ cached across runs.  Each metric then pays for one weight per edge, a
 gather of those weights into both directions and one directed Dijkstra,
 about 40 ms.
 
-The torus grid sweep covers half the grid: Z^m = -Z^m, so a grid point and
-its mirror are equally far from the lattice.  It screens one point of each
-block of 4^m grid points, then, in chunks with one matmul against all
-polish offsets, the points of the blocks that could hold a near-max point:
-the distance to the lattice is 1-Lipschitz, so a block whose
-representative lies further below the maximum than the block is wide is
-skipped.  It then re-scores every point within a relative 1e-9 of the
-screened maximum, and its mirror, with the direct form.  Mirrors tie only
-in exact arithmetic, and the refinement pass is not mirror-symmetric, so
-the re-score keeps the argmax, and every reported figure, that of a full
-direct sweep.  t3 at grid 64 takes about 11 ms.  All timings are one BLAS
-thread on a 2-core Intel Xeon.
+The torus grid sweep reduces the metric form once per call and keeps only
+the closest-vector polish offsets that can beat the origin in the reduced
+basis (27 of 125 at t3 in the median).  It covers half the grid: Z^m = -Z^m,
+so a grid point and its mirror are equally far from the lattice.  It
+screens one point of each block of 4^m grid points, then, in chunks with
+one matmul against the kept offsets, the points of the blocks that could
+hold a near-max point: the distance to the lattice is 1-Lipschitz, so a
+block whose representative lies further below the maximum than the block
+is wide is skipped.  It then re-scores every point within a relative 1e-9
+of the screened maximum, and its mirror, with the direct form.  Mirrors
+tie only in exact arithmetic, and the refinement pass is not
+mirror-symmetric, so the re-score keeps the argmax, and every reported
+figure, that of a full direct sweep.  t3 at grid 64 takes about 3.5 ms.
+All timings are one BLAS thread on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -71,8 +73,11 @@ _SCREEN_RTOL = 1e-9
 # The coarse sweep screens one representative per block of _BLOCK grid points
 # per axis, then only the blocks whose Lipschitz bound reaches the maximum.
 _BLOCK = 4
-# Closest-vector polish box [-2, 2]^m around the Babai point, both sweeps.
+# Closest-vector polish box [-2, 2]^m around the Babai point, both sweeps,
+# of which ``_reduce`` keeps the offsets that can beat the origin: those
+# whose lower bound lies within _KEEP_EPS machine epsilons of it.
 _POLISH_RADIUS = 2
+_KEEP_EPS = 1024
 
 
 @dataclass(frozen=True)
@@ -111,20 +116,87 @@ class PaperBounds:
 # Flat torus: covering radius of Z^m under the metric Gram form
 # ---------------------------------------------------------------------------
 
-def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray) -> np.ndarray:
+class _Reduced(NamedTuple):
+    """A gram form reduced once for every closest-vector pass of a sweep.
+
+    ``U`` is the ``greedy_reduce`` basis as floats, ``Qp = U^t gram U`` the
+    reduced form, and ``offsets`` the polish offsets kept from the
+    [-2, 2]^m box (as floats, the origin among them).
+    """
+
+    U: np.ndarray
+    Qp: np.ndarray
+    offsets: np.ndarray
+
+
+def _reduce(gram: np.ndarray) -> _Reduced:
+    """Reduce gram and keep the polish offsets that can beat the origin.
+
+    After rounding, the reduced coordinates E of a point lie in
+    [-1/2, 1/2]^m.  For an offset o let c = o'Qp o and
+    reach = max(sum_i |(o'Qp)_i|, sum_i |(Qp o)_i|).  Both the screen term
+    c - 2 o'Qp E and the direct-form excess |E - o|^2 - |E|^2 =
+    c - o'Qp E - E'Qp o are at least c - reach exactly, whichever side of
+    the stored, not quite symmetric, Qp they take.  An offset is kept when
+
+        c - reach <= _KEEP_EPS eps (c + reach + q),   q = sum |Qp_ij|.
+
+    Why a dropped offset never wins.  Let u = eps / 2 be the unit roundoff.
+    With |E| <= 1/2 and |o| <= 2 entrywise, |E - o| <= 5/2; products with
+    an entry of o are exact, and a sum of k terms errs by at most k u times
+    the sum of their absolute values.  At m = 3, the worst case:
+
+    * Screen.  The origin's row computes to zero exactly.  Row o is
+      fl(fl(P E) + fl(c)) with P = -2 fl(o'Qp): P E errs by at most
+      (3m - 2) u 2q = 14 u q and fl(c) by m^2 u 4q = 36 u q, and the last
+      rounding keeps the sign.  So the row computes above
+      c - reach - 50 u q.
+    * Direct form.  fl(E - o) errs by u |E - o| per entry and the einsum
+      adds m^2 terms of two products each, so fl(|E - o|^2) errs by at
+      most (m^2 + 3) u (25/4) q = 75 u q and fl(|E|^2) by
+      (m^2 + 1) u q / 4 = 2.5 u q: their computed difference is above
+      c - reach - 78 u q.
+    * The test.  Its fl(c) errs by 36 u q, its reach by (2m - 2) u 2q =
+      8 u q, and its difference by u (c + reach).
+
+    So a dropped offset has an exact c - reach above the margin less
+    44 u q + u (c + reach), and it computes strictly above the origin in
+    both forms once c - reach exceeds 78 u q.  The margin must thus cover
+    122 u q + u (c + reach), below 64 eps (c + reach + q); it keeps a
+    factor 16 over that, away from underflow.  Every minimum, and every
+    figure built on one, is then that of the whole box.  A dropped offset
+    is also strictly farther than the origin in exact arithmetic, so the
+    kept offsets hold a closest lattice vector whenever the whole box
+    does.  In a reduced basis the t3 pool metrics keep 27 of the 125
+    offsets in the median, 35 at most.
+    """
+    U = _lattice.greedy_reduce(gram).astype(float)
+    Qp = U.T @ gram @ U
+    box = _lattice.enumerate_box(_POLISH_RADIUS, gram.shape[0]).astype(float)
+    c = np.einsum("ki,ij,kj->k", box, Qp, box)
+    reach = np.maximum(np.abs(box @ Qp).sum(axis=1), np.abs(box @ Qp.T).sum(axis=1))
+    q = float(np.abs(Qp).sum())
+    keep = c - reach <= _KEEP_EPS * np.finfo(float).eps * (c + reach + q)
+    return _Reduced(U, Qp, box[keep])
+
+
+def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray,
+                               reduced: _Reduced | None = None) -> np.ndarray:
     """Distance of each point to Z^m under the form gram.
 
     Works in a greedy-reduced basis: round to the nearest basis combination
-    (Babai) and polish over a small coefficient box, which is reliable for the
-    reduced bases arising at m <= 3.
+    (Babai) and polish over the offsets that ``_reduce`` keeps of a
+    [-2, 2]^m coefficient box, which is reliable for the reduced bases
+    arising at m <= 3.  Each offset is its own direct-form pass over the
+    points: an einsum over all offsets at once rounds differently and moves
+    some distances by an ulp.
+    ``reduced`` is ``_reduce(gram)``, computed here when not given.
     """
-    m = gram.shape[0]
-    U = _lattice.greedy_reduce(gram).astype(float)
-    Qp = U.T @ gram @ U
+    U, Qp, offsets = _reduce(gram) if reduced is None else reduced
     T = np.linalg.solve(U, points.T).T
     E = T - np.rint(T)
     best = np.full(points.shape[0], np.inf)
-    for off in _lattice.enumerate_box(_POLISH_RADIUS, m):
+    for off in offsets:
         D = E - off
         vals = np.einsum("ni,ij,nj->n", D, Qp, D)
         np.minimum(best, vals, out=best)
@@ -136,20 +208,18 @@ def _grid_points(res: int, m: int) -> np.ndarray:
     return idx.astype(float) / res
 
 
-def _screen(gram: np.ndarray):
-    """Squared distances to Z^m for many points, all polish offsets at once.
+def _screen(gram: np.ndarray, reduced: _Reduced | None = None):
+    """Squared distances to Z^m for many points, all kept offsets at once.
 
-    Same reduced basis and offset box as ``_closest_lattice_distances``, with
+    Same reduced basis and offsets as ``_closest_lattice_distances``, with
     |E - o|^2 = E'QE - 2E'Qo + o'Qo expanded so that a block of points costs
     one matmul against every offset.  The expansion rounds differently from
     the direct form, so its values only screen candidates for an exact
-    re-score.  Returns the screen with the two matrices it computes with:
-    ``to_basis``, which takes a point to reduced coordinates, and the
-    reduced form ``Qp``.
+    re-score.  Returns the screen with ``to_basis``, which takes a point to
+    reduced coordinates.  ``reduced`` is ``_reduce(gram)``, computed here
+    when not given.
     """
-    U = _lattice.greedy_reduce(gram).astype(float)
-    Qp = U.T @ gram @ U
-    offsets = _lattice.enumerate_box(_POLISH_RADIUS, gram.shape[0]).astype(float)
+    U, Qp, offsets = _reduce(gram) if reduced is None else reduced
     P = -2.0 * offsets @ Qp
     c = np.einsum("ki,ij,kj->k", offsets, Qp, offsets)[:, None]
     to_basis = np.linalg.inv(U)
@@ -161,7 +231,7 @@ def _screen(gram: np.ndarray):
         S += c
         return S.min(axis=0) + ((Qp @ E) * E).sum(axis=0)
 
-    return sq_distances, to_basis, Qp
+    return sq_distances, to_basis
 
 
 def _near_max(sq: np.ndarray) -> np.ndarray:
@@ -169,7 +239,7 @@ def _near_max(sq: np.ndarray) -> np.ndarray:
     return np.flatnonzero(sq >= (1.0 - _SCREEN_RTOL) * sq.max())
 
 
-def _coarse_argmax(gram: np.ndarray, screen, res: int):
+def _coarse_argmax(gram: np.ndarray, reduced: _Reduced, screen, res: int):
     """First farthest grid point i/res in flat-index order, and its distance.
 
     Z^m = -Z^m, so point i/res ties with its mirror (-i mod res)/res.  Every
@@ -187,14 +257,17 @@ def _coarse_argmax(gram: np.ndarray, screen, res: int):
     screen holds them, in floating point, and let psi(y) be the squared
     distance from y to Z^m under the symmetric part of Q.  As everywhere in
     the torus code, the polish box around rint(y) holds a closest lattice
-    vector, so the screen s(x) evaluates psi(fl(T x)), and sqrt(psi) is
-    1-Lipschitz in that form.  With eps the machine epsilon,
-    q = sum |Q_ij|, t = ||T||_inf and a = sum |Q_ij - Q_ji|, set
+    vector, and so do the offsets ``_reduce`` keeps of it, since each one
+    dropped lies strictly farther than the origin; so the screen s(x)
+    evaluates psi(fl(T x)), and sqrt(psi) is 1-Lipschitz in that form.
+    With eps the machine epsilon, q = sum |Q_ij|, t = ||T||_inf and
+    a = sum |Q_ij - Q_ji|, set
 
         delta = a + 4096 eps q (1 + t)^2.
 
-    * Screen.  After rounding, |E| <= 1/2 and |o| <= 2 entrywise, so the
-      three expanded terms are at most q/4, 2q and 4q in absolute value.
+    * Screen.  After rounding, |E| <= 1/2 and every kept offset has
+      |o| <= 2 entrywise, so the three expanded terms are at most q/4, 2q
+      and 4q in absolute value.
       Writing the cross term as -2 o'QE errs by o'(Q' - Q)E, at most a, and
       each term takes at most m^2 + 2 roundings, so
       |s(x) - psi(fl(T x))| <= a + 4 (m^2 + 2) eps q.
@@ -223,7 +296,8 @@ def _coarse_argmax(gram: np.ndarray, screen, res: int):
     At grid 64 the t3 pool metrics (``sample_metric`` seeds 0-255) screen
     2-58% of the half grid, 8% in the median, representatives included.
     """
-    sq_distances, to_basis, Qp = screen
+    sq_distances, to_basis = screen
+    Qp = reduced.Qp
     m = gram.shape[0]
     shape = (res,) * m
     half = np.array((res // 2 + 1,) + shape[1:])
@@ -268,7 +342,7 @@ def _coarse_argmax(gram: np.ndarray, screen, res: int):
     near = np.concatenate(found)[_near_max(np.concatenate(found_sq))]
     mirrors = np.ravel_multi_index((-coords(near) % res).T, shape)
     pts = coords(np.union1d(near, mirrors)) / res
-    dists = _closest_lattice_distances(gram, pts)
+    dists = _closest_lattice_distances(gram, pts, reduced)
     k = int(np.argmax(dists))
     return pts[k], float(dists[k])
 
@@ -280,6 +354,8 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
     bound adds the exact worst-case distance from a torus point to the grid
     (the distance function to the lattice is 1-Lipschitz in the metric norm).
 
+    The form is reduced once per call, and both sweeps polish over the
+    offsets ``_reduce`` keeps, which give the minima of the whole box.
     Both sweeps screen with the expanded form and re-score every point within
     ``_SCREEN_RTOL`` of the screened maximum with the direct form, then take
     the first maximum.  The coarse sweep covers half the grid and re-scores
@@ -301,15 +377,16 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
         raise ValueError(f"grid resolution {grid_resolution} gives more than "
                          f"{MAX_GRID_POINTS} grid points at m = {m}")
     gram = spec.gram
-    screen = _screen(gram)
-    x0, coarse = _coarse_argmax(gram, screen, grid_resolution)
+    reduced = _reduce(gram)
+    screen = _screen(gram, reduced)
+    x0, coarse = _coarse_argmax(gram, reduced, screen, grid_resolution)
     sq_distances = screen[0]
 
     # Refinement: finer sweep of the cell around the argmax.
     h = 1.0 / grid_resolution
     local = _grid_points(17, m) * (2 * h) - h + x0
     near = _near_max(sq_distances(local))
-    ld = _closest_lattice_distances(gram, local[near])
+    ld = _closest_lattice_distances(gram, local[near], reduced)
     value = max(coarse, float(np.max(ld)))
 
     corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)

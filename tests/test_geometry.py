@@ -20,11 +20,14 @@ from liespec import _lattice, geometry
 from liespec.geometry import (DiameterEstimate, _closest_lattice_distances,
                                _edge_weights, _grid_points)
 from liespec.lie_core import quat_conj, quat_log, quat_mul
+from liespec.metric_space import random_rotation
 
 
 # FCC-type lattice: its Voronoi cell has many vertices at the covering
 # radius, so many grid points tie for the maximum.
 FCC = np.sqrt(0.5) * np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+# Hexagonal lattice basis: every Voronoi vertex of the plane lattice ties.
+HEX = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
 
 
 def bruteforce_lattice_distance(gram, points, radius=12):
@@ -32,6 +35,26 @@ def bruteforce_lattice_distance(gram, points, radius=12):
     diffs = points[:, None, :] - box[None, :, :]
     vals = np.einsum("pni,ij,pnj->pn", diffs, gram, diffs)
     return np.sqrt(np.min(vals, axis=1))
+
+
+def check_kept_offsets(gram, rng):
+    """The offsets ``_reduce`` keeps give the screen and the direct form of
+    the whole [-2, 2]^m polish box bit for bit, and the distances of a
+    brute-force search over the reduced basis."""
+    m = gram.shape[0]
+    reduced = geometry._reduce(gram)
+    whole = reduced._replace(
+        offsets=_lattice.enumerate_box(geometry._POLISH_RADIUS, m).astype(float))
+    assert np.any(np.all(reduced.offsets == 0, axis=1))
+    assert len(reduced.offsets) <= 5 ** m
+    pts = np.vstack([rng.uniform(-1.0, 2.0, (100, m)), _grid_points(4, m)])
+    kept_sq = geometry._screen(gram, reduced)[0](pts)
+    assert kept_sq.tobytes() == geometry._screen(gram, whole)[0](pts).tobytes()
+    got = _closest_lattice_distances(gram, pts, reduced)
+    assert got.tobytes() == _closest_lattice_distances(gram, pts, whole).tobytes()
+    T = np.linalg.solve(reduced.U, pts.T).T
+    ref = bruteforce_lattice_distance(reduced.Qp, T - np.rint(T), radius=6)
+    assert np.max(np.abs(got - ref)) <= 1e-10
 
 
 def torus_diameter_reference(spec, res):
@@ -155,6 +178,32 @@ class TestTorusDiameter:
                 ref = bruteforce_lattice_distance(gram, pts, radius=14)
                 assert np.max(np.abs(got - ref)) <= 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_kept_offsets_match_the_whole_box(self, m, seed):
+        rng = np.random.default_rng(seed)
+        sig = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), m))
+        A = random_rotation(m, rng) @ np.diag(sig) @ random_rotation(m, rng)
+        check_kept_offsets(ls.metric_from_matrix(A).gram, rng)
+
+    @pytest.mark.parametrize("A", [FCC, np.linalg.inv(FCC).T, HEX, np.eye(3),
+                                   np.eye(2), np.eye(1)],
+                             ids=["fcc", "fcc-dual", "hex", "t3-id", "t2-id", "t1-id"])
+    def test_kept_offsets_match_the_whole_box_on_ties(self, A):
+        check_kept_offsets(ls.metric_from_matrix(A).gram, np.random.default_rng(32))
+
+    def test_reduces_once_per_call(self, t3, monkeypatch):
+        calls = []
+        reduce = _lattice.greedy_reduce
+
+        def counting_reduce(Q):
+            calls.append(Q)
+            return reduce(Q)
+
+        monkeypatch.setattr(_lattice, "greedy_reduce", counting_reduce)
+        ls.torus_diameter(ls.sample_metric(t3, 0.2, 5.0, seed=0))
+        assert len(calls) == 1
+
     def test_li_inequality_on_random_metrics(self, t2, torus_gap):
         for seed in range(25):
             spec = ls.sample_metric(t2, 0.2, 5.0, seed=seed)
@@ -221,9 +270,9 @@ class TestTorusDiameter:
         rescored = []
         direct = geometry._closest_lattice_distances
 
-        def recording(gram, points):
+        def recording(gram, points, *args):
             rescored.append(points)
-            return direct(gram, points)
+            return direct(gram, points, *args)
 
         monkeypatch.setattr(geometry, "_closest_lattice_distances", recording)
         res = 64
@@ -243,8 +292,8 @@ class TestTorusDiameter:
         screened = []
         screen = geometry._screen
 
-        def counting_screen(gram):
-            sq_distances, *rest = screen(gram)
+        def counting_screen(gram, *args):
+            sq_distances, *rest = screen(gram, *args)
 
             def counted(points):
                 screened.append(len(points))
@@ -258,8 +307,9 @@ class TestTorusDiameter:
 
     def test_sweep_memory(self, t3):
         # A full-grid sweep peaks at 34 MiB on these calls and a screen of
-        # the whole half grid at 9.7 MiB; the pruned sweep at about 9 MiB,
-        # mostly one chunk's offsets-by-points block.
+        # the whole half grid at 9.7 MiB.  The pruned sweep against the
+        # offsets kept of the polish box peaks at 3.25 MiB at seed 0, the
+        # worst over seeds 0-255, mostly one chunk's offsets-by-points block.
         for seed in (0, 215):
             spec = ls.sample_metric(t3, 0.2, 5.0, seed=seed)
             tracemalloc.start()
@@ -268,7 +318,7 @@ class TestTorusDiameter:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 12 * 2 ** 20, seed
+            assert peak <= 5 * 2 ** 20, seed
 
 
 class TestBiInvariant:
