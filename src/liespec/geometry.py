@@ -180,9 +180,8 @@ def _reduce(gram: np.ndarray) -> _Reduced:
     return _Reduced(U, Qp, box[keep])
 
 
-def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray,
-                               reduced: _Reduced | None = None) -> np.ndarray:
-    """Distance of each point to Z^m under the form gram.
+def _closest_lattice_distances(points: np.ndarray, reduced: _Reduced) -> np.ndarray:
+    """Distance of each point to Z^m under the form that ``reduced`` reduces.
 
     Works in a greedy-reduced basis: round to the nearest basis combination
     (Babai) and polish over the offsets that ``_reduce`` keeps of a
@@ -190,9 +189,8 @@ def _closest_lattice_distances(gram: np.ndarray, points: np.ndarray,
     arising at m <= 3.  Each offset is its own direct-form pass over the
     points: an einsum over all offsets at once rounds differently and moves
     some distances by an ulp.
-    ``reduced`` is ``_reduce(gram)``, computed here when not given.
     """
-    U, Qp, offsets = _reduce(gram) if reduced is None else reduced
+    U, Qp, offsets = reduced
     T = np.linalg.solve(U, points.T).T
     E = T - np.rint(T)
     best = np.full(points.shape[0], np.inf)
@@ -208,7 +206,7 @@ def _grid_points(res: int, m: int) -> np.ndarray:
     return idx.astype(float) / res
 
 
-def _screen(gram: np.ndarray, reduced: _Reduced | None = None):
+def _screen(reduced: _Reduced):
     """Squared distances to Z^m for many points, all kept offsets at once.
 
     Same reduced basis and offsets as ``_closest_lattice_distances``, with
@@ -216,10 +214,9 @@ def _screen(gram: np.ndarray, reduced: _Reduced | None = None):
     one matmul against every offset.  The expansion rounds differently from
     the direct form, so its values only screen candidates for an exact
     re-score.  Returns the screen with ``to_basis``, which takes a point to
-    reduced coordinates.  ``reduced`` is ``_reduce(gram)``, computed here
-    when not given.
+    reduced coordinates.
     """
-    U, Qp, offsets = _reduce(gram) if reduced is None else reduced
+    U, Qp, offsets = reduced
     P = -2.0 * offsets @ Qp
     c = np.einsum("ki,ij,kj->k", offsets, Qp, offsets)[:, None]
     to_basis = np.linalg.inv(U)
@@ -239,7 +236,7 @@ def _near_max(sq: np.ndarray) -> np.ndarray:
     return np.flatnonzero(sq >= (1.0 - _SCREEN_RTOL) * sq.max())
 
 
-def _coarse_argmax(gram: np.ndarray, reduced: _Reduced, screen, res: int):
+def _coarse_argmax(reduced: _Reduced, screen, res: int):
     """First farthest grid point i/res in flat-index order, and its distance.
 
     Z^m = -Z^m, so point i/res ties with its mirror (-i mod res)/res.  Every
@@ -298,7 +295,7 @@ def _coarse_argmax(gram: np.ndarray, reduced: _Reduced, screen, res: int):
     """
     sq_distances, to_basis = screen
     Qp = reduced.Qp
-    m = gram.shape[0]
+    m = Qp.shape[0]
     shape = (res,) * m
     half = np.array((res // 2 + 1,) + shape[1:])
     blocks = tuple(-(-half // _BLOCK))
@@ -342,7 +339,7 @@ def _coarse_argmax(gram: np.ndarray, reduced: _Reduced, screen, res: int):
     near = np.concatenate(found)[_near_max(np.concatenate(found_sq))]
     mirrors = np.ravel_multi_index((-coords(near) % res).T, shape)
     pts = coords(np.union1d(near, mirrors)) / res
-    dists = _closest_lattice_distances(gram, pts, reduced)
+    dists = _closest_lattice_distances(pts, reduced)
     k = int(np.argmax(dists))
     return pts[k], float(dists[k])
 
@@ -378,15 +375,15 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
                          f"{MAX_GRID_POINTS} grid points at m = {m}")
     gram = spec.gram
     reduced = _reduce(gram)
-    screen = _screen(gram, reduced)
-    x0, coarse = _coarse_argmax(gram, reduced, screen, grid_resolution)
+    screen = _screen(reduced)
+    x0, coarse = _coarse_argmax(reduced, screen, grid_resolution)
     sq_distances = screen[0]
 
     # Refinement: finer sweep of the cell around the argmax.
     h = 1.0 / grid_resolution
     local = _grid_points(17, m) * (2 * h) - h + x0
     near = _near_max(sq_distances(local))
-    ld = _closest_lattice_distances(gram, local[near], reduced)
+    ld = _closest_lattice_distances(local[near], reduced)
     value = max(coarse, float(np.max(ld)))
 
     corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
@@ -460,6 +457,10 @@ class Net:
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def __reduce__(self):
+        # Through the constructor, so that unpickled arrays are read-only too.
+        return Net, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_nodes(self) -> int:

@@ -1,9 +1,10 @@
 """Catalog of supported compact groups: brackets, subalgebras, quaternions.
 
-Every group is described by a `LieGroupCatalogEntry` holding the structure
-constants of its Lie algebra in a fixed orthonormal basis.  The catalog covers
-flat tori T^m, the unit quaternions SU(2), the rotation group SO(3) (unit
-quaternions modulo sign), and products of two SU(2)/SO(3) factors.
+Every group is a `LieGroupCatalogEntry`: its kind, dimension and factors.
+The structure constants of its Lie algebra in a fixed orthonormal basis, and
+its k_max, are derived from the kind.  The catalog covers flat tori T^m, the
+unit quaternions SU(2), the rotation group SO(3) (unit quaternions modulo
+sign), and products of two SU(2)/SO(3) factors.
 
 Conventions baked into the catalog:
 
@@ -45,8 +46,6 @@ __all__ = [
 # Rank decisions in subalgebra closures use this relative singular-value cut.
 RANK_TOL = 1e-9
 
-_STRUCTURE_TOL = 1e-12
-
 
 def su_n_k_max(n: int) -> int:
     """Largest-proper-subgroup index for SU(n): n^2 - 2n + 2."""
@@ -55,27 +54,61 @@ def su_n_k_max(n: int) -> int:
 
 @dataclass(frozen=True)
 class LieGroupCatalogEntry:
-    """One supported group: structure constants plus group-level metadata.
+    """One supported group, fixed by its kind, dimension and factors.
 
-    ``structure_constants[i, j, k]`` is the coefficient of the k-th basis
-    vector in [X_i, X_j].  ``k_max`` is 1 plus the largest dimension of a
-    proper closed subgroup.
+    A torus of any rank ``dim >= 1``, su2 or so3 of dimension 3, or a
+    product of two su2/so3 ``factors`` of dimension 6; anything else is
+    refused.  ``structure_constants`` and ``k_max`` are derived from these
+    three fields, so equal entries compare and hash equal, and an entry
+    pickles as its three fields.
     """
 
     kind: str  # 'torus' | 'su2' | 'so3' | 'product'
     dim: int
-    structure_constants: np.ndarray
-    k_max: int
     factors: tuple = ()
 
     def __post_init__(self):
-        c = np.asarray(self.structure_constants, dtype=float)
-        if c.shape != (self.dim, self.dim, self.dim):
-            raise ValueError("structure constant tensor has wrong shape")
-        c = c.copy()
+        object.__setattr__(self, "factors", tuple(self.factors))
+        expected = {"torus": self.dim, "su2": 3, "so3": 3, "product": 6}.get(self.kind)
+        if expected is None:
+            raise ValueError(f"unknown group kind: {self.kind!r}")
+        if self.kind == "product":
+            if len(self.factors) != 2 or not all(
+                    isinstance(f, LieGroupCatalogEntry) and f.kind in ("su2", "so3")
+                    for f in self.factors):
+                raise ValueError("a product has exactly two su2/so3 factors")
+        elif self.factors:
+            raise ValueError(f"only a product has factors, not {self.kind}")
+        if self.kind == "torus" and not self.dim >= 1:
+            raise ValueError("torus dimension must be >= 1")
+        if self.dim != expected:
+            raise ValueError(f"{self.kind} has dimension {expected}, not {self.dim}")
+
+    @property
+    def structure_constants(self) -> np.ndarray:
+        """``[i, j, k]`` is the coefficient of the k-th basis vector in [X_i, X_j].
+
+        Zero for a torus, the su2 brackets for su2 and so3, and the factors'
+        blocks on the diagonal for a product; read-only, built on each read.
+        """
+        m = self.dim
+        c = np.zeros((m, m, m))
+        if self.kind in ("su2", "so3"):
+            for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                c[i, j, k] = 2.0
+                c[j, i, k] = -2.0
+        off = 0
+        for f in self.factors:
+            d = f.dim
+            c[off:off + d, off:off + d, off:off + d] = f.structure_constants
+            off += d
         c.flags.writeable = False
-        object.__setattr__(self, "structure_constants", c)
-        _validate_structure(self)
+        return c
+
+    @property
+    def k_max(self) -> int:
+        """1 plus the largest dimension of a proper closed subgroup."""
+        return {"torus": self.dim, "product": 5}.get(self.kind, 2)
 
     @property
     def name(self) -> str:
@@ -86,89 +119,25 @@ class LieGroupCatalogEntry:
         return self.kind
 
 
-def _validate_structure(entry: LieGroupCatalogEntry) -> None:
-    c = entry.structure_constants
-    m = entry.dim
-    # Catalog consistency for the supported kinds, checked first: it is cheap.
-    if entry.kind == "product" and (
-            len(entry.factors) != 2 or any(f.kind not in ("su2", "so3") for f in entry.factors)):
-        raise ValueError("a product has exactly two su2/so3 factors")
-    expected = {"torus": m, "su2": 2, "so3": 2, "product": 5}.get(entry.kind)
-    if expected is not None and entry.k_max != expected:
-        raise ValueError(f"k_max={entry.k_max} inconsistent for {entry.kind}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("structure constants must be finite")
-    catalog = _catalog_constants(entry)
-    if catalog is not None and (catalog.shape != c.shape
-                                or np.max(np.abs(c - catalog)) > _STRUCTURE_TOL):
-        raise ValueError(f"structure constants do not match the {entry.kind} catalog")
-    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > _STRUCTURE_TOL:
-        raise ValueError("structure constants are not antisymmetric")
-    # Jacobi identity: sum over cyclic permutations of c_{ij}^l c_{lk}^r.
-    t = np.einsum("ijl,lkr->ijkr", c, c)
-    jac = t + np.einsum("jkl,lir->ijkr", c, c) + np.einsum("kil,ljr->ijkr", c, c)
-    if np.max(np.abs(jac)) > _STRUCTURE_TOL:
-        raise ValueError("structure constants violate the Jacobi identity")
-    # The reference inner product is Ad-invariant iff ad(X_i) is skew,
-    # i.e. c_{ij}^k + c_{ik}^j = 0.
-    if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > _STRUCTURE_TOL:
-        raise ValueError("reference inner product is not Ad-invariant")
-
-
-def _su2_constants() -> np.ndarray:
-    c = np.zeros((3, 3, 3))
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k] = 2.0
-        c[j, i, k] = -2.0
-    return c
-
-
-def _block_sum(factors: Sequence[LieGroupCatalogEntry]) -> np.ndarray:
-    """Structure constants of a direct product: the factors' blocks on the diagonal."""
-    m = sum(f.dim for f in factors)
-    c = np.zeros((m, m, m))
-    off = 0
-    for f in factors:
-        d = f.dim
-        c[off:off + d, off:off + d, off:off + d] = f.structure_constants
-        off += d
-    return c
-
-
-def _catalog_constants(entry: LieGroupCatalogEntry):
-    """The structure constants the catalog fixes for the entry's kind, or None."""
-    if entry.kind == "torus":
-        return np.zeros((entry.dim,) * 3)
-    if entry.kind in ("su2", "so3"):
-        return _su2_constants()
-    if entry.kind == "product":
-        return _block_sum(entry.factors)
-    return None
-
-
 def torus_entry(m: int) -> LieGroupCatalogEntry:
-    if m < 1:
-        raise ValueError("torus dimension must be >= 1")
-    return LieGroupCatalogEntry("torus", m, np.zeros((m, m, m)), k_max=m)
+    return LieGroupCatalogEntry("torus", m)
 
 
 def su2_entry() -> LieGroupCatalogEntry:
-    return LieGroupCatalogEntry("su2", 3, _su2_constants(), k_max=2)
+    return LieGroupCatalogEntry("su2", 3)
 
 
 def so3_entry() -> LieGroupCatalogEntry:
-    return LieGroupCatalogEntry("so3", 3, _su2_constants(), k_max=2)
+    return LieGroupCatalogEntry("so3", 3)
 
 
 def product_entry(factors: Sequence[LieGroupCatalogEntry]) -> LieGroupCatalogEntry:
     """Direct product of two su2/so3 factors, with k_max = 5.
 
-    Anything else, tori and three or more factors included, is refused where
-    every catalog entry is checked; ``torus_entry`` builds tori of any rank.
+    Anything else, tori and three or more factors included, is refused;
+    ``torus_entry`` builds tori of any rank.
     """
-    factors = tuple(factors)
-    c = _block_sum(factors)
-    return LieGroupCatalogEntry("product", c.shape[0], c, k_max=5, factors=factors)
+    return LieGroupCatalogEntry("product", 6, tuple(factors))
 
 
 def entry_from_key(key: str) -> LieGroupCatalogEntry:

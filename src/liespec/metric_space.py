@@ -65,6 +65,10 @@ class MetricSpec:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # Through the constructor, so that unpickled arrays are read-only too.
+        return MetricSpec, (self.A, self.AAt, self.sigma, self.P_sort, self.gram)
+
 
 def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     """Build a MetricSpec from an invertible matrix.

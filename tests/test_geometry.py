@@ -48,10 +48,10 @@ def check_kept_offsets(gram, rng):
     assert np.any(np.all(reduced.offsets == 0, axis=1))
     assert len(reduced.offsets) <= 5 ** m
     pts = np.vstack([rng.uniform(-1.0, 2.0, (100, m)), _grid_points(4, m)])
-    kept_sq = geometry._screen(gram, reduced)[0](pts)
-    assert kept_sq.tobytes() == geometry._screen(gram, whole)[0](pts).tobytes()
-    got = _closest_lattice_distances(gram, pts, reduced)
-    assert got.tobytes() == _closest_lattice_distances(gram, pts, whole).tobytes()
+    kept_sq = geometry._screen(reduced)[0](pts)
+    assert kept_sq.tobytes() == geometry._screen(whole)[0](pts).tobytes()
+    got = _closest_lattice_distances(pts, reduced)
+    assert got.tobytes() == _closest_lattice_distances(pts, whole).tobytes()
     T = np.linalg.solve(reduced.U, pts.T).T
     ref = bruteforce_lattice_distance(reduced.Qp, T - np.rint(T), radius=6)
     assert np.max(np.abs(got - ref)) <= 1e-10
@@ -60,13 +60,14 @@ def check_kept_offsets(gram, rng):
 def torus_diameter_reference(spec, res):
     """(lower, value, upper) from a full-grid direct sweep."""
     m, gram = spec.m, spec.gram
+    reduced = geometry._reduce(gram)
     pts = _grid_points(res, m)
-    dists = _closest_lattice_distances(gram, pts)
+    dists = _closest_lattice_distances(pts, reduced)
     i0 = int(np.argmax(dists))
     coarse = float(dists[i0])
     h = 1.0 / res
     local = _grid_points(17, m) * (2 * h) - h + pts[i0]
-    ld = _closest_lattice_distances(gram, local)
+    ld = _closest_lattice_distances(local, reduced)
     value = max(coarse, float(np.max(ld)))
     corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
     upper = coarse + math.sqrt(max(float(c @ gram @ c) for c in corners))
@@ -76,7 +77,7 @@ def torus_diameter_reference(spec, res):
 def half_grid_candidates(gram, res):
     """Flat indices of the near-max points of a screen of the whole half
     grid and of their mirrors, ascending."""
-    sq_distances = geometry._screen(gram)[0]
+    sq_distances = geometry._screen(geometry._reduce(gram))[0]
     shape = (res,) * gram.shape[0]
     idx = np.stack(np.unravel_index(np.arange((res // 2 + 1) * res ** (len(shape) - 1)),
                                     shape), axis=1)
@@ -174,7 +175,7 @@ class TestTorusDiameter:
                 q, _ = np.linalg.qr(rng.standard_normal((m, m)))
                 gram = ls.metric_from_matrix(q @ np.diag(sig)).gram
                 pts = rng.uniform(0, 1, (40, m))
-                got = _closest_lattice_distances(gram, pts)
+                got = _closest_lattice_distances(pts, geometry._reduce(gram))
                 ref = bruteforce_lattice_distance(gram, pts, radius=14)
                 assert np.max(np.abs(got - ref)) <= 1e-10
 
@@ -270,9 +271,9 @@ class TestTorusDiameter:
         rescored = []
         direct = geometry._closest_lattice_distances
 
-        def recording(gram, points, *args):
+        def recording(points, reduced):
             rescored.append(points)
-            return direct(gram, points, *args)
+            return direct(points, reduced)
 
         monkeypatch.setattr(geometry, "_closest_lattice_distances", recording)
         res = 64
@@ -292,8 +293,8 @@ class TestTorusDiameter:
         screened = []
         screen = geometry._screen
 
-        def counting_screen(gram, *args):
-            sq_distances, *rest = screen(gram, *args)
+        def counting_screen(reduced):
+            sq_distances, *rest = screen(reduced)
 
             def counted(points):
                 screened.append(len(points))
@@ -461,6 +462,22 @@ class TestNet:
         # Every other field is an immutable scalar, so nothing can be mutated.
         assert all(isinstance(v, (np.ndarray, str, int, float))
                    for v in vars(small_net).values())
+
+
+def test_arrays_stay_read_only_after_pickling(su2):
+    """``scan --jobs`` pickles the entry, the metric and the net wherever
+    workers are spawned rather than forked."""
+    spec, net = ls.metric_from_matrix(np.eye(3)), ls.build_net(su2, 200, 8)
+    back_entry, back_spec, back_net = pickle.loads(pickle.dumps((su2, spec, net)))
+    assert back_entry == su2
+    assert not back_entry.structure_constants.flags.writeable
+    for obj, back in ((spec, back_spec), (net, back_net)):
+        for f in dataclasses.fields(obj):
+            a, b = getattr(obj, f.name), getattr(back, f.name)
+            if isinstance(a, np.ndarray):
+                assert b.dtype == a.dtype and np.array_equal(a, b) and not b.flags.writeable
+            else:
+                assert a == b
 
 
 class TestGraphDiameter:

@@ -58,10 +58,17 @@ def exact_closure_dim(entry, vectors):
         basis = new
 
 
+def catalog_entries():
+    su2, so3 = ls.su2_entry(), ls.so3_entry()
+    return ([ls.torus_entry(m) for m in (1, 2, 3, 4)] + [su2, so3]
+            + [ls.product_entry(f) for f in ([su2, su2], [su2, so3], [so3, su2], [so3, so3])])
+
+
 class TestCatalog:
-    def test_structure_invariants_hold(self, su2, so3, t3, su2xsu2):
-        for entry in (su2, so3, t3, su2xsu2):
+    def test_structure_invariants_hold(self):
+        for entry in catalog_entries():
             c = entry.structure_constants
+            assert c.shape == (entry.dim,) * 3 and not c.flags.writeable
             assert np.max(np.abs(c + np.swapaxes(c, 0, 1))) <= 1e-12
             assert np.max(np.abs(c + np.swapaxes(c, 1, 2))) <= 1e-12
             t = np.einsum("ijl,lkr->ijkr", c, c)
@@ -69,11 +76,53 @@ class TestCatalog:
                    + np.einsum("kil,ljr->ijkr", c, c))
             assert np.max(np.abs(jac)) <= 1e-12
 
-    def test_perturbed_constants_rejected(self, su2):
-        bad = su2.structure_constants.copy()
-        bad[0, 1, 2] += 1e-6
-        with pytest.raises(ValueError):
-            ls.LieGroupCatalogEntry("su2", 3, bad, k_max=2)
+    def test_su2_constants_match_spin_half_commutators(self):
+        # [S_i, S_j] = sum_k c_ij^k S_k in the independently built spin-1/2
+        # matrices, and each factor of a product is an su2 block.
+        for entry in (ls.su2_entry(), ls.so3_entry()):
+            c = entry.structure_constants
+            for i in range(3):
+                for j in range(3):
+                    comm = SPIN_HALF[i] @ SPIN_HALF[j] - SPIN_HALF[j] @ SPIN_HALF[i]
+                    assert np.allclose(comm, sum(c[i, j, k] * SPIN_HALF[k] for k in range(3)),
+                                       rtol=0, atol=1e-12)
+        for entry in (e for e in catalog_entries() if e.kind == "product"):
+            c = entry.structure_constants
+            for block in (slice(0, 3), slice(3, 6)):
+                assert np.array_equal(c[block, block, block], ls.su2_entry().structure_constants)
+            c = c.copy()
+            c[:3, :3, :3] = c[3:, 3:, 3:] = 0.0
+            assert not np.any(c)
+
+    def test_derived_fields_are_not_inputs(self, su2):
+        with pytest.raises(TypeError):
+            ls.LieGroupCatalogEntry("su2", 3, structure_constants=su2.structure_constants)
+        with pytest.raises(TypeError):
+            ls.LieGroupCatalogEntry("su2", 3, k_max=7)
+        with pytest.raises(TypeError):
+            ls.LieGroupCatalogEntry("torus", 3, (), 3)
+
+    def test_kind_dim_and_factors_are_checked(self, su2):
+        bad = [(("foo", 3), "unknown group kind"),
+               (("torus", 0), "torus dimension must be >= 1"),
+               (("su2", 4), "su2 has dimension 3, not 4"),
+               (("so3", 6), "so3 has dimension 3, not 6"),
+               (("product", 9, (su2, su2)), "product has dimension 6, not 9"),
+               (("su2", 3, (su2,)), "only a product has factors"),
+               (("torus", 3, (su2,)), "only a product has factors")]
+        for args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                ls.LieGroupCatalogEntry(*args)
+        with pytest.raises(ValueError, match="torus dimension must be >= 1"):
+            ls.torus_entry(0)
+
+    def test_equal_entries_compare_and_hash_equal(self):
+        for a, b in zip(catalog_entries(), catalog_entries()):
+            assert a == b and hash(a) == hash(b)
+        su2, so3 = ls.su2_entry(), ls.so3_entry()
+        assert ls.product_entry([su2, so3]) != ls.product_entry([so3, su2])
+        assert su2 != so3
+        assert len(set(catalog_entries())) == 10
 
     def test_k_max_catalog(self, su2, so3, su2xsu2):
         assert su2.k_max == 2
@@ -100,44 +149,18 @@ class TestCatalog:
         with pytest.raises(TypeError):
             ls.product_entry([su2, so3], k_max=2)
 
-    def test_hand_built_products_are_checked(self, su2, so3, su2xsu2):
-        c = su2xsu2.structure_constants
-        for k_max in (2, 4, 6):
-            with pytest.raises(ValueError, match=f"k_max={k_max} inconsistent"):
-                ls.LieGroupCatalogEntry("product", 6, c, k_max=k_max, factors=(su2, so3))
-        m = 9
-        nested = np.zeros((m, m, m))
-        nested[:6, :6, :6] = c
-        nested[6:, 6:, 6:] = su2.structure_constants
+    def test_hand_built_products_are_checked(self, su2, su2xsu2):
         with pytest.raises(ValueError, match="exactly two su2/so3 factors"):
-            ls.LieGroupCatalogEntry("product", m, nested, k_max=5, factors=(su2xsu2, su2))
-
-    def test_constants_must_match_the_catalog(self, su2, so3, t3, su2xsu2):
-        zeros = np.zeros((3, 3, 3))
-        forged = [("product", 6, np.zeros((6, 6, 6)), 5, (su2, su2)),
-                  ("su2", 3, zeros, 2, ()), ("so3", 3, zeros, 2, ()),
-                  ("torus", 3, su2.structure_constants, 3, ())]
-        for kind, dim, c, k_max, factors in forged:
-            with pytest.raises(ValueError, match="do not match the"):
-                ls.LieGroupCatalogEntry(kind, dim, c, k_max=k_max, factors=factors)
-        # A product's constants are the block sum of its own factors'.
-        mixed = ls.product_entry([so3, su2])
-        with pytest.raises(ValueError, match="do not match the product catalog"):
-            ls.LieGroupCatalogEntry("product", 6, mixed.structure_constants[::-1, ::-1, ::-1],
-                                    k_max=5, factors=(so3, su2))
-        for entry in (su2, so3, t3, su2xsu2, mixed, ls.product_entry([so3, so3])):
-            again = ls.LieGroupCatalogEntry(entry.kind, entry.dim, entry.structure_constants,
-                                            k_max=entry.k_max, factors=entry.factors)
-            assert again.name == entry.name
-        for key in ("t1", "t2", "t3", "t4", "su2", "so3", "su2xsu2"):
-            ls.entry_from_key(key)
+            ls.LieGroupCatalogEntry("product", 9, (su2xsu2, su2))
+        with pytest.raises(ValueError, match="exactly two su2/so3 factors"):
+            ls.LieGroupCatalogEntry("product", 6, (su2, "su2"))
+        assert ls.LieGroupCatalogEntry("product", 6, [su2, su2]) == su2xsu2
 
     def test_entry_from_key(self):
         assert ls.entry_from_key("t2").dim == 2
         assert ls.entry_from_key("t4").dim == 4
         assert ls.entry_from_key("su2xsu2").dim == 6
-        # Only the tori the commands document: a large key would ask for an
-        # m^4 Jacobi check before any command ran.
+        # Only the tori the commands document; ``torus_entry`` builds any rank.
         for key in ("e8", "t0", "t5", "t200"):
             with pytest.raises(ValueError, match="unknown group key"):
                 ls.entry_from_key(key)
