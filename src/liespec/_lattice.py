@@ -5,7 +5,8 @@ norms are n^t Q n.  Dimensions stay tiny (m <= 4), so pairwise (Lagrange
 style) greedy reduction is enough: it is Minkowski reduction for m <= 4
 (Nguyen & Stehle, ACM TALG 2009).  ``short_vectors`` walks only the lattice
 points inside an ellipsoid (Fincke & Pohst, Math. Comp. 44, 1985) over the
-reduced basis; ``enumerate_box`` lists a plain coordinate box.
+reduced basis; ``integer_box`` lists every integer point of a coordinate
+box, the one box enumeration of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["greedy_reduce", "enumerate_box", "short_vectors"]
+__all__ = ["greedy_reduce", "integer_box", "short_vectors"]
 
 # Relative slack on the short_vectors bound: a point whose form value exceeds
 # the bound by less than this is still returned, so rounding in the walk never
@@ -55,11 +56,10 @@ def greedy_reduce(Q: np.ndarray) -> np.ndarray:
             return U
 
 
-def enumerate_box(radius: int, m: int) -> np.ndarray:
-    """All integer vectors with coordinates in [-radius, radius], shape (N, m)."""
-    axes = [np.arange(-radius, radius + 1, dtype=np.int64)] * m
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def integer_box(lo: int, hi: int, m: int) -> np.ndarray:
+    """All integer vectors with coordinates in [lo, hi], shape (N, m), int64,
+    in lexicographic order (the last coordinate varies fastest)."""
+    return np.indices((hi - lo + 1,) * m, dtype=np.int64).reshape(m, -1).T + lo
 
 
 def short_vectors(Q: np.ndarray, bound: float) -> np.ndarray:

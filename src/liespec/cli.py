@@ -57,8 +57,7 @@ def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
 
 def _diam_config(args) -> DiamConfig:
     return DiamConfig(net_size=args.net_size, knn=args.knn,
-                      grid_resolution=args.grid_resolution, eps_net=args.eps_net,
-                      net_seed=args.seed)
+                      grid_resolution=args.grid_resolution, net_seed=args.seed)
 
 
 def _write(args, text: str) -> None:
@@ -97,9 +96,7 @@ def _cmd_lambda1(entry: LieGroupCatalogEntry, args) -> int:
     res = lambda1_certified(entry, spec)
     lines = [f"lambda1={res.lambda1:.12g} witness={res.witness} certified=true",
              f"window={res.window:.12g} evaluations={res.evaluations}"]
-    _emit(args, {"lambda1": res.lambda1, "witness": res.witness,
-                 "certified": res.certified, "window": res.window,
-                 "evaluations": res.evaluations}, lines)
+    _emit(args, _to_json_data(res), lines)
     return 0
 
 
@@ -207,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     def net_flags(p, on_net=on_net, on_grid=on_grid):
         d = DiamConfig()
         for flag, default, scope in (("--net-size", d.net_size, on_net), ("--knn", d.knn, on_net),
-                                     ("--grid-resolution", d.grid_resolution, on_grid),
-                                     ("--eps-net", d.eps_net, on_net)):
+                                     ("--grid-resolution", d.grid_resolution, on_grid)):
             p.add_argument(flag, type=type(default), default=default, help=scope)
 
     p = sub.add_parser("sigma", help="metric scale parameters")

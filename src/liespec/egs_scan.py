@@ -14,10 +14,9 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +70,8 @@ class DiamConfig:
     net_size: int = DEFAULT_NET_SIZE
     knn: int = DEFAULT_KNN
     grid_resolution: int = DEFAULT_GRID_RESOLUTION
-    eps_net: float = DEFAULT_EPS_NET
     net_seed: int = 0
+    eps_net: ClassVar[float] = DEFAULT_EPS_NET  # the fixed net allowance, not a field
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
     if entry.kind == "torus":
         return torus_diameter(spec, grid_resolution=config.grid_resolution)
     if entry.kind in ("su2", "so3"):
-        return graph_diameter(entry, spec, _net_for(entry, config, net), eps_net=config.eps_net)
+        return graph_diameter(entry, spec, _net_for(entry, config, net))
     raise ValueError(f"no diameter estimator for {entry.name} off homotheties")
 
 
@@ -161,14 +160,15 @@ def _gap_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float) -> d
 
 
 def _run_checks(entry: LieGroupCatalogEntry, spec: MetricSpec, lam1: float,
-                diam: DiameterEstimate, eps_net: float) -> dict:
+                diam: DiameterEstimate) -> dict:
     checks = _gap_checks(entry, spec, lam1)
     checks["li_ok"] = lam1 * diam.lower ** 2 >= math.pi ** 2 / 4 - LI_TOL
     checks["remark_diam_ok"] = True
     if entry.kind in ("su2", "so3"):
         b = paper_diameter_bounds(entry, spec)
         checks["remark_diam_ok"] = (
-            diam.value >= b.lower * (1 - eps_net) and diam.value <= b.upper * (1 + eps_net))
+            diam.value >= b.lower * (1 - DEFAULT_EPS_NET)
+            and diam.value <= b.upper * (1 + DEFAULT_EPS_NET))
     elif entry.kind == "torus":
         # Simple two-sided bound with the grid slack of the estimate.
         b = paper_diameter_bounds(entry, spec)
@@ -189,7 +189,7 @@ def egs_ratio(entry: LieGroupCatalogEntry, spec: MetricSpec,
     """
     diam = _compute_diameter(entry, spec, diam_config, net)
     res = lambda1_certified(entry, spec)
-    checks = _run_checks(entry, spec, res.lambda1, diam, diam_config.eps_net)
+    checks = _run_checks(entry, spec, res.lambda1, diam)
     return ScanRecord(
         seed=seed, group=entry.name, m=entry.dim, sigma=tuple(float(s) for s in spec.sigma),
         lambda1=res.lambda1, lambda1_certified=res.certified, lambda1_witness=res.witness,
@@ -236,6 +236,7 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     if workers == 1:
         records = list(map(sample, seeds))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays the import
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(sample,)) as ex:
             records = list(ex.map(_pool_sample, seeds,

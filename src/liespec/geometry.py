@@ -172,7 +172,7 @@ def _reduce(gram: np.ndarray) -> _Reduced:
     """
     U = _lattice.greedy_reduce(gram).astype(float)
     Qp = U.T @ gram @ U
-    box = _lattice.enumerate_box(_POLISH_RADIUS, gram.shape[0]).astype(float)
+    box = _lattice.integer_box(-_POLISH_RADIUS, _POLISH_RADIUS, gram.shape[0]).astype(float)
     c = np.einsum("ki,ij,kj->k", box, Qp, box)
     reach = np.maximum(np.abs(box @ Qp).sum(axis=1), np.abs(box @ Qp.T).sum(axis=1))
     q = float(np.abs(Qp).sum())
@@ -199,11 +199,6 @@ def _closest_lattice_distances(points: np.ndarray, reduced: _Reduced) -> np.ndar
         vals = np.einsum("ni,ij,nj->n", D, Qp, D)
         np.minimum(best, vals, out=best)
     return np.sqrt(np.maximum(best, 0.0))
-
-
-def _grid_points(res: int, m: int) -> np.ndarray:
-    idx = np.indices((res,) * m).reshape(m, -1).T
-    return idx.astype(float) / res
 
 
 def _screen(reduced: _Reduced):
@@ -299,7 +294,7 @@ def _coarse_argmax(reduced: _Reduced, screen, res: int):
     shape = (res,) * m
     half = np.array((res // 2 + 1,) + shape[1:])
     blocks = tuple(-(-half // _BLOCK))
-    steps = np.indices((_BLOCK,) * m).reshape(m, -1).T
+    steps = _lattice.integer_box(0, _BLOCK - 1, m)
 
     def coords(flat):
         return np.stack(np.unravel_index(flat, shape), axis=1)
@@ -381,12 +376,12 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
 
     # Refinement: finer sweep of the cell around the argmax.
     h = 1.0 / grid_resolution
-    local = _grid_points(17, m) * (2 * h) - h + x0
+    local = _lattice.integer_box(0, 16, m) / 17 * (2 * h) - h + x0
     near = _near_max(sq_distances(local))
     ld = _closest_lattice_distances(local[near], reduced)
     value = max(coarse, float(np.max(ld)))
 
-    corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
+    corners = _lattice.integer_box(-1, 1, m).astype(float) * (0.5 * h)
     slack = math.sqrt(max(float(c @ gram @ c) for c in corners))
     upper = coarse + slack
     return DiameterEstimate(

@@ -43,7 +43,7 @@ __all__ = [
     "so3_representative",
 ]
 
-# Rank decisions in subalgebra closures use this relative singular-value cut.
+# Every rank decision (``_numerical_rank``) uses this relative singular-value cut.
 RANK_TOL = 1e-9
 
 
@@ -167,14 +167,16 @@ def bracket(entry: LieGroupCatalogEntry, X: np.ndarray, Y: np.ndarray) -> np.nda
     return np.einsum("i,j,ijk->k", X, Y, entry.structure_constants)
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+def _numerical_rank(s: np.ndarray) -> int:
+    """The count of singular values s (descending) above RANK_TOL times the largest."""
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, rows.shape[1]))
-    r = int(np.sum(s > RANK_TOL * s[0]))
-    return vh[:r]
+        return 0
+    return int(np.sum(s > RANK_TOL * s[0]))
+
+
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[:_numerical_rank(s)]
 
 
 def generated_subalgebra(entry: LieGroupCatalogEntry,

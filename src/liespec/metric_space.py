@@ -9,10 +9,9 @@ A = P_sort * diag(sigma).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -195,15 +194,10 @@ def read_matrix(path: str, m: Optional[int] = None) -> np.ndarray:
         return parse_matrix_text(f.read(), m)
 
 
-def write_matrix(path_or_file: Union[str, io.TextIOBase], A: np.ndarray) -> None:
+def write_matrix(path: str, A: np.ndarray) -> None:
+    """Write A to a file in the file format, every entry to 17 digits."""
     A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    own = isinstance(path_or_file, str)
-    f = open(path_or_file, "w", encoding="utf-8") if own else path_or_file
-    try:
-        f.write(f"{m}\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{A.shape[0]}\n")
         for row in A:
             f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if own:
-            f.close()

@@ -10,9 +10,9 @@ running minimum the result is certified.
 
 Irrep catalog:
 
-* su2: spins j = 1/2, 1, 3/2, ... with lambda^pi = 4 j (j+1), dim 2j+1,
-  generators -2i J_a built from ladder matrices.
-* so3: integer spins only.
+* su2: spins j = 1/2, 1, 3/2, ..., keyed by the twice-spin n = 2j: lambda^pi
+  = n (n + 2), dim n + 1, generators -2i J_a built from ladder matrices.
+* so3: integer spins only, the even n.
 * torus: characters n in Z^m with lambda^pi = 4 pi^2 |n|^2, dim 1.  The
   torus gap itself is a shortest-vector problem, 4 pi^2 min n^t (A A^t) n,
   solved exactly by ellipsoid enumeration (``_lattice.short_vectors``)
@@ -25,8 +25,8 @@ Irrep catalog:
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
 cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
-spectra, the walk of the certified gap on products and the two spins of the
-certified gap on su2 and so3 all read it.
+spectra and the walk of the certified gap on products all read it; the gap
+on su2 and so3 names its spins by their twice-spins.
 
 On products the walk needs the eigenvalue of an irrep only where it could
 move the running minimum.  Every irrep it assembles after the first is
@@ -70,7 +70,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _lattice
-from .lie_core import (LieGroupCatalogEntry, _orthogonal_matrix,
+from .lie_core import (LieGroupCatalogEntry, _numerical_rank, _orthogonal_matrix,
                        is_bracket_generating)
 from .metric_space import MetricSpec
 
@@ -222,29 +222,28 @@ class SpectralResult:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _spin_irrep(j: Fraction) -> Irrep:
-    # Irreps are immutable, so every caller can share one validated instance.
-    d = int(2 * j) + 1
-    mvals = [j - i for i in range(d)]
-    jz = np.diag([float(m) for m in mvals]).astype(complex)
-    jp = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        m = mvals[i]
-        jp[i - 1, i] = math.sqrt(float(j * (j + 1) - m * (m + 1)))
+def _spin_irrep(n: int) -> Irrep:
+    """Spin n/2 by its twice-spin n, weights k/2 for k = n, n - 2, ..., -n.
+
+    Irreps are immutable, so every caller shares one validated instance.
+    """
+    k = np.arange(n, -n - 1, -2)
+    jz = np.diag(0.5 * k).astype(complex)
+    jp = np.diag(np.sqrt((n * (n + 2) - k[1:] * (k[1:] + 2)) / 4.0), 1).astype(complex)
     jm = jp.conj().T
     jx = 0.5 * (jp + jm)
     jy = (jp - jm) / 2j
-    return Irrep(label=f"spin({j})", dim=d,
+    return Irrep(label=f"spin({Fraction(n, 2)})", dim=n + 1,
                  generators=np.stack([-2j * jx, -2j * jy, -2j * jz]),
-                 casimir=float(4 * j * (j + 1)))
+                 casimir=float(n * (n + 2)))
 
 
 def spin_irrep(j) -> Irrep:
     """Spin-j irrep of su2/so3 under the fixed normalisation; Casimir 4j(j+1)."""
-    j = Fraction(j)
-    if j < 0 or (2 * j).denominator != 1:
+    n = 2 * Fraction(j)
+    if n < 0 or n.denominator != 1:
         raise ValueError("spin must be a nonnegative half-integer")
-    return _spin_irrep(j)
+    return _spin_irrep(int(n))
 
 
 def _character_label(n: Sequence[int]) -> str:
@@ -267,7 +266,7 @@ def _character_stream(m: int) -> Iterator[Irrep]:
     radius = 1
     emitted = 0
     while True:
-        pts = _lattice.enumerate_box(radius, m)
+        pts = _lattice.integer_box(-radius, radius, m)
         norms = np.einsum("ni,ni->n", pts, pts)
         keep = norms <= radius * radius
         pts, norms = pts[keep], norms[keep]
@@ -297,10 +296,9 @@ def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
 
 def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:
     """Every irrep of the group in ascending Casimir order, the trivial one first."""
-    if entry.kind == "su2":
-        return map(spin_irrep, itertools.count(Fraction(0), Fraction(1, 2)))
-    if entry.kind == "so3":
-        return map(spin_irrep, itertools.count(Fraction(0), Fraction(1)))
+    if entry.kind in ("su2", "so3"):
+        # Twice-spins: every one on su2, the even ones (integer spins) on so3.
+        return map(_spin_irrep, itertools.count(0, 1 if entry.kind == "su2" else 2))
     if entry.kind == "torus":
         return _character_stream(entry.dim)
     if entry.kind == "product":
@@ -320,7 +318,9 @@ def _irrep_stream(entry: LieGroupCatalogEntry, cutoff: float = math.inf) -> Iter
 
 
 def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list[Irrep]:
-    """All nontrivial irreps with Casimir eigenvalue <= cutoff, ascending."""
+    """All nontrivial irreps with Casimir eigenvalue <= a finite cutoff, ascending."""
+    if casimir_cutoff == math.inf:
+        raise ValueError("Casimir cutoff must be finite; every irrep catalog is infinite")
     return list(_irrep_stream(entry, casimir_cutoff))
 
 
@@ -642,17 +642,17 @@ def _spin_lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Sp
     """The su2/so3 gap: the smallest lambda_min(-C_A) over the spins up to 1.
 
     Every spin j >= 3/2 lies above spin 1 (module docstring), so the result
-    is always certified and its window is the first Casimir past spin 1's.
-    The first minimum wins: a tie goes to spin(1/2).
+    is always certified and its window is the next spin's Casimir, 15 on su2
+    and 24 on so3.  The first minimum wins: a tie goes to spin(1/2).
     """
-    cutoff = spin_irrep(1).casimir
+    step = 1 if entry.kind == "su2" else 2  # so3 has integer spins only
     with np.errstate(over="ignore", invalid="ignore"):  # refused by lambda_min_hermitian
         gaps = [(lambda_min_hermitian(_minus_CA(irrep, spec.AAt, {})), irrep.label)
-                for irrep in _irrep_stream(entry, cutoff)]
+                for irrep in map(_spin_irrep, range(step, 3, step))]
     lam, witness = min(gaps, key=lambda gap: gap[0])
-    window = next(irrep.casimir for irrep in _irrep_stream(entry) if irrep.casimir > cutoff)
+    n = 2 + step
     return SpectralResult(lambda1=lam, witness=witness, certified=True,
-                          window=window, evaluations=len(gaps))
+                          window=float(n * (n + 2)), evaluations=len(gaps))
 
 
 def biinvariant_lambda1(entry: LieGroupCatalogEntry) -> float:
@@ -710,11 +710,7 @@ def invariant_dim(irrep: Irrep, H) -> int:
         raise ValueError("H must be nonzero")
     stacked = np.tensordot(rows, irrep.generators, axes=(1, 0))
     stacked = stacked.reshape(rows.shape[0] * irrep.dim, irrep.dim)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return irrep.dim
-    rank = int(np.sum(s > 1e-9 * s[0]))
-    return irrep.dim - rank
+    return irrep.dim - _numerical_rank(np.linalg.svd(stacked, compute_uv=False))
 
 
 _RESTRICTED_CUTOFF = 1.0e6  # the Casimir past which a restricted walk gives up

@@ -91,14 +91,26 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     # Each entry reads "--flag METAVAR help"; a help text may name other
     # flags, but never followed by a metavar.
     helps = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ (.*?)(?= --[a-z-]+ [A-Z_{]|$)", options))
-    for flag in ("--seed", "--net-size", "--knn", "--eps-net"):
+    for flag in ("--seed", "--net-size", "--knn"):
         assert helps[flag].endswith(net_scope), flag
     assert helps["--grid-resolution"].endswith(grid_scope)
 
 
+@pytest.mark.parametrize("argv", [
+    ("diam", "--group", "su2", "--matrix", "3,0,0,0,2,0,0,0,1"),
+    ("scan", "--group", "su2", "--samples", "1"),
+    ("degenerate", "--group", "su2", "--kind", "shrink-transverse", "--s-values", "1"),
+])
+def test_net_allowance_is_not_an_option(capsys, argv):
+    # The allowance is the fixed DEFAULT_EPS_NET, 10%.
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--eps-net", "0.1"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --eps-net 0.1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
-    (("diam", "--group", "su2", "--matrix", "3,0,0,0,2,0,0,0,1", "--net-size", "500",
-      "--eps-net", "2"), "eps_net must be in [0, 1)"),
+    (("scan", "--group", "t2", "--samples", "0"), "need at least one sample"),
     (("scan", "--group", "t2", "--samples", "2", "--jobs", "0"), "need jobs >= 1"),
     (("degenerate", "--group", "t2", "--kind", "torus-dense-line", "--s-values", "1,-1"),
      "s values must be finite and positive"),

@@ -1,5 +1,6 @@
 """Ratio records, scans, degeneration sweeps, verification suite, reporting."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -20,6 +21,14 @@ from liespec.rep_theory import biinvariant_lambda1
 
 T2_CONFIG = DiamConfig(grid_resolution=32)
 SMALL_NET_CONFIG = DiamConfig(net_size=2000)
+
+
+def test_net_allowance_is_a_constant():
+    # Not a field: a config cannot set it, and it reads the fixed 10%.
+    with pytest.raises(TypeError):
+        DiamConfig(eps_net=0.2)
+    assert DiamConfig().eps_net == 0.1
+    assert "eps_net" not in [f.name for f in dataclasses.fields(DiamConfig)]
 
 
 class TestEgsRatio:
@@ -169,7 +178,8 @@ class TestScan:
             def map(self, fn, seeds, chunksize):
                 return map(fn, seeds)
 
-        monkeypatch.setattr(egs_scan, "ProcessPoolExecutor", SerialPool)
+        # scan imports the pool class only when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(egs_scan, "_WORKER", {})
         serial, _ = scan(t2, 3, diam_config=T2_CONFIG, jobs=1)

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 import liespec as ls
 from liespec import _lattice, geometry
 from liespec.geometry import (DiameterEstimate, _closest_lattice_distances,
-                               _edge_weights, _grid_points)
+                               _edge_weights)
 from liespec.lie_core import quat_conj, quat_log, quat_mul
 from liespec.metric_space import random_rotation
 
@@ -30,8 +30,13 @@ FCC = np.sqrt(0.5) * np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1
 HEX = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
 
 
+def grid_points(res, m):
+    """The grid points i/res of [0, 1)^m in flat-index order."""
+    return _lattice.integer_box(0, res - 1, m) / res
+
+
 def bruteforce_lattice_distance(gram, points, radius=12):
-    box = _lattice.enumerate_box(radius, gram.shape[0]).astype(float)
+    box = _lattice.integer_box(-radius, radius, gram.shape[0]).astype(float)
     diffs = points[:, None, :] - box[None, :, :]
     vals = np.einsum("pni,ij,pnj->pn", diffs, gram, diffs)
     return np.sqrt(np.min(vals, axis=1))
@@ -44,10 +49,11 @@ def check_kept_offsets(gram, rng):
     m = gram.shape[0]
     reduced = geometry._reduce(gram)
     whole = reduced._replace(
-        offsets=_lattice.enumerate_box(geometry._POLISH_RADIUS, m).astype(float))
+        offsets=_lattice.integer_box(-geometry._POLISH_RADIUS, geometry._POLISH_RADIUS,
+                                     m).astype(float))
     assert np.any(np.all(reduced.offsets == 0, axis=1))
     assert len(reduced.offsets) <= 5 ** m
-    pts = np.vstack([rng.uniform(-1.0, 2.0, (100, m)), _grid_points(4, m)])
+    pts = np.vstack([rng.uniform(-1.0, 2.0, (100, m)), grid_points(4, m)])
     kept_sq = geometry._screen(reduced)[0](pts)
     assert kept_sq.tobytes() == geometry._screen(whole)[0](pts).tobytes()
     got = _closest_lattice_distances(pts, reduced)
@@ -61,15 +67,15 @@ def torus_diameter_reference(spec, res):
     """(lower, value, upper) from a full-grid direct sweep."""
     m, gram = spec.m, spec.gram
     reduced = geometry._reduce(gram)
-    pts = _grid_points(res, m)
+    pts = grid_points(res, m)
     dists = _closest_lattice_distances(pts, reduced)
     i0 = int(np.argmax(dists))
     coarse = float(dists[i0])
     h = 1.0 / res
-    local = _grid_points(17, m) * (2 * h) - h + pts[i0]
+    local = grid_points(17, m) * (2 * h) - h + pts[i0]
     ld = _closest_lattice_distances(local, reduced)
     value = max(coarse, float(np.max(ld)))
-    corners = _lattice.enumerate_box(1, m).astype(float) * (0.5 * h)
+    corners = _lattice.integer_box(-1, 1, m).astype(float) * (0.5 * h)
     upper = coarse + math.sqrt(max(float(c @ gram @ c) for c in corners))
     return value, value, upper
 
@@ -602,7 +608,8 @@ class TestDiameterEstimateInvariant:
 
 
 def test_import_defers_scipy_spatial():
-    """Only net code pays for importing the k-d tree and the sparse graphs."""
+    """Only net code pays for importing the k-d tree and the sparse graphs,
+    and only a scan with a worker pool for the process pool."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -613,11 +620,12 @@ t2 = liespec.torus_entry(2)
 spec = liespec.metric_from_matrix(np.diag([2.0, 1.0]))
 liespec.lambda1_certified(t2, spec)
 liespec.torus_diameter(spec)
-print([name in sys.modules for name in ("scipy.spatial", "scipy.sparse")])
+print([name in sys.modules
+       for name in ("scipy.spatial", "scipy.sparse", "concurrent.futures")])
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env, timeout=60)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 @pytest.mark.parametrize("module", ["lie_core", "metric_space", "rep_theory",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import liespec as ls
-from liespec.lie_core import (prefix_subalgebra_dims, quat_conj, quat_log, quat_mul,
-                              so3_representative)
+from liespec import lie_core
+from liespec.lie_core import (RANK_TOL, _numerical_rank, prefix_subalgebra_dims, quat_conj,
+                              quat_log, quat_mul, so3_representative)
 
 # Spin-1/2 matrices built here from Pauli matrices, independent of the
 # package's ladder construction; they realise the same bracket convention.
@@ -238,6 +239,25 @@ class TestGeneratedSubalgebra:
     def test_empty_rejected(self, su2):
         with pytest.raises(ValueError):
             ls.generated_subalgebra(su2, [])
+
+
+class TestNumericalRank:
+    def test_empty_and_zero_have_rank_zero(self):
+        assert _numerical_rank(np.zeros(0)) == 0
+        assert _numerical_rank(np.zeros(3)) == 0
+
+    def test_cut_is_strict_and_relative_to_the_largest(self):
+        for top in (4.0, 1e-200, 1e200):
+            cut = RANK_TOL * top
+            s = np.array([top, np.nextafter(cut, np.inf), cut, np.nextafter(cut, 0.0), 0.0])
+            assert _numerical_rank(s) == 2
+            assert _numerical_rank(s[:1]) == 1
+
+    def test_subalgebras_and_invariant_vectors_share_the_rule(self, su2, monkeypatch):
+        # No singular value exceeds twice the largest, so every rank is 0.
+        monkeypatch.setattr(lie_core, "RANK_TOL", 2.0)
+        assert ls.generated_subalgebra(su2, np.eye(3)).shape == (0, 3)
+        assert ls.invariant_dim(ls.spin_irrep(1), np.eye(3)) == 3
 
 
 class TestBracketGenerating:

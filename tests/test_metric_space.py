@@ -1,6 +1,5 @@
 """Metric parameterisation, canonical form, Loewner order, samplers, matrix files."""
 
-import io
 import math
 import warnings
 
@@ -205,7 +204,7 @@ class TestMatrixFiles:
             with pytest.raises(ls.MatrixFormatError):
                 parse_matrix_text(text, m)
 
-    def test_write_to_stream(self):
-        buf = io.StringIO()
-        ls.write_matrix(buf, np.eye(2))
-        assert buf.getvalue().splitlines()[0] == "2"
+    def test_written_file_is_the_file_format(self, tmp_path):
+        path = tmp_path / "eye.mat"
+        ls.write_matrix(str(path), np.eye(2))
+        assert path.read_text(encoding="utf-8") == "2\n1 0\n0 1\n"

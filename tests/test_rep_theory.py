@@ -197,7 +197,8 @@ def torus_gap_box_sweep(spec):
     sm2 = spec.sigma[-1] ** 2
     j0 = int(np.argmin(np.diag(Q)))
     lam, witness = FOUR_PI_SQ * float(Q[j0, j0]), np.eye(spec.m, dtype=np.int64)[j0]
-    pts = _lattice.enumerate_box(int(math.sqrt(Q[j0, j0] / sm2 + 1e-12)), spec.m)
+    radius = int(math.sqrt(Q[j0, j0] / sm2 + 1e-12))
+    pts = _lattice.integer_box(-radius, radius, spec.m)
     vals = FOUR_PI_SQ * np.einsum("ni,ij,nj->n", pts, Q, pts)
     vals[np.all(pts == 0, axis=1)] = np.inf
     i = int(np.argmin(vals))
@@ -235,6 +236,24 @@ def kron_sums_calls(monkeypatch):
     return calls
 
 
+def fraction_spin(j):
+    """(label, dim, Casimir, generator stack) of spin j, built in exact
+    fractions: weights m = j, j - 1, ..., -j and ladder entries
+    sqrt(j (j + 1) - m (m + 1))."""
+    d = int(2 * j) + 1
+    mvals = [j - i for i in range(d)]
+    jz = np.diag([float(m) for m in mvals]).astype(complex)
+    jp = np.zeros((d, d), dtype=complex)
+    for i in range(1, d):
+        m = mvals[i]
+        jp[i - 1, i] = math.sqrt(float(j * (j + 1) - m * (m + 1)))
+    jm = jp.conj().T
+    jx = 0.5 * (jp + jm)
+    jy = (jp - jm) / 2j
+    G = np.stack([-2j * jx, -2j * jy, -2j * jz])
+    return f"spin({j})", d, float(4 * j * (j + 1)), G
+
+
 def spin_catalog(step, cutoff):
     """(Casimir, label) of spins 0, step, 2 step, ... up to the cutoff."""
     out, j = [], Fraction(0)
@@ -261,6 +280,10 @@ class TestIrreps:
         # One validated, immutable instance per spin.
         irr = ls.spin_irrep("3/2")
         assert ls.spin_irrep(Fraction(3, 2)) is irr
+        assert ls.spin_irrep(1.5) is irr
+        for bad in (-1 / 2, "1/3"):
+            with pytest.raises(ValueError, match="nonnegative half-integer"):
+                ls.spin_irrep(bad)
         with pytest.raises(ValueError):
             irr.generators[0, 0, 0] = 1.0
 
@@ -416,6 +439,28 @@ class TestIrreps:
     def test_nonpositive_cutoff_rejected(self, t2, cutoff):
         with pytest.raises(ValueError, match="cutoff must be positive"):
             ls.enumerate_irreps(t2, cutoff)
+
+    @pytest.mark.parametrize("cutoff", ["math.inf", "math.nan"])
+    def test_cutoff_that_is_not_finite_rejected(self, cutoff):
+        # In a fresh interpreter: a list of the whole catalog never ends.
+        out = run_isolated(
+            "try:\n"
+            f"    ls.enumerate_irreps(ls.entry_from_key('su2'), {cutoff})\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "refused\n"
+
+    @pytest.mark.parametrize("key", ["su2", "so3"])
+    def test_spin_stream_matches_fraction_reference(self, key):
+        # Twice-spins up to 40: labels, Casimirs and generator bytes as the
+        # spins built in exact fractions give them.
+        step = 1 if key == "su2" else 2
+        got = list(itertools.islice(_irrep_stream(ls.entry_from_key(key)), 40 // step))
+        want = [fraction_spin(Fraction(n, 2)) for n in range(step, 41, step)]
+        assert [(i.label, i.dim, i.casimir) for i in got] == [w[:3] for w in want]
+        for irrep, (*_, G) in zip(got, want):
+            assert irrep.generators.tobytes() == G.tobytes()
 
     def test_nan_cutoff_rejected(self):
         out = run_isolated(
@@ -888,6 +933,15 @@ class TestTorusGap:
         with pytest.raises(ValueError, match="overflows the float range"):
             ls.lambda1_certified(t2, ls.metric_from_matrix(1e154 * np.eye(2)))
 
+    def test_integer_box_matches_meshgrid(self):
+        for radius in range(4):
+            for m in range(1, 5):
+                axes = [np.arange(-radius, radius + 1)] * m
+                want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+                got = _lattice.integer_box(-radius, radius, m)
+                assert got.dtype == np.int64
+                assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_short_vectors_match_box(self):
         # Every nonzero point of a box that holds the ellipsoid, filtered by
         # the direct form, in the box's lexicographic order.  The bound sits
@@ -899,7 +953,7 @@ class TestTorusGap:
                 Q = X @ X.T + 0.2 * np.eye(m)
                 target = 2.5 * float(np.min(np.diag(Q)))
                 radius = int(math.sqrt(target / np.linalg.eigvalsh(Q)[0])) + 1
-                box = _lattice.enumerate_box(radius, m)
+                box = _lattice.integer_box(-radius, radius, m)
                 box = box[np.any(box != 0, axis=1)]
                 vals = np.einsum("ni,ij,nj->n", box, Q, box)
                 bound = 0.5 * (vals[vals <= target].max() + vals[vals > target].min())
