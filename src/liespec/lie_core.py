@@ -167,11 +167,10 @@ def bracket(entry: LieGroupCatalogEntry, X: np.ndarray, Y: np.ndarray) -> np.nda
     return np.einsum("i,j,ijk->k", X, Y, entry.structure_constants)
 
 
-def _numerical_rank(s: np.ndarray) -> int:
-    """The count of singular values s (descending) above RANK_TOL times the largest."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+def _numerical_rank(s: np.ndarray, scale: float = 0.0) -> int:
+    """The count of singular values s (descending) above RANK_TOL times the larger of
+    the largest and ``scale``, the size of the matrix if no entry had cancelled."""
+    return int(np.sum(s > RANK_TOL * max(s[0] if s.size else 0.0, scale)))
 
 
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ Irrep catalog:
 * su2: spins j = 1/2, 1, 3/2, ..., keyed by the twice-spin n = 2j: lambda^pi
   = n (n + 2), dim n + 1, generators -2i J_a built from ladder matrices.
 * so3: integer spins only, the even n.
-* torus: characters n in Z^m with lambda^pi = 4 pi^2 |n|^2, dim 1.  The
-  torus gap itself is a shortest-vector problem, 4 pi^2 min n^t (A A^t) n,
-  solved exactly by ellipsoid enumeration (``_lattice.short_vectors``)
-  rather than by walking characters.
+* torus: characters n in Z^m with lambda^pi = 4 pi^2 |n|^2, dim 1.  Every
+  torus question is a lattice one, answered by ellipsoid enumeration
+  (``_lattice.short_vectors``): the characters up to a cutoff are the points
+  of a ball, the gap is 4 pi^2 min n^t (A A^t) n, and the restricted gap the
+  shortest n that the prefix annihilates.
 * products of two su2/so3 factors: outer Kronecker pairs of validated spins,
   never re-validated, lambda^pi additive; ``_merge_streams`` merges the two
   factor streams best-first.  A pair assembles -C_A from its factors' small
@@ -24,9 +25,9 @@ Irrep catalog:
 
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
-cutoff and rejects a cutoff that is not positive.  Enumeration, restricted
-spectra and the walk of the certified gap on products all read it; the gap
-on su2 and so3 names its spins by their twice-spins.
+cutoff and rejects a cutoff that is not positive, or not finite on a torus.
+Enumeration, restricted spectra off tori and the walk of the certified gap on
+products read it; the gap on su2 and so3 names its spins by their twice-spins.
 
 On products the walk needs the eigenvalue of an irrep only where it could
 move the running minimum.  Every irrep it assembles after the first is
@@ -70,7 +71,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _lattice
-from .lie_core import (LieGroupCatalogEntry, _numerical_rank, _orthogonal_matrix,
+from .lie_core import (RANK_TOL, LieGroupCatalogEntry, _numerical_rank, _orthogonal_matrix,
                        is_bracket_generating)
 from .metric_space import MetricSpec
 
@@ -262,21 +263,6 @@ def character_irrep(n: Sequence[int]) -> Irrep:
 # Ascending enumeration
 # ---------------------------------------------------------------------------
 
-def _character_stream(m: int) -> Iterator[Irrep]:
-    radius = 1
-    emitted = 0
-    while True:
-        pts = _lattice.integer_box(-radius, radius, m)
-        norms = np.einsum("ni,ni->n", pts, pts)
-        keep = norms <= radius * radius
-        pts, norms = pts[keep], norms[keep]
-        order = np.lexsort(tuple(pts[:, c] for c in reversed(range(m))) + (norms,))
-        for idx in order[emitted:]:
-            yield character_irrep(pts[idx])
-        emitted = int(pts.shape[0])
-        radius *= 2
-
-
 def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
     """Best-first merge of two ascending irrep streams into ascending pairs."""
     l1: list[Irrep] = [next(s1)]
@@ -295,12 +281,10 @@ def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
 
 
 def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:
-    """Every irrep of the group in ascending Casimir order, the trivial one first."""
+    """Every irrep of su2, so3 or a product, ascending, the trivial one first."""
     if entry.kind in ("su2", "so3"):
         # Twice-spins: every one on su2, the even ones (integer spins) on so3.
         return map(_spin_irrep, itertools.count(0, 1 if entry.kind == "su2" else 2))
-    if entry.kind == "torus":
-        return _character_stream(entry.dim)
     if entry.kind == "product":
         return _merge_streams(*map(_catalog_stream, entry.factors))
     raise ValueError(f"no irrep catalog for kind {entry.kind!r}")
@@ -309,12 +293,20 @@ def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:
 def _irrep_stream(entry: LieGroupCatalogEntry, cutoff: float = math.inf) -> Iterator[Irrep]:
     """The one walk: nontrivial irreps with Casimir <= cutoff, ascending.
 
-    The cutoff must be positive; math.inf walks the whole (infinite) catalog.
+    The cutoff must be positive; math.inf walks a whole (infinite) catalog.
+    A torus needs a finite one: its characters are the lattice points of a
+    ball (``_lattice.short_vectors``), in (|n|^2, lexicographic) order.
     """
     if not cutoff > 0:
         raise ValueError(f"Casimir cutoff must be positive, got {cutoff:g}")
-    return itertools.takewhile(lambda irrep: irrep.casimir <= cutoff,
-                               itertools.islice(_catalog_stream(entry), 1, None))
+    if entry.kind != "torus":
+        stream = itertools.islice(_catalog_stream(entry), 1, None)
+    elif cutoff == math.inf:
+        raise ValueError("a torus lists its characters up to a finite Casimir cutoff")
+    else:
+        pts = _lattice.short_vectors(np.eye(entry.dim), cutoff / FOUR_PI_SQ)
+        stream = map(character_irrep, pts[np.argsort((pts * pts).sum(1), kind="stable")])
+    return itertools.takewhile(lambda irrep: irrep.casimir <= cutoff, stream)
 
 
 def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list[Irrep]:
@@ -656,8 +648,11 @@ def _spin_lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Sp
 
 
 def biinvariant_lambda1(entry: LieGroupCatalogEntry) -> float:
-    """Spectral gap of the reference bi-invariant metric: the first Casimir."""
-    return next(_irrep_stream(entry)).casimir
+    """Spectral gap of the reference bi-invariant metric, the first Casimir: 4 pi^2
+    on a torus, 3 where su2 is the group or a factor (spin 1/2), else 8 (spin 1)."""
+    if entry.kind == "torus":
+        return FOUR_PI_SQ
+    return 3.0 if "su2" in (entry.kind, *(f.kind for f in entry.factors)) else 8.0
 
 
 def _torus_lambda1_certified(spec: MetricSpec) -> SpectralResult:
@@ -710,10 +705,12 @@ def invariant_dim(irrep: Irrep, H) -> int:
         raise ValueError("H must be nonzero")
     stacked = np.tensordot(rows, irrep.generators, axes=(1, 0))
     stacked = stacked.reshape(rows.shape[0] * irrep.dim, irrep.dim)
-    return irrep.dim - _numerical_rank(np.linalg.svd(stacked, compute_uv=False))
+    scale = float(np.linalg.norm(rows, axis=1).max() * np.abs(irrep.generators).max())
+    return irrep.dim - _numerical_rank(np.linalg.svd(stacked, compute_uv=False), scale)
 
 
-_RESTRICTED_CUTOFF = 1.0e6  # the Casimir past which a restricted walk gives up
+_RESTRICTED_CUTOFF = 1.0e6  # the Casimir past which a restricted search gives up
+_THIN = 1.0e8  # the weight of the prefix directions in a torus's search form
 
 
 def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int) -> float:
@@ -722,7 +719,10 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int) -> fl
 
     Returns math.inf when the prefix is bracket generating (only constants
     survive).  k = 1 imposes no constraint, so the plain bi-invariant gap
-    comes back.
+    comes back.  On a torus it is 4 pi^2 min |n|^2 over nonzero integer n with
+    |prefix n| <= RANK_TOL |n|.  Such n have n^t Q n <= (1 + 1e-10) |n|^2 on
+    Q = I + _THIN prefix^t prefix, so ``_lattice.short_vectors(Q, b)`` holds
+    each with |n|^2 <= b, b growing 4x up to the cutoff, past which it raises.
     """
     if not 1 <= k <= entry.dim:
         raise ValueError("need 1 <= k <= m")
@@ -730,10 +730,21 @@ def lambda1_restricted(entry: LieGroupCatalogEntry, P: np.ndarray, k: int) -> fl
     if k == 1:
         return biinvariant_lambda1(entry)
     prefix = P[:, :k - 1].T
-    if is_bracket_generating(entry, prefix):
+    if entry.kind == "torus":
+        Q = np.eye(entry.dim) + _THIN * prefix.T @ prefix
+        bound, cap = 1.0, _RESTRICTED_CUTOFF / FOUR_PI_SQ
+        while bound < 4.0 * cap:  # the last pass has bound >= cap
+            pts = _lattice.short_vectors(Q, min(bound, cap))
+            norm2 = (pts * pts).sum(1)
+            hit = np.linalg.norm(pts @ prefix.T, axis=1) <= RANK_TOL * np.sqrt(norm2)
+            if hit.any():
+                return FOUR_PI_SQ * float(norm2[hit].min())
+            bound *= 4.0
+    elif is_bracket_generating(entry, prefix):
         return math.inf
-    for irrep in _irrep_stream(entry, _RESTRICTED_CUTOFF):
-        if invariant_dim(irrep, prefix) > 0:
-            return irrep.casimir
+    else:
+        for irrep in _irrep_stream(entry, _RESTRICTED_CUTOFF):
+            if invariant_dim(irrep, prefix) > 0:
+                return irrep.casimir
     raise RuntimeError(f"no invariant vector found below Casimir {_RESTRICTED_CUTOFF:g}; "
                        "the prefix may generate a dense (non-closed) subgroup")

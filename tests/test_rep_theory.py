@@ -16,7 +16,7 @@ import liespec as ls
 from liespec import _lattice
 from liespec import rep_theory
 from liespec.metric_space import random_rotation
-from liespec.rep_theory import FOUR_PI_SQ, _character_stream, _irrep_stream
+from liespec.rep_theory import FOUR_PI_SQ, _irrep_stream
 
 # Closed-form gaps under the fixed normalisation, derived from the explicit
 # two-candidate structure of the low spins: the spin-1/2 assembly is always
@@ -222,6 +222,14 @@ def run_isolated(code, timeout=30):
                           text=True, env=env, timeout=timeout)
 
 
+def frame_from(*columns):
+    """An orthogonal matrix whose first len(columns) columns span the given
+    vectors, in order (QR of the columns padded with the identity)."""
+    cols = np.asarray(columns, dtype=float).T
+    q, r = np.linalg.qr(np.hstack([cols, np.eye(cols.shape[0])]))
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
 @pytest.fixture
 def kron_sums_calls(monkeypatch):
     """Factor labels of every pair stack built while the test runs."""
@@ -413,17 +421,17 @@ class TestIrreps:
         ball = sorted((sum(x * x for x in n), n)
                       for n in itertools.product(range(-radius, radius + 1), repeat=m)
                       if 0 < sum(x * x for x in n) <= radius * radius)
-        n_chars = 500
-        assert len(ball) >= n_chars
-        zero = "char(" + ",".join(["0"] * m) + ")"
-        want = [zero] + ["char(" + ",".join(map(str, n)) + ")"
-                         for _, n in ball[:n_chars]]
-        # The catalog stream starts with the trivial character; the walk skips it.
-        got = [c.label for c in itertools.islice(_character_stream(m), n_chars + 1)]
-        assert got == want
-        got = [c.label for c in itertools.islice(_irrep_stream(ls.torus_entry(m)), n_chars)]
-        assert got == want[1:]
+        assert len(ball) >= 500
+        got = ls.enumerate_irreps(ls.torus_entry(m), FOUR_PI_SQ * radius ** 2)
+        assert [c.label for c in got] == ["char(" + ",".join(map(str, n)) + ")"
+                                          for _, n in ball]
+        assert [c.casimir for c in got] == [FOUR_PI_SQ * float(n2) for n2, _ in ball]
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_torus_refuses_an_infinite_cutoff(self, m):
+        # A torus lists the lattice points of a ball, which needs a radius.
+        with pytest.raises(ValueError, match="finite Casimir cutoff"):
+            _irrep_stream(ls.torus_entry(m))
 
     def test_product_tie_order(self, su2xsu2):
         # Pairs of equal Casimir come out by first-factor index, then by
@@ -875,6 +883,27 @@ class TestSpinBounds:
         assert bounds.bound.shape == (2, 95240)
         assert peak <= 10 * 2 ** 20
 
+    def test_strongly_coupled_metric_keeps_no_split(self, su2xsu2):
+        # enlarge-generating at s = 100: no Schur split stays positive
+        # definite, so the stop rule alone ends the walk.
+        from liespec.egs_scan import two_generator_rotation_su2xsu2
+        spec = ls.metric_from_matrix(
+            two_generator_rotation_su2xsu2() @ np.diag([100.0] * 3 + [1.0] * 3))
+        first = ls.enumerate_irreps(su2xsu2, 3.0)[0]
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(first, spec))
+        assert rep_theory._pair_bounds(su2xsu2, spec, lam) is None
+
+    def test_walk_without_spin_bounds_matches(self, su2xsu2, monkeypatch):
+        # The benchmark's 64 su2xsu2 pool metrics, walked with and without
+        # the spin bounds.
+        specs = [ls.sample_metric(su2xsu2, 0.2, 5.0, seed=s) for s in range(64)]
+        bounded = [ls.lambda1_certified(su2xsu2, spec) for spec in specs]
+        monkeypatch.setattr(rep_theory, "_pair_bounds", lambda entry, spec, lam: None)
+        plain = [ls.lambda1_certified(su2xsu2, spec) for spec in specs]
+        assert [(r.lambda1, r.witness) for r in plain] == [(r.lambda1, r.witness)
+                                                            for r in bounded]
+        assert sum(r.evaluations for r in plain) > sum(r.evaluations for r in bounded)
+
     def test_split_that_overflows_is_dropped(self, su2xsu2):
         # Q12 Q22^-1 Q21 / (1 - 0.99) overflows at theta = 0.99; the other
         # splits stay, and no bound is NaN.
@@ -1007,6 +1036,13 @@ class TestInvariantDim:
         with pytest.raises(ValueError):
             ls.invariant_dim(ls.spin_irrep("1"), np.zeros((1, 3)))
 
+    def test_stack_that_vanishes_up_to_rounding_has_rank_zero(self):
+        # On the line (1, 1)/sqrt 2 the character (1, -1) has the stack
+        # 2 pi i (1 - 1)/sqrt 2, a few ulps instead of 0.
+        line = [[1.0, 1.0]] / np.sqrt(2.0)
+        assert ls.invariant_dim(ls.character_irrep((1, -1)), line) == 1
+        assert ls.invariant_dim(ls.character_irrep((1, 1)), line) == 0
+
 
 class TestRestrictedGap:
     def test_su2_examples(self, su2):
@@ -1035,6 +1071,49 @@ class TestRestrictedGap:
     def test_bad_k(self, su2):
         with pytest.raises(ValueError):
             ls.lambda1_restricted(su2, np.eye(3), 0)
+
+    def test_block_frame_through_rounding(self, su2xsu2):
+        # A line in the first factor leaves pair(spin(0),spin(1/2)), Casimir
+        # 3, invariant.  Rotating the block frame away and back puts entries
+        # of 1.3e-16 outside the block.
+        rng = np.random.default_rng(0)
+        B = np.zeros((6, 6))
+        B[:3, :3], B[3:, 3:] = random_rotation(3, rng), random_rotation(3, rng)
+        R = random_rotation(6, rng)
+        P = (B @ R) @ R.T
+        assert np.abs(P[3:, 0]).max() > 0.0
+        assert ls.lambda1_restricted(su2xsu2, B, 2) == 3.0
+        assert ls.lambda1_restricted(su2xsu2, P, 2) == 3.0
+
+    @pytest.mark.parametrize("prefix", [
+        [(1, 1)], [(1, 2)], [(3, -2)], [(1, 2, 3)], [(0, 0, 1)], [(2, -1, 1)],
+        [(1, 2, 3), (1, 0, -1)], [(1, 1, 1, 1)], [(1, -2, 3, 1)],
+        [(1, 1, 0, 0), (0, 1, 1, 1)],
+    ], ids=str)
+    def test_torus_rational_prefix_matches_brute_force(self, prefix):
+        # The characters killed by a rational prefix are the integer n
+        # orthogonal to its integer spanning vectors.
+        m, k = len(prefix[0]), len(prefix) + 1
+        radius = {2: 13, 3: 6, 4: 4}[m]
+        want = min(sum(x * x for x in n)
+                   for n in itertools.product(range(-radius, radius + 1), repeat=m)
+                   if any(n) and all(np.dot(n, v) == 0 for v in prefix))
+        got = ls.lambda1_restricted(ls.torus_entry(m), frame_from(*prefix), k)
+        assert got == pytest.approx(FOUR_PI_SQ * want, rel=1e-12)
+
+    def test_torus_dense_prefix_gives_up(self):
+        # The golden line on t2 and (1, sqrt 2, sqrt 3) on t3 kill no
+        # character: the search stops at its cutoff instead of running on.
+        frames = [frame_from((1.0, (1.0 + math.sqrt(5.0)) / 2.0)).tolist(),
+                  frame_from((1.0, math.sqrt(2.0), math.sqrt(3.0))).tolist()]
+        out = run_isolated(
+            f"for P in {frames!r}:\n"
+            "    try:\n"
+            "        ls.lambda1_restricted(ls.torus_entry(len(P)), np.array(P), 2)\n"
+            "    except RuntimeError as exc:\n"
+            "        print('gave up:', exc)\n")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("gave up: no invariant vector found below Casimir 1e+06") == 2
 
 
 class TestSpectralBounds:
