@@ -10,7 +10,7 @@ missing or unwritable paths, non-finite values and metrics whose spectral
 operator overflows), 3 a ``verify`` run with a failed check.  Every
 ``lambda1`` result is certified.  An internal failure (a broken ``scan
 --jobs`` worker pool, say) is not caught and ends in a traceback, exit 1.  All
-randomness sits behind explicit seeds (default 0).
+randomness sits behind explicit seeds (default 0); every net is seeded 0.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
 
 def _diam_config(args) -> DiamConfig:
     return DiamConfig(net_size=args.net_size, knn=args.knn,
-                      grid_resolution=args.grid_resolution, net_seed=args.seed)
+                      grid_resolution=args.grid_resolution)
 
 
 def _write(args, text: str) -> None:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lambda1)
 
     p = sub.add_parser("diam", help="diameter estimate")
-    common(p, seed=f"net seed; {on_net}")
+    common(p)
     p.add_argument("--method", choices=("auto", "bounds"), default="auto",
                    help="auto: the estimate the metric allows; bounds: the "
                         "closed-form interval")
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="seeded random ratio scan (CSV/JSON)")
     common(p, matrix=False, formats=("csv", "json"),
-           seed=f"base seed: sample i uses seed + i; as the net seed it {on_net}")
+           seed="base seed: sample i uses seed + i")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sigma-lo", type=float, default=DEFAULT_SIGMA_LO)
     p.add_argument("--sigma-hi", type=float, default=DEFAULT_SIGMA_HI)
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degenerate", help="degeneration sweep")
     sweep_net = "acts only with --group su2 --kind shrink-transverse"
-    common(p, matrix=False, seed=f"net seed; {sweep_net}")
+    common(p, matrix=False)
     p.add_argument("--kind", required=True, choices=DEGENERATION_KINDS)
     p.add_argument("--s-values", required=True, help="comma separated list")
     net_flags(p, on_net=sweep_net,

@@ -28,7 +28,7 @@ from .lie_core import LieGroupCatalogEntry
 from .metric_space import (MetricSpec, metric_from_matrix, random_rotation,
                            sample_metric)
 from .rep_theory import (assemble_minus_CA, biinvariant_lambda1,
-                         lambda1_certified, spin_irrep)
+                         enumerate_irreps, lambda1_certified, spin_irrep)
 
 __all__ = [
     "DiamConfig",
@@ -70,7 +70,7 @@ class DiamConfig:
     net_size: int = DEFAULT_NET_SIZE
     knn: int = DEFAULT_KNN
     grid_resolution: int = DEFAULT_GRID_RESOLUTION
-    net_seed: int = 0
+    net_seed: ClassVar[int] = 0  # every net is the seed-0 net; not a field
     eps_net: ClassVar[float] = DEFAULT_EPS_NET  # the fixed net allowance, not a field
 
 
@@ -118,7 +118,7 @@ def _net_for(entry: LieGroupCatalogEntry, config: DiamConfig,
              net: Optional[Net]) -> Optional[Net]:
     """``net``, else the net ``config`` describes on su2/so3; None elsewhere."""
     if net is None and entry.kind in ("su2", "so3"):
-        net = build_net(entry, config.net_size, config.knn, config.net_seed)
+        net = build_net(entry, config.net_size, config.knn)
     return net
 
 
@@ -405,10 +405,11 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
 class PropertyCheck:
     name: str
     trials: int
-    failures: tuple[dict, ...]  # one counterexample per failed trial
+    failures: tuple[Mapping, ...]  # read-only; one counterexample per failed trial
 
     def __post_init__(self):
-        object.__setattr__(self, "failures", tuple(self.failures))
+        object.__setattr__(self, "failures",
+                           tuple(MappingProxyType(dict(f)) for f in self.failures))
 
 
 @dataclass(frozen=True)
@@ -492,10 +493,9 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
 
     def mixed_casimir_identity(t):
         a, b = specs[t].A, bumped[t].A
-        irrep = spin_irrep(1) if entry.kind in ("su2", "so3") else None
-        if irrep is None:
-            from .rep_theory import enumerate_irreps
-            irrep = enumerate_irreps(entry, 100.0)[min(t % 3, 2)]
+        irreps = ([spin_irrep(1)] if entry.kind in ("su2", "so3")
+                  else enumerate_irreps(entry, 100.0))
+        irrep = irreps[min(t % 3, len(irreps) - 1)]
         lhs = assemble_minus_CA(irrep, metric_from_matrix(a @ b))
         ga = np.einsum("ki,kab->iab", a, irrep.generators)
         rhs = -np.einsum("ij,iab,jbc->ac", b @ b.T, ga, ga)

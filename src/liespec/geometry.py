@@ -5,8 +5,8 @@ forms, and generic left-invariant metrics on SU(2)/SO(3) get shortest-path
 estimates on a k-nearest-neighbour net of unit quaternions.  Edge weights use
 the first-order left-trivialised length |log(p^-1 q)|_g, which is exact for
 bi-invariant metrics along one-parameter subgroups and accurate to O(mesh^2)
-per edge otherwise; the documented net allowance (default 10%) absorbs the
-discretisation bias.
+per edge otherwise; the fixed net allowance of 10% (``DEFAULT_EPS_NET``)
+absorbs the discretisation bias.
 
 ``build_net`` does all the work that depends only on the net, once: the knn
 search (a k-d tree) and the straightened two-hop graph, stored as one

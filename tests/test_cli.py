@@ -38,6 +38,10 @@ def run_isolated(*argv, timeout=30):
     ("sigma", "--group", "su2", "--seed", "1"),
     ("lambda1", "--group", "su2", "--seed", "1"),
     ("ell", "--group", "su2", "--seed", "1"),
+    # Every net is seeded 0, so --seed has nothing to seed on these two.
+    ("diam", "--group", "su2", "--seed", "1"),
+    ("degenerate", "--group", "su2", "--kind", "shrink-transverse",
+     "--s-values", "1,0.5", "--seed", "1"),
     ("sigma", "--group", "su2", "--format", "csv"),
     ("lambda1", "--group", "su2", "--format", "csv"),
     ("diam", "--group", "su2", "--format", "csv"),
@@ -91,9 +95,23 @@ def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_s
     # Each entry reads "--flag METAVAR help"; a help text may name other
     # flags, but never followed by a metavar.
     helps = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ (.*?)(?= --[a-z-]+ [A-Z_{]|$)", options))
-    for flag in ("--seed", "--net-size", "--knn"):
+    for flag in ("--net-size", "--knn"):
         assert helps[flag].endswith(net_scope), flag
     assert helps["--grid-resolution"].endswith(grid_scope)
+    assert "net" not in helps.get("--seed", "")
+
+
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_scan_record_reproduces_from_its_seed(capsys, group):
+    # The net does not depend on the base seed, so sample seed 7 reads the
+    # same record in a scan from seed 5 as in a scan from seed 7.
+    net = ("--net-size", "500")
+    code, out, _ = run(capsys, "scan", "--group", group, "--seed", "5", "--samples", "3", *net)
+    assert code == 0
+    code, alone, _ = run(capsys, "scan", "--group", group, "--seed", "7", "--samples", "1", *net)
+    assert code == 0
+    third = out.splitlines()[3]
+    assert third.startswith("7,") and third == alone.splitlines()[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,6 +31,15 @@ def test_net_allowance_is_a_constant():
     assert "eps_net" not in [f.name for f in dataclasses.fields(DiamConfig)]
 
 
+def test_net_seed_is_a_constant():
+    # Every net a config describes is the seed-0 net for its size and knn.
+    with pytest.raises(TypeError):
+        DiamConfig(net_seed=1)
+    assert DiamConfig().net_seed == 0
+    assert [f.name for f in dataclasses.fields(DiamConfig)] == [
+        "net_size", "knn", "grid_resolution"]
+
+
 class TestEgsRatio:
     def test_su2_identity(self, su2, small_net):
         rec = egs_ratio(su2, ls.metric_from_matrix(np.eye(3)),
@@ -288,6 +297,11 @@ class TestPropertySuite:
         with pytest.raises(ValueError):
             property_suite(t2, n_trials=0)
 
+    def test_circle_all_pass(self):
+        # t1 has two characters below Casimir 100, fewer than the three
+        # irreps the mixed Casimir check cycles through.
+        assert property_suite(ls.torus_entry(1), n_trials=3).all_passed
+
 
 class TestReporting:
     def test_csv_column_order(self, t2):
@@ -342,3 +356,8 @@ class TestReportsImmutable:
         with pytest.raises(AttributeError):
             rep.checks[0].failures.append({"A": []})
         assert rep.all_passed
+        check = egs_scan.PropertyCheck(name="c", trials=1, failures=[{"A": [[1.0]]}])
+        with pytest.raises(TypeError):
+            check.failures[0]["A"] = [[2.0]]
+        assert egs_scan._to_json_data(check) == {
+            "name": "c", "trials": 1, "failures": [{"A": [[1.0]]}]}
