@@ -60,7 +60,7 @@ class MetricSpec:
 
     def __post_init__(self):
         for name in ("A", "AAt", "sigma", "P_sort", "gram"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -69,26 +69,31 @@ class MetricSpec:
         return MetricSpec, (self.A, self.AAt, self.sigma, self.P_sort, self.gram)
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
+
 def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     """Build a MetricSpec from an invertible matrix.
 
-    Raises SingularMatrixError when |det(A / max |entry|)| <= 1e-10, a test
-    that no homothety can over- or underflow, and when double precision
-    cannot hold A A^t: an entry overflows or its smallest eigenvalue falls
-    below the smallest normal double.
+    Raises SingularMatrixError when the singular values of A have
+    sigma_m <= 1e-10 sigma_1, a test of conditioning alone, so a homothety
+    changes it only by rounding (LAPACK's SVD scales an A whose entries would
+    over- or underflow), and when double precision cannot hold A A^t: an
+    entry overflows or its smallest eigenvalue falls below the smallest
+    normal double.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise MatrixFormatError("matrix entries must be finite")
     m = A.shape[0]
-    scale = np.max(np.abs(A))
-    if scale == 0.0 or abs(np.linalg.det(A / scale)) <= 1e-10:
+    sv = np.linalg.svd(A, compute_uv=False)  # descending
+    if not sv[-1] > 1e-10 * sv[0]:
         raise SingularMatrixError("matrix is singular or too ill-conditioned")
     with np.errstate(over="ignore"):  # refused just below
         AAt = A @ A.T
-    if not np.all(np.isfinite(AAt)):
+    if not np.isfinite(AAt).all():
         raise SingularMatrixError("A A^t overflows double precision")
     vals, vecs = np.linalg.eigh(AAt)
     # Descending; ties keep eigh's column order, so the identity keeps
@@ -98,12 +103,12 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     # Sign convention: the largest-magnitude entry of each column (the first
     # on a tie) is positive, whatever signs LAPACK returned; adding 0.0 turns
     # -0 into 0.
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)]
+    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(m)]
     vecs = vecs * np.sign(lead) + 0.0
-    if not vals[-1] >= np.finfo(float).tiny:
+    if not vals[-1] >= _TINY:
         raise SingularMatrixError("A A^t has an eigenvalue below the smallest normal double")
     sigma = np.sqrt(vals)
-    gram = vecs @ np.diag(1.0 / vals) @ vecs.T
+    gram = (vecs * (1.0 / vals)) @ vecs.T  # V diag(1 / vals) V^t
     gram = 0.5 * (gram + gram.T)
     spec = MetricSpec(A=A, AAt=AAt, sigma=sigma, P_sort=vecs, gram=gram)
     _check_spec(spec)
@@ -113,15 +118,15 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
 def _check_spec(spec: MetricSpec) -> None:
     # Written as "not <=" so that a NaN residual fails; max-abs residuals
     # against sigma_1^2 cannot overflow where A A^t does not.
-    recon = spec.P_sort @ np.diag(spec.sigma ** 2) @ spec.P_sort.T
-    if not np.max(np.abs(spec.AAt - recon)) <= 1e-10 * spec.sigma[0] ** 2:
+    recon = (spec.P_sort * spec.sigma ** 2) @ spec.P_sort.T
+    if not np.abs(spec.AAt - recon).max() <= 1e-10 * spec.sigma[0] ** 2:
         raise AssertionError("eigendecomposition reconstruction failed")
     # The inverse residual of a double-precision inverse floors out at
     # roughly eps * cond, so the fixed gate only binds at desk-scale
     # conditioning.
     cond = (spec.sigma[0] / spec.sigma[-1]) ** 2
     tol = max(1e-9, 1e-13 * cond)
-    if not np.max(np.abs(spec.gram @ spec.AAt - np.eye(spec.m))) <= tol:
+    if not np.abs(spec.gram @ spec.AAt - np.eye(spec.m)).max() <= tol:
         raise AssertionError("gram is not the inverse of A A^t")
 
 
@@ -129,7 +134,7 @@ def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish rotation from the sign-fixed QR of a Gaussian matrix, det +1."""
     g = rng.standard_normal((m, m))
     q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
+    q = q * np.sign(r.diagonal())
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return q
@@ -144,7 +149,7 @@ def sample_metric(entry: LieGroupCatalogEntry, lo: float, hi: float,
     m = entry.dim
     sigma = np.exp(rng.uniform(math.log(lo), math.log(hi), size=m))
     sigma = np.sort(sigma)[::-1]
-    return metric_from_matrix(random_rotation(m, rng) @ np.diag(sigma))
+    return metric_from_matrix(random_rotation(m, rng) * sigma)  # R diag(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,18 @@ Irrep catalog:
   shortest n that the prefix annihilates.
 * products of two su2/so3 factors: outer Kronecker pairs of validated spins,
   never re-validated, lambda^pi additive; ``_merge_streams`` merges the two
-  factor streams best-first.  A pair assembles -C_A from its factors' small
-  blocks; its Kronecker stack is built afresh on each read of ``generators``.
+  factor streams best-first into (Casimir, a, b) factor pairs.  A pair
+  assembles -C_A from its factors' small blocks; its Kronecker stack is built
+  afresh on each read of ``generators``.
 
 Every catalog stream starts with the trivial irrep.  ``_irrep_stream`` is the
 one walk over a group's irreps: it drops the trivial irrep, stops at a Casimir
 cutoff and rejects a cutoff that is not positive, or not finite on a torus.
-Enumeration, restricted spectra off tori and the walk of the certified gap on
-products read it; the gap on su2 and so3 names its spins by their twice-spins.
+Enumeration and restricted spectra off tori read it, and a product's stream
+makes one pair ``Irrep`` per factor pair of the merge.  The certified gap on
+products reads the factor pairs of the same merge (``_factor_pairs``): a pair
+it skips costs no object, and it formats a label only for a new witness.  The
+gap on su2 and so3 names its spins by their twice-spins.
 
 On products the walk needs the eigenvalue of an irrep only where it could
 move the running minimum.  Every irrep it assembles after the first is
@@ -263,15 +267,17 @@ def character_irrep(n: Sequence[int]) -> Irrep:
 # Ascending enumeration
 # ---------------------------------------------------------------------------
 
-def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
-    """Best-first merge of two ascending irrep streams into ascending pairs."""
+def _merge_streams(s1: Iterator[Irrep],
+                   s2: Iterator[Irrep]) -> Iterator[tuple[float, Irrep, Irrep]]:
+    """Best-first merge of two ascending irrep streams into ascending
+    (Casimir, a, b) pairs, the Casimir being a.casimir + b.casimir."""
     l1: list[Irrep] = [next(s1)]
     l2: list[Irrep] = [next(s2)]
     heap = [(l1[0].casimir + l2[0].casimir, 0, 0)]
     # Cell (i, j) is pushed once: after (i-1, j), or after (0, j-1) when i = 0.
     while heap:
-        _, i, j = heapq.heappop(heap)
-        yield Irrep(label=f"pair({l1[i].label},{l2[j].label})", factors=(l1[i], l2[j]))
+        cas, i, j = heapq.heappop(heap)
+        yield cas, l1[i], l2[j]
         if i + 1 == len(l1):
             l1.append(next(s1))
         heapq.heappush(heap, (l1[i + 1].casimir + l2[j].casimir, i + 1, j))
@@ -280,13 +286,23 @@ def _merge_streams(s1: Iterator[Irrep], s2: Iterator[Irrep]) -> Iterator[Irrep]:
             heapq.heappush(heap, (l1[0].casimir + l2[j + 1].casimir, 0, j + 1))
 
 
+def _pair_label(a: Irrep, b: Irrep) -> str:
+    return f"pair({a.label},{b.label})"
+
+
+def _factor_pairs(entry: LieGroupCatalogEntry) -> Iterator[tuple[float, Irrep, Irrep]]:
+    """The merge of a product's two factor streams, the trivial pair first."""
+    return _merge_streams(*map(_catalog_stream, entry.factors))
+
+
 def _catalog_stream(entry: LieGroupCatalogEntry) -> Iterator[Irrep]:
     """Every irrep of su2, so3 or a product, ascending, the trivial one first."""
     if entry.kind in ("su2", "so3"):
         # Twice-spins: every one on su2, the even ones (integer spins) on so3.
         return map(_spin_irrep, itertools.count(0, 1 if entry.kind == "su2" else 2))
     if entry.kind == "product":
-        return _merge_streams(*map(_catalog_stream, entry.factors))
+        return (Irrep(label=_pair_label(a, b), factors=(a, b))
+                for _, a, b in _factor_pairs(entry))
     raise ValueError(f"no irrep catalog for kind {entry.kind!r}")
 
 
@@ -321,31 +337,45 @@ def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list
 # ---------------------------------------------------------------------------
 
 def _minus_CA(irrep: Irrep, Q: np.ndarray, blocks: dict) -> np.ndarray:
-    """-C_A of the irrep under the metric Q = A A^t.
-
-    A pair (a, b) with Q split into the blocks Q11, Q22 and Q12 assembles as
-    kron(M_a(Q11), I) + kron(I, M_b(Q22)) - 2 sum_i kron(g_i, (Q12 . h)_i),
-    that is sum_k kron(S_k, T_k) over the factor stacks S = [M_a, I, g] and
-    T = [I, M_b, -2 Q12 . h]: one matrix product of shape (da^2, k) @ (k, db^2),
-    so only the factors pay d^3 work.  ``blocks`` keeps S and T by (role,
-    label) for the other pairs of the same metric that share a factor.
-    """
+    """-C_A of the irrep under the metric Q = A A^t; a pair assembles from
+    its factors (``_pair_minus_CA``)."""
     if not irrep.factors:
         return _stack_minus_CA(irrep.generators, Q)
-    a, b = irrep.factors
-    g, h = a.generators, b.generators
-    m = g.shape[0]  # Q11 is m x m
-    if ("a", a.label) not in blocks:
-        blocks["a", a.label] = np.concatenate(
-            [_stack_minus_CA(g, Q[:m, :m])[None], np.eye(a.dim)[None], g])
-    if ("b", b.label) not in blocks:
-        H = (Q[:m, m:] @ h.reshape(h.shape[0], -1)).reshape(m, b.dim, b.dim)
-        blocks["b", b.label] = np.concatenate(
-            [np.eye(b.dim)[None], _stack_minus_CA(h, Q[m:, m:])[None], -2.0 * H])
-    S, T = blocks["a", a.label], blocks["b", b.label]
-    k, da, db = S.shape[0], a.dim, b.dim
-    M = S.reshape(k, da * da).T @ T.reshape(k, db * db)  # index order (ra, ca, rb, cb)
+    return _pair_minus_CA(*irrep.factors, Q, blocks)
+
+
+def _pair_minus_CA(a: Irrep, b: Irrep, Q: np.ndarray, blocks: dict) -> np.ndarray:
+    """-C_A of the pair (a, b) from its factors.
+
+    With Q split into the blocks Q11, Q22 and Q12 it is kron(M_a(Q11), I)
+    + kron(I, M_b(Q22)) - 2 sum_i kron(g_i, (Q12 . h)_i), that is
+    sum_k kron(S_k, T_k) over the factor stacks S = [M_a, I, g] and
+    T = [I, M_b, -2 Q12 . h]: one matrix product of shape (da^2, k) @
+    (k, db^2), so only the factors pay d^3 work.  ``blocks`` keeps a
+    factor's (S, T) by label for the other pairs of the same metric that
+    share it (``_factor_blocks``).
+    """
+    for f in (a, b):
+        if f.label not in blocks:
+            blocks[f.label] = _factor_blocks(f.generators, Q)
+    da, db = a.dim, b.dim
+    M = blocks[a.label][0] @ blocks[b.label][1]  # index order (ra, ca, rb, cb)
     return M.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
+def _factor_blocks(g: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S as a (d^2, k) and T as a (k, d^2) matrix for the factor with
+    generator stack g, in either role of a pair, under a 2m x 2m Q.
+
+    One product gives Q11 . g, Q12 . g and Q22 . g, and M_a and M_b contract
+    them as ``_stack_minus_CA`` does.
+    """
+    m, d = g.shape[0], g.shape[1]
+    X = (np.concatenate([Q[:m, :m], Q[:, m:]]) @ g.reshape(m, -1)).reshape(3, m, d, d)
+    eye = np.eye(d)[None]
+    S = np.concatenate([-_contract(g, X[0])[None], eye, g])
+    T = np.concatenate([eye, -_contract(g, X[2])[None], -2.0 * X[1]])
+    return S.reshape(-1, d * d).T, T.reshape(-1, d * d)
 
 
 def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
@@ -359,16 +389,17 @@ def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
     return _minus_CA(irrep, spec.AAt, {})
 
 
-def _hermitian(M: np.ndarray) -> np.ndarray:
-    """The hermitian part of M, after the checks of ``lambda_min_hermitian``."""
+def _hermitian(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """The hermitian part H of M, after the checks of ``lambda_min_hermitian``,
+    and the largest |m_ij|, which bounds every |h_ii| = |Re m_ii|."""
     M = np.asarray(M)
-    peak = float(np.max(np.abs(M))) if M.size else 0.0
+    peak = float(np.abs(M).max()) if M.size else 0.0
     if not math.isfinite(2.0 * peak):  # M + M^* must not overflow either
         raise ValueError(_OVERFLOW)
     MH = M.conj().T
-    if np.max(np.abs(M - MH)) > 1e-10 * max(1.0, peak):
+    if np.abs(M - MH).max() > 1e-10 * max(1.0, peak):
         raise ValueError("matrix is not hermitian")
-    return 0.5 * (M + MH)
+    return 0.5 * (M + MH), peak
 
 
 def lambda_min_hermitian(M: np.ndarray) -> float:
@@ -379,19 +410,20 @@ def lambda_min_hermitian(M: np.ndarray) -> float:
     float range, and inputs whose anti-hermitian part exceeds 1e-10 relative
     to the entry scale.
     """
-    return float(np.linalg.eigvalsh(_hermitian(M))[0])
+    return float(np.linalg.eigvalsh(_hermitian(M)[0])[0])
 
 
 _EPS = float(np.finfo(float).eps)  # 2u, u the unit roundoff
 _ETA = float(np.finfo(float).smallest_subnormal)
 
 
-def _lies_above(H: np.ndarray, lam: float) -> bool:
+def _lies_above(H: np.ndarray, peak: float, lam: float) -> bool:
     """True when one Cholesky factorisation proves eigvalsh(H)[0] > lam.
 
-    H is an exactly hermitian matrix of order d, as ``_hermitian`` returns
-    it.  With T = sum_i |h_ii| + d |lam|, the test factors the computed
-    B = fl(H - s I), s = fl(lam + margin), where
+    H is an exactly hermitian matrix of order d and peak >= max_i |h_ii|, as
+    ``_hermitian`` returns them.  With T = d (peak + |lam|), at least
+    sum_i |h_ii| + d |lam|, the test factors the computed B = fl(H - s I),
+    s = fl(lam + margin), where
 
         margin = 12 (d + 1) (eps T + d eta),
 
@@ -426,12 +458,12 @@ def _lies_above(H: np.ndarray, lam: float) -> bool:
     factorisation that fails proves nothing: the caller runs eigvalsh.
     """
     d = H.shape[0]
-    T = float(np.abs(H.diagonal().real).sum()) + d * abs(lam)
+    T = d * (peak + abs(lam))
     s = lam + 12 * (d + 1) * (_EPS * T + d * _ETA)
     if not math.isfinite(T + abs(s)):  # a finite T + |s| bounds every |h_ii - s|
         return False
     B = H.copy()
-    B.flat[::d + 1] -= s
+    B.reshape(-1)[::d + 1] -= s
     try:
         np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
@@ -455,6 +487,12 @@ def _spin_floor(n: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 _SPLIT_THETAS = (1e-3, 0.03, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+_THETA = np.array(_SPLIT_THETAS)[:, None, None]
+# Flat indices into a 6 x 6 Q of [[Q22, Q11], [Q12^t, Q12]]: the blocks that the
+# two Schur complements invert, and the blocks across which they are taken.
+_Q_INDEX = np.arange(36).reshape(6, 6)
+_SCHUR_BLOCKS = np.array([[_Q_INDEX[3:, 3:], _Q_INDEX[:3, :3]],
+                          [_Q_INDEX[:3, 3:].T, _Q_INDEX[:3, 3:]]])
 _TABLE_CELLS = 1 << 18  # the most pairs a bound table holds, 4 MiB
 
 
@@ -512,15 +550,23 @@ class _PairBounds:
     > lam, so a pair outside the table lies above lam and every later
     minimum.  On an so3 factor odd twice-spins name no irrep; their bound is
     inf.
+
+    The floors of all kept splits enter the table in blocked broadcasts: a
+    block of splits sums its two factors' floor vectors into one (split, j1,
+    j2) array of at most ``_TABLE_CELLS`` entries, and its maximum over the
+    splits raises the table.  The maximum is exact, so the table equals the
+    split-by-split one.
     """
 
     def __init__(self, casimir: np.ndarray, bound: np.ndarray):
         self.casimir = casimir  # (rows, cols) by twice-spins (2 j1, 2 j2)
         self.bound = bound      # the pair bounds, isotropic split included
 
-    def excludes(self, irrep: Irrep, lam: float) -> bool:
-        """True when the pair's bound lies strictly above lam."""
-        a, b = irrep.factors
+    def excludes(self, a: Irrep, b: Irrep, lam: float) -> bool:
+        """True when the bound of the pair (a, b) lies strictly above lam.
+
+        A spin's dimension is its twice-spin plus one, so it indexes the table.
+        """
         rows, cols = self.bound.shape
         return a.dim > rows or b.dim > cols or bool(self.bound[a.dim - 1, b.dim - 1] > lam)
 
@@ -535,11 +581,12 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     when no Schur split is kept or the table would pass ``_TABLE_CELLS``:
     the stop rule alone then ends the walk."""
     Q = spec.AAt
-    Q11, Q12, Q22 = Q[:3, :3], Q[:3, 3:], Q[3:, 3:]
-    theta = np.array(_SPLIT_THETAS)[:, None, None]
-    D = np.stack([  # factor, split, 3 x 3 block
-        np.concatenate([Q11 - Q12 @ np.linalg.solve(Q22, Q12.T) / (1.0 - theta), theta * Q11]),
-        np.concatenate([theta * Q22, Q22 - Q12.T @ np.linalg.solve(Q11, Q12) / (1.0 - theta)])])
+    inv, cross = Q.take(_SCHUR_BLOCKS)  # (Q22, Q11) and (Q12^t, Q12)
+    P = cross[::-1] @ np.linalg.solve(inv, cross)  # Q12 Q22^-1 Q21 and Q21 Q11^-1 Q12
+    diag = inv[::-1, None]  # Q11 and Q22, against theta
+    schur, scaled = diag - P[:, None] / (1.0 - _THETA), _THETA * diag  # factor, theta, block
+    # D[factor, split]: the Schur splits (D1 a Schur complement), then their mirrors.
+    D = np.concatenate([schur[:1], scaled[:1], scaled[1:], schur[1:]], axis=1).reshape(2, -1, 3, 3)
     R = np.repeat(Q[None], D.shape[1], axis=0)
     R[:, :3, :3] -= D[0]
     R[:, 3:, 3:] -= D[1]
@@ -547,9 +594,14 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     keep = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(N)
     if not keep.any():
         return None
+    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1]  # descending
+    pd = (q[..., 2] > 0).all(axis=0)  # lowering by s > 0 keeps no other split
+    if not pd.any():
+        return None
+    keep[keep] = pd
     s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
-    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1] - s[:, None]  # descending, lowered
-    q = q[:, np.all(q[..., 2] > 0, axis=0)]
+    q = q[:, pd] - s[:, None]  # lowered
+    q = q[:, (q[..., 2] > 0).all(axis=0)]
     if not q.shape[1]:
         return None
     sm2 = spec.sigma[-1] ** 2
@@ -560,9 +612,10 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
     casimir = (n1 * (n1 + 2.0))[:, None] + (n2 * (n2 + 2.0))[None, :]
     bound = sm2 * casimir
-    for q1, q2 in zip(q[0], q[1]):  # one split at a time: one table-sized sum is live
-        np.maximum(bound, _spin_floor(n1, q1)[:, None] + _spin_floor(n2, q2)[None, :],
-                   out=bound)
+    step = _TABLE_CELLS // (rows * cols)  # splits per block: at most _TABLE_CELLS sums live
+    for k in range(0, q.shape[1], step):
+        F1, F2 = _spin_floor(n1, q[0, k:k + step]), _spin_floor(n2, q[1, k:k + step])
+        np.maximum(bound, (F1[:, :, None] + F2[:, None, :]).max(axis=0), out=bound)
     if entry.factors[0].kind == "so3":
         bound[1::2] = math.inf
     if entry.factors[1].kind == "so3":
@@ -577,18 +630,19 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
 def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> SpectralResult:
     """Smallest positive Laplace eigenvalue of the metric, with certification.
 
-    On products, walks irreps in ascending Casimir order keeping the running
-    minimum of lambda_min(-C_A), strict ``<`` in stream order; it stops
-    certified at the first Casimir nu with sigma_m^2 * nu > running minimum.
-    The first irrep's value also sizes the factor spin bounds
-    (``_PairBounds``): a pair they put above the running minimum is skipped
-    without assembly, and the walk stops past the largest Casimir of a pair
-    they cannot exclude, recomputed whenever the minimum moves.  The su2/so3
-    gap evaluates spin 1/2 and spin 1, and
-    a torus gap is an exact shortest-vector search.  Every result is
-    certified.  Overflow of the operator is refused by
-    ``lambda_min_hermitian``'s checks, which run on every irrep assembled.
-    An assembled irrep after the first whose Cholesky screen
+    On products, walks the (Casimir, a, b) factor pairs of ``_factor_pairs``
+    in ascending Casimir order keeping the running minimum of
+    lambda_min(-C_A), strict ``<`` in stream order; it stops certified at the
+    first Casimir nu with sigma_m^2 * nu > running minimum.  The first pair's
+    value also sizes the factor spin bounds (``_PairBounds``): a pair they
+    put above the running minimum is skipped without assembly, looked up by
+    its factors' dimensions, and the walk stops past the largest Casimir of a
+    pair they cannot exclude, recomputed whenever the minimum moves.  Only a
+    new witness has its label formatted.  The su2/so3 gap evaluates spin 1/2
+    and spin 1, and a torus gap is an exact shortest-vector search.  Every
+    result is certified.  Overflow of the operator is refused by
+    ``lambda_min_hermitian``'s checks (``_hermitian``), which run on every
+    pair assembled.  An assembled pair after the first whose Cholesky screen
     (``_lies_above``) proves it above the running minimum needs no
     eigensolve.  The margins of the screen and of the spin bounds keep
     ``lambda1``, the witness and ties exactly as a walk that solves every
@@ -600,29 +654,30 @@ def lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Spectral
         return _torus_lambda1_certified(spec)
     if entry.kind in ("su2", "so3"):
         return _spin_lambda1_certified(entry, spec)
-    sm2 = spec.sigma[-1] ** 2
+    sm2 = float(spec.sigma[-1] ** 2)
     lam_hat = math.inf
     witness = ""
     evals = 0
     bounds = None  # the spin bounds, built once the first irrep sets the minimum
     last = math.inf  # the largest Casimir the spin bounds cannot exclude
     blocks: dict = {}  # factor blocks shared by the pairs of this walk
+    Q = spec.AAt
     # An overflow is refused right after it happens, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for irrep in _irrep_stream(entry):
-            if sm2 * irrep.casimir > lam_hat or irrep.casimir > last:
+        for cas, a, b in itertools.islice(_factor_pairs(entry), 1, None):  # no trivial pair
+            if sm2 * cas > lam_hat or cas > last:
                 return SpectralResult(lambda1=lam_hat, witness=witness, certified=True,
-                                      window=irrep.casimir, evaluations=evals)
+                                      window=cas, evaluations=evals)
             evals += 1
-            if bounds is not None and bounds.excludes(irrep, lam_hat):
+            if bounds is not None and bounds.excludes(a, b, lam_hat):
                 continue
-            H = _hermitian(_minus_CA(irrep, spec.AAt, blocks))
-            if _lies_above(H, lam_hat):
+            H, peak = _hermitian(_pair_minus_CA(a, b, Q, blocks))
+            if _lies_above(H, peak, lam_hat):
                 continue
             lm = float(np.linalg.eigvalsh(H)[0])
             if lm < lam_hat:
                 lam_hat = lm
-                witness = irrep.label
+                witness = _pair_label(a, b)
                 if evals == 1:
                     bounds = _pair_bounds(entry, spec, lam_hat)
                 if bounds is not None:

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -187,6 +187,7 @@ class TestTorusDiameter:
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=3, seed=406)  # sigma (765, 2.95e-3, 2.76e-3): conditioned, not singular
     def test_kept_offsets_match_the_whole_box(self, m, seed):
         rng = np.random.default_rng(seed)
         sig = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), m))

@@ -77,11 +77,31 @@ class TestMetricFromMatrix:
         with pytest.raises(ls.SingularMatrixError):
             ls.metric_from_matrix(np.diag([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("sigma, refused", [
+        # |det(A / max|entry|)| is about 3e-11 for the first and 3e-9 for the
+        # second, although the first is the better conditioned (sigma_3 /
+        # sigma_1 = 3.6e-6 against 1e-6): a determinant rule refused it.
+        ((765.0, 2.95e-3, 2.76e-3), False),
+        ((1e3, 1.0, 1e-3), False),
+        ((1e3, 1e3, 0.5e-7), True),
+        ((1.0, 1.0, 0.5e-10), True),
+    ])
+    def test_refuses_by_conditioning_alone(self, sigma, refused):
+        # The rule is sigma_m <= 1e-10 sigma_1, whatever the rotations.
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            A = random_rotation(3, rng) @ np.diag(sigma) @ random_rotation(3, rng)
+            if refused:
+                with pytest.raises(ls.SingularMatrixError, match="ill-conditioned"):
+                    ls.metric_from_matrix(A)
+            else:  # sigma from eigh(A A^t) resolves sigma_3 to about 1e-4 here
+                assert np.allclose(ls.metric_from_matrix(A).sigma, sigma, rtol=1e-3, atol=0.0)
+
     @pytest.mark.parametrize("key, c", [("su2xsu2", 1e60), ("su2xsu2", 1e-60),
                                         ("su2", 1e-110), ("t4", 1e-90)])
     def test_extreme_homothety_accepted(self, key, c):
-        # The singularity test is scale-free: det(c I) over- or underflows
-        # here, det(I) does not.
+        # The singularity test is scale-free: det(c I) would over- or
+        # underflow here, and the ratio of singular values does not.
         entry = ls.entry_from_key(key)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

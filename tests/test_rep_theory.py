@@ -125,6 +125,68 @@ def unscreened_walk(entry, spec):
             best, witness = lam, irrep.label
 
 
+def sequential_walk(entry, spec):
+    """(lambda1, witness, window, evaluations) of a product gap by a plain
+    sequential walk: pairs in stream order, the spin bounds built after the
+    first irrep, the last Casimir they cannot exclude recomputed on each new
+    minimum, and ``lambda_min_hermitian`` on every pair they do not exclude,
+    with no Cholesky screen.
+    """
+    sm2 = spec.sigma[-1] ** 2
+    best, witness, evals, bounds, last = math.inf, "", 0, None, math.inf
+    for irrep in _irrep_stream(entry):
+        if sm2 * irrep.casimir > best or irrep.casimir > last:
+            return best, witness, irrep.casimir, evals
+        evals += 1
+        if bounds is not None and bounds.excludes(*irrep.factors, best):
+            continue
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(irrep, spec))
+        if lam < best:
+            best, witness = lam, irrep.label
+            if evals == 1:
+                bounds = rep_theory._pair_bounds(entry, spec, best)
+            if bounds is not None:
+                last = bounds.stop(best)
+
+
+def pair_bounds_table_reference(entry, spec, lam):
+    """(casimir, bound) of ``_PairBounds`` as the spin-bound docstring states
+    it, split by split: each Schur split and its mirror from their own solve,
+    the floors added one split at a time."""
+    Q = spec.AAt
+    Q11, Q12, Q22 = Q[:3, :3], Q[:3, 3:], Q[3:, 3:]
+    theta = np.array(rep_theory._SPLIT_THETAS)[:, None, None]
+    D = np.stack([
+        np.concatenate([Q11 - Q12 @ np.linalg.solve(Q22, Q12.T) / (1.0 - theta), theta * Q11]),
+        np.concatenate([theta * Q22, Q22 - Q12.T @ np.linalg.solve(Q11, Q12) / (1.0 - theta)])])
+    R = np.repeat(Q[None], D.shape[1], axis=0)
+    R[:, :3, :3] -= D[0]
+    R[:, 3:, 3:] -= D[1]
+    N = np.abs(Q).sum(1).max() + np.abs(D).sum(3).max(axis=(0, 2))
+    keep = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(N)
+    s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
+    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1] - s[:, None]
+    q = q[:, np.all(q[..., 2] > 0, axis=0)]
+    sm2 = spec.sigma[-1] ** 2
+    top = np.minimum(lam / (2.0 * q[..., 1]), np.sqrt(lam / q[..., 2])).min(axis=1)
+    rows, cols = (math.floor(min(t, math.sqrt(lam / sm2))) + 2 for t in top)
+    n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
+    casimir = (n1 * (n1 + 2.0))[:, None] + (n2 * (n2 + 2.0))[None, :]
+    bound = sm2 * casimir
+    for q1, q2 in zip(q[0], q[1]):
+        np.maximum(bound, rep_theory._spin_floor(n1, q1)[:, None]
+                   + rep_theory._spin_floor(n2, q2)[None, :], out=bound)
+    if entry.factors[0].kind == "so3":
+        bound[1::2] = math.inf
+    if entry.factors[1].kind == "so3":
+        bound[:, 1::2] = math.inf
+    return casimir, bound
+
+
+def bookkeeping(res):
+    return res.lambda1, res.witness, res.window, res.evaluations
+
+
 def replayed_walk(entry, res, spec):
     """(lambda1, witness) from the first ``evaluations`` irreps below the
     window, each assembled afresh and solved."""
@@ -142,10 +204,10 @@ def spin_bound_skips(monkeypatch):
     skipped = []
     real = rep_theory._PairBounds.excludes
 
-    def spy(self, irrep, lam):
-        out = real(self, irrep, lam)
+    def spy(self, a, b, lam):
+        out = real(self, a, b, lam)
         if out:
-            skipped.append(irrep.label)
+            skipped.append(f"pair({a.label},{b.label})")
         return out
 
     monkeypatch.setattr(rep_theory._PairBounds, "excludes", spy)
@@ -174,7 +236,8 @@ def su2xsu2_metrics(draw):
 
 
 def hermitian_with_spectrum(lam, rng):
-    """U diag(lam) U* for a random unitary U."""
+    """U diag(lam) U* for a random unitary U, and its largest |entry|, as
+    ``_hermitian`` returns them."""
     d = len(lam)
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     U, _ = np.linalg.qr(X)
@@ -707,6 +770,16 @@ class TestCertifiedGap:
         res = ls.lambda1_certified(su2xsu2, spec)
         assert (res.lambda1, res.witness, res.certified) == unscreened_walk(su2xsu2, spec)
         assert replayed_walk(su2xsu2, res, spec) == (res.lambda1, res.witness)
+        assert bookkeeping(res) == sequential_walk(su2xsu2, spec)
+
+    def test_walk_bookkeeping_on_the_benchmark_pool(self, su2xsu2):
+        # window and evaluations, not only lambda1 and the witness, are those
+        # of the sequential walk on every su2xsu2 pool metric of perfbench;
+        # its traced replay reads both.
+        for seed in range(64):
+            spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=seed)
+            res = ls.lambda1_certified(su2xsu2, spec)
+            assert bookkeeping(res) == sequential_walk(su2xsu2, spec), seed
 
     @settings(max_examples=60, deadline=None)
     @given(log_sigma=st.lists(st.floats(math.log(0.2), math.log(5.0)),
@@ -754,6 +827,30 @@ class TestCertifiedGap:
         assert res.certified and res.evaluations > 20
         assert kron_sums_calls == []
 
+    def test_skipped_pairs_build_no_irrep(self, su2xsu2, spin_bound_skips, monkeypatch):
+        # The walk reads factor pairs: a pair the spin bounds skip costs no
+        # Irrep, and an assembled one at most one.
+        built, assembled = [], []
+        post_init = rep_theory.Irrep.__post_init__
+        assemble = rep_theory._pair_minus_CA
+
+        def counting_post_init(irrep):
+            post_init(irrep)
+            if irrep.factors:
+                built.append(irrep.label)
+
+        def counting_assemble(a, b, *args):
+            assembled.append(f"pair({a.label},{b.label})")
+            return assemble(a, b, *args)
+
+        spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=5)
+        monkeypatch.setattr(rep_theory.Irrep, "__post_init__", counting_post_init)
+        monkeypatch.setattr(rep_theory, "_pair_minus_CA", counting_assemble)
+        res = ls.lambda1_certified(su2xsu2, spec)
+        assert spin_bound_skips and len(assembled) + len(spin_bound_skips) == res.evaluations
+        assert not set(built) & set(spin_bound_skips)
+        assert len(built) <= len(assembled)
+
     def test_product_matches_kron_einsum_reference(self, su2xsu2, spin_bound_skips):
         # Under the stop rule alone seeds 0-11 certify within 80 pairs; 13 and
         # 40 are the two costliest benchmark pool seeds (243 and 233 pairs, up
@@ -783,14 +880,14 @@ class TestCholeskyScreen:
             rest = lam * np.exp(rng.uniform(0.0, math.log(10.0), d - 1))
             for ulps in (-4, -1, 0, 1, 4):
                 low = lam + ulps * math.ulp(lam)
-                H = hermitian_with_spectrum(np.concatenate([[low], rest]), rng)
-                if rep_theory._lies_above(H, lam):
+                H, peak = hermitian_with_spectrum(np.concatenate([[low], rest]), rng)
+                if rep_theory._lies_above(H, peak, lam):
                     assert np.linalg.eigvalsh(H)[0] >= lam, (d, lam, ulps)
-            H = hermitian_with_spectrum(np.concatenate([[lam * (1 + 1e-8)], rest]), rng)
-            assert rep_theory._lies_above(H, lam), (d, lam)
+            H, peak = hermitian_with_spectrum(np.concatenate([[lam * (1 + 1e-8)], rest]), rng)
+            assert rep_theory._lies_above(H, peak, lam), (d, lam)
 
     def test_first_irrep_is_never_screened(self):
-        assert not rep_theory._lies_above(np.eye(3, dtype=complex), math.inf)
+        assert not rep_theory._lies_above(np.eye(3, dtype=complex), 1.0, math.inf)
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda M: M.__setitem__((0, -1), np.inf), "overflows the float range"),
@@ -804,21 +901,21 @@ class TestCholeskyScreen:
         spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=12)
         first, second = ls.enumerate_irreps(su2xsu2, 3.0)
         lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(first, spec))
-        assert not rep_theory._pair_bounds(su2xsu2, spec, lam).excludes(second, lam)
+        assert not rep_theory._pair_bounds(su2xsu2, spec, lam).excludes(*second.factors, lam)
         assert rep_theory._lies_above(
-            rep_theory._hermitian(ls.assemble_minus_CA(second, spec)), lam)
-        real = rep_theory._minus_CA
+            *rep_theory._hermitian(ls.assemble_minus_CA(second, spec)), lam)
+        real = rep_theory._pair_minus_CA
         pairs = []
 
-        def bad_second_pair(irrep, *args):
-            M = real(irrep, *args)
-            pairs.append(irrep.label)
+        def bad_second_pair(a, b, *args):
+            M = real(a, b, *args)
+            pairs.append(f"pair({a.label},{b.label})")
             if len(pairs) == 2:
                 M = M.copy()
                 corrupt(M)
             return M
 
-        monkeypatch.setattr(rep_theory, "_minus_CA", bad_second_pair)
+        monkeypatch.setattr(rep_theory, "_pair_minus_CA", bad_second_pair)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=message):
                 ls.lambda1_certified(su2xsu2, spec)
@@ -860,14 +957,31 @@ class TestSpinBounds:
             assert (res.lambda1, res.witness, res.certified) == unscreened_walk(entry, spec)
             assert replayed_walk(entry, res, spec) == (res.lambda1, res.witness)
             bounds = rep_theory._pair_bounds(entry, spec, res.lambda1)
-            skipped += sum(bounds.excludes(irrep, res.lambda1)
+            skipped += sum(bounds.excludes(*irrep.factors, res.lambda1)
                            for irrep in ls.enumerate_irreps(entry, res.window))
         assert skipped > 0
 
+    @pytest.mark.parametrize("kinds", [("su2", "su2"), ("su2", "so3"), ("so3", "so3")])
+    def test_blocked_table_matches_split_by_split(self, kinds):
+        # The blocked broadcasts take the same maximum over the same sums, so
+        # the table is bit for bit the reference's, at the first minimum and
+        # at a smaller one.
+        entry = ls.product_entry([ls.entry_from_key(k) for k in kinds])
+        first = ls.enumerate_irreps(entry, 3.0 if "su2" in kinds else 8.0)[0]
+        for seed in range(64):
+            spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+            lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(first, spec))
+            for lam in (lam, 0.5 * lam):
+                bounds = rep_theory._pair_bounds(entry, spec, lam)
+                casimir, bound = pair_bounds_table_reference(entry, spec, lam)
+                assert np.array_equal(bounds.casimir, casimir), seed
+                assert np.array_equal(bounds.bound, bound), seed
+
     def test_table_memory(self, su2xsu2, monkeypatch):
         # The first minimum on this metric sizes a 2 x 95240 table.  Adding
-        # the floors one split at a time peaks at about 6.6 MiB; building all
-        # sixteen split tables before the maximum took 21.2 MiB.
+        # the floors in blocks of at most _TABLE_CELLS sums, here one split
+        # per block, peaks at about 7.4 MiB; building all sixteen split
+        # tables before the maximum took 21.2 MiB.
         spec = ls.metric_from_matrix(np.diag([1.0] * 4 + [1.05e-5] * 2))
         firsts = []
         real = rep_theory._pair_bounds
