@@ -12,12 +12,14 @@ absorbs the discretisation bias.
 search (a k-d tree) and the straightened two-hop graph, stored as one
 symmetric CSR structure whose entries map to the logs of the upper edges.
 Every graph is scipy sparse algebra on the knn adjacency: a sum with the
-transpose, a product and an upper triangle.  The default net (20000 nodes,
-knn 12) takes about 0.5 s to build (0.7 s for the first build in a process,
-which also imports scipy) and peaks at 34.4 MiB traced, so nets are not
-cached across runs.  Each metric then pays for one weight per edge, a
-gather of those weights into both directions and one directed Dijkstra,
-about 40 ms.
+transpose, a product, and transposes, which scipy returns with sorted rows.
+The nodes after the identity follow a 4-D Morton curve, so that the
+neighbours of a node mostly have nearby ids.  The default net (20000 nodes,
+knn 12) takes about 0.12 s to build (0.3 s for the first build in a
+process, which also imports scipy) and peaks at 31.6 MiB traced, so nets
+are not cached across runs.  Each metric then pays for one weight per edge,
+a gather of those weights into both directions and one directed Dijkstra,
+about 13 ms.
 
 The torus grid sweep reduces the metric form once per call and keeps only
 the closest-vector polish offsets that can beat the origin in the reduced
@@ -32,7 +34,8 @@ of the screened maximum, and its mirror, with the direct form.  Mirrors
 tie only in exact arithmetic, and the refinement pass is not
 mirror-symmetric, so the re-score keeps the argmax, and every reported
 figure, that of a full direct sweep.  t3 at grid 64 takes about 3.5 ms.
-All timings are one BLAS thread on a 2-core Intel Xeon.
+All timings are one BLAS thread, those of the nets on a 2-core AMD EPYC and
+the torus sweep on a 2-core Intel Xeon.
 """
 
 from __future__ import annotations
@@ -411,20 +414,24 @@ def biinvariant_diameter(entry: LieGroupCatalogEntry) -> DiameterEstimate:
 # Quaternion nets
 # ---------------------------------------------------------------------------
 
-# Edges per chunk when computing edge logs and weights and gathering the
-# weights; bounds the temporaries of the quaternion products, which would
-# otherwise set the peak memory of a build, and those of each metric.
+# Edges per chunk when weighing the edge logs and gathering the weights;
+# bounds the temporaries of each metric.
 _LOG_CHUNK = 1 << 16
+# Edges per chunk of the quaternion products behind the edge logs; bounds
+# their temporaries, about 160 bytes an edge, which would otherwise set the
+# peak memory of a build.
+_QUAT_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
 class Net:
     """k-nearest-neighbour graph on seeded unit quaternions, ready for paths.
 
-    ``rows``/``cols`` (rows < cols) is the symmetrised knn adjacency and
-    ``mesh`` the largest nearest-neighbour distance.  Shortest paths run over
-    the straightened graph: the adjacency plus every two-hop shortcut, stored
-    as a symmetric CSR structure for directed Dijkstra.  Row i's neighbours
+    Node 0 is the identity, and the other nodes follow a 4-D Morton curve.
+    ``rows``/``cols`` (rows < cols, row-major) is the symmetrised knn
+    adjacency and ``mesh`` the largest nearest-neighbour distance.  Shortest
+    paths run over the straightened graph: the adjacency plus every two-hop
+    shortcut, stored as a symmetric CSR structure for directed Dijkstra.  Row i's neighbours
     are ``edge_cols[indptr[i]:indptr[i + 1]]`` (ascending, never i), and
     ``edge[k]`` is the id of the undirected edge behind CSR entry k, so
     every id appears twice, once in each direction.  Ids number the upper
@@ -465,8 +472,8 @@ class Net:
 def _edge_logs(kind: str, nodes: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     logs = np.empty((rows.size, 3))
-    for start in range(0, rows.size, _LOG_CHUNK):
-        r, c = rows[start:start + _LOG_CHUNK], cols[start:start + _LOG_CHUNK]
+    for start in range(0, rows.size, _QUAT_CHUNK):
+        r, c = rows[start:start + _QUAT_CHUNK], cols[start:start + _QUAT_CHUNK]
         rel = quat_mul(quat_conj(nodes[r]), nodes[c])
         logs[start:start + r.size] = quat_log(rel, so3=kind == "so3")
     return logs
@@ -492,38 +499,52 @@ def _knn_adjacency(kind: str, nodes: np.ndarray, k: int):
     return query + query.T, mesh
 
 
-def _upper(a):
-    """Strict upper triangle of a sparse matrix, CSR with each row ascending."""
-    from scipy.sparse import triu
-
-    upper = triu(a, k=1, format="csr")
-    upper.sort_indices()
-    return upper
-
-
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
     """Row index of each entry of a CSR structure, int32."""
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+
+
+def _morton_order(points: np.ndarray) -> np.ndarray:
+    """Order of points of [-1, 1]^4 along a 4-D Morton (Z-order) curve.
+
+    Each coordinate is cut into 2^16 cells, and a point's code takes bit b
+    of the cell number along axis a to bit 4 b + a, so points close in the
+    order lie close in space.  Equal codes keep their draw order.
+    """
+    cells = np.minimum(((points + 1.0) * (1 << 15)).astype(np.uint64), (1 << 16) - 1)
+    code = np.zeros(points.shape[0], dtype=np.uint64)
+    for bit in range(16):
+        for axis in range(4):
+            code |= ((cells[:, axis] >> bit) & 1) << (4 * bit + axis)
+    return np.argsort(code, kind="stable")
 
 
 def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
               knn: int = DEFAULT_KNN, seed: int = 0) -> Net:
     """Seeded random net on SU(2) or SO(3) with symmetrised knn adjacency.
 
-    The identity is always node 0.  It needs 6 <= knn < n_nodes, and a
-    disconnected knn graph is refused, both with ``ValueError``.  Everything
-    that depends only on the net, the straightened edges with their logs
-    included, is computed here once, so each metric pays for its edge weights
-    and one Dijkstra only.
+    The identity is always node 0, and the other nodes follow in the order
+    of a 4-D Morton curve, so that neighbours mostly have nearby ids and the
+    k-d tree, the sparse products and each metric's gather and Dijkstra read
+    memory in order.  It needs 6 <= knn < n_nodes, and a disconnected knn
+    graph is refused, both with ``ValueError``.  Everything that depends
+    only on the net, the straightened edges with their logs included, is
+    computed here once, so each metric pays for its edge weights and one
+    Dijkstra only.
 
     Shortest paths on the raw knn graph overshoot by several percent because
     edge directions are quantised; admitting neighbour-of-neighbour hops (each
     still an exactly weighted one-parameter arc) removes most of that bias
     while keeping every path admissible.  The straightened graph is the
-    upper triangle of ``sym @ sym + sym`` for the knn adjacency ``sym``.
-    Numbering its entries from 1 (a sparse sum drops zeros) and adding the
-    transpose gives the symmetric structure, each entry holding its upper
-    id plus one.
+    pattern of ``sym @ sym + sym`` for the knn adjacency ``sym``, summed in
+    int8 as 1 on the square plus 2 on ``sym``, so that a knn edge holds 2
+    or 3 and any other edge 1.  The pattern is symmetric, so its transpose,
+    which scipy converts to CSR with every row sorted, is the same pattern
+    sorted, and every row holds its diagonal once.  Without the diagonal it
+    is the symmetric structure: its upper entries are the edges in row-major
+    order, and the marked ones are ``rows``/``cols``.  The transpose of the
+    structure numbered with the upper ids puts in each lower entry the id of
+    its reverse.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -537,9 +558,10 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n_nodes - 1, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
     if entry.kind == "so3":
-        nodes = so3_representative(nodes)
+        pts = so3_representative(pts)
+    nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts[_morton_order(pts)]])
+    del pts
 
     n = nodes.shape[0]
     sym, mesh = _knn_adjacency(entry.kind, nodes, knn)
@@ -549,22 +571,33 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     if ncomp != 1:
         raise ValueError(f"knn graph of the net has {ncomp} components; "
                          "raise the net size or knn")
-    knn_upper = _upper(sym)
-    rows, cols = _row_ids(knn_upper.indptr), knn_upper.indices
-    upper = _upper(sym @ sym + sym)
-    del sym, knn_upper
-    # The logs first, with every other temporary released: the symmetric
-    # arrays would otherwise be held while the log temporaries peak.
-    edge_logs = _edge_logs(entry.kind, nodes, _row_ids(upper.indptr), upper.indices)
-    ids = csr_matrix((np.arange(1, upper.nnz + 1, dtype=np.int32), upper.indices,
-                      upper.indptr), shape=(n, n))
-    del upper
-    both = ids + ids.T
-    del ids
-    both.sort_indices()
-    both.data -= 1
+    square = sym @ sym
+    two = (csr_matrix((np.ones(square.nnz, dtype=np.int8), square.indices, square.indptr),
+                      shape=(n, n))
+           + csr_matrix((np.full(sym.nnz, 2, dtype=np.int8), sym.indices, sym.indptr),
+                        shape=(n, n)))
+    del sym, square
+    two = two.T.tocsr()
+    entry_rows = _row_ids(two.indptr)
+    upper = two.indices > entry_rows
+    up_rows, up_cols = entry_rows[upper], two.indices[upper]
+    knn_edge = two.data[upper] >= 2
+    rows, cols = up_rows[knn_edge], up_cols[knn_edge]
+    # A connected graph has no isolated node, so every row of the square
+    # holds its diagonal entry once.
+    off = two.indices != entry_rows
+    del entry_rows
+    indptr = two.indptr - np.arange(n + 1, dtype=two.indptr.dtype)
+    edge_cols = two.indices[off]
+    edge = np.zeros(edge_cols.size, dtype=np.int32)
+    edge[upper[off]] = np.arange(up_rows.size, dtype=np.int32)
+    # The pattern and its masks go before the numbering is transposed and
+    # the logs are taken, where the temporaries of a build peak.
+    del two, upper, knn_edge, off
+    edge += csr_matrix((edge, edge_cols, indptr), shape=(n, n)).T.tocsr().data
+    edge_logs = _edge_logs(entry.kind, nodes, up_rows, up_cols)
     return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
-               indptr=both.indptr, edge_cols=both.indices, edge=both.data,
+               indptr=indptr, edge_cols=edge_cols, edge=edge,
                edge_logs=edge_logs, knn=knn, seed=seed)
 
 

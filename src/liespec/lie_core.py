@@ -237,18 +237,44 @@ def prefix_subalgebra_dims(entry: LieGroupCatalogEntry, P: np.ndarray) -> list[i
 # Quaternion helpers (broadcast over leading axes)
 # ---------------------------------------------------------------------------
 
+def _components(q: np.ndarray) -> list[np.ndarray]:
+    q = np.asarray(q, dtype=float)
+    return [q[..., i] for i in range(q.shape[-1])]
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """The components ``parts``, broadcast, on a last axis.
+
+    Each component is stored contiguously, so it is written and read in
+    order; the result is a view with the components last.
+    """
+    out = np.empty((len(parts),) + np.broadcast_shapes(*(p.shape for p in parts)))
+    for i, part in enumerate(parts):
+        out[i] = part
+    return np.moveaxis(out, 0, -1)
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = a[..., :1] * b[..., :1] - np.sum(a[..., 1:] * b[..., 1:], axis=-1, keepdims=True)
-    v = (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
-         + np.cross(a[..., 1:], b[..., 1:]))
-    return np.concatenate([w, v], axis=-1)
+    """Hamilton product a b, broadcast over leading axes.
+
+    Computed component by component as (a0 b0 - a.b, a0 b + b0 a + a x b),
+    the dot product summed from +0 as ``np.sum`` sums (so a sum of negative
+    zeros is +0) and the cross product in the order of ``np.cross``: every
+    bit, signed zeros included, is that of the vector form written with
+    those numpy calls.
+    """
+    a0, a1, a2, a3 = _components(a)
+    b0, b1, b2, b3 = _components(b)
+    return _stack([a0 * b0 - (((a1 * b1 + a2 * b2) + a3 * b3) + 0.0),
+                   (a0 * b1 + b0 * a1) + (a2 * b3 - a3 * b2),
+                   (a0 * b2 + b0 * a2) + (a3 * b1 - a1 * b3),
+                   (a0 * b3 + b0 * a3) + (a1 * b2 - a2 * b1)])
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+    """Conjugate (q0, -q1, -q2, -q3), broadcast over leading axes."""
+    q0, q1, q2, q3 = _components(q)
+    return _stack([q0, -q1, -q2, -q3])
 
 
 def so3_representative(q: np.ndarray) -> np.ndarray:
@@ -264,14 +290,15 @@ def quat_log(q: np.ndarray, so3: bool = False) -> np.ndarray:
     in [0, pi].  With ``so3`` the quaternions are taken modulo sign, so the
     representative with nonnegative real part is used and theta <= pi/2.  At
     the antipode every direction is a shortest branch; (pi, 0, 0) is returned.
+    Computed component by component, with |u| summed in the order of
+    ``np.linalg.norm``: every bit is that of the vector form, |u| from
+    ``np.linalg.norm`` and the result ``fac[..., None] * q[..., 1:]``.
     """
     q = so3_representative(q) if so3 else np.asarray(q, dtype=float)
-    w = q[..., 0]
-    u = q[..., 1:]
-    s = np.linalg.norm(u, axis=-1)
-    theta = np.arctan2(s, w)
-    fac = np.where(s > 1e-15, theta / np.maximum(s, 1e-300), 0.0)
-    v = fac[..., None] * u
+    w, x, y, z = _components(q)
+    s = np.sqrt((x * x + y * y) + z * z)
+    fac = np.where(s > 1e-15, np.arctan2(s, w) / np.maximum(s, 1e-300), 0.0)
+    v = _stack([fac * x, fac * y, fac * z])
     antipodal = (s <= 1e-15) & (w < 0)
     if np.any(antipodal):
         v[antipodal] = np.array([math.pi, 0.0, 0.0])

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 import liespec as ls
 from liespec import _lattice, geometry
 from liespec.geometry import (DiameterEstimate, _closest_lattice_distances,
                                _edge_weights)
-from liespec.lie_core import quat_conj, quat_log, quat_mul
+from liespec.lie_core import quat_conj, quat_log, quat_mul, so3_representative
 from liespec.metric_space import random_rotation
 
 
@@ -108,19 +109,24 @@ def dense_knn_reference(kind, nodes, k):
     return pairs // n, pairs % n, mesh
 
 
-def reference_edges(net):
-    """Straightened edges (rows < cols, row-major) and their logs."""
-    n = net.n_nodes
-    one = csr_matrix((np.ones(net.rows.size, dtype=bool), (net.rows, net.cols)),
-                     shape=(n, n))
+def straightened_reference(kind, nodes, rows, cols):
+    """Straightened edges (rows < cols, row-major) of the knn pairs
+    ``rows``/``cols`` and their logs."""
+    n = nodes.shape[0]
+    one = csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
     sym = one + one.T
     two = (sym @ sym + sym).tocoo()
     keep = two.row < two.col
     rows, cols = two.row[keep].astype(np.int64), two.col[keep].astype(np.int64)
     order = np.argsort(rows * n + cols)
     rows, cols = rows[order], cols[order]
-    return rows, cols, quat_log(quat_mul(quat_conj(net.nodes[rows]), net.nodes[cols]),
-                                so3=net.kind == "so3")
+    return rows, cols, quat_log(quat_mul(quat_conj(nodes[rows]), nodes[cols]),
+                                so3=kind == "so3")
+
+
+def reference_edges(net):
+    """Straightened edges of the net's knn pairs and their logs."""
+    return straightened_reference(net.kind, net.nodes, net.rows, net.cols)
 
 
 def reference_symmetric(n, rows, cols, w):
@@ -148,6 +154,55 @@ def upper_appearances(net):
     upper = rows < cols
     order = np.argsort(net.edge[upper])
     return rows[upper][order], cols[upper][order]
+
+
+def check_symmetric_layout(net):
+    """``indptr``/``edge_cols``/``edge`` as documented: int32, rows sorted
+    and without a diagonal, and each upper edge id once in each direction,
+    numbered in row-major order."""
+    assert (net.rows.dtype == net.cols.dtype == net.indptr.dtype
+            == net.edge_cols.dtype == net.edge.dtype == np.int32)
+    entry_rows = net_entry_rows(net)
+    assert np.all(entry_rows != net.edge_cols)
+    # Row-major and sorted within each row: the flat keys ascend strictly.
+    assert np.all(np.diff(entry_rows * net.n_nodes + net.edge_cols) > 0)
+    n_edges = net.edge_logs.shape[0]
+    assert net.edge.size == 2 * n_edges
+    for side in (entry_rows < net.edge_cols, entry_rows > net.edge_cols):
+        assert np.array_equal(np.sort(net.edge[side]), np.arange(n_edges))
+    up_rows, up_cols = upper_appearances(net)
+    assert np.all(np.diff(up_rows * net.n_nodes + up_cols) > 0)
+    # Each lower entry names the edge of its reverse.
+    lower = entry_rows > net.edge_cols
+    assert np.array_equal(up_rows[net.edge[lower]], net.edge_cols[lower])
+    assert np.array_equal(up_cols[net.edge[lower]], entry_rows[lower])
+
+
+def draw_order_knn(kind, n, knn, seed):
+    """The nodes of a net in the order they are drawn, and their knn pairs
+    (rows < cols, row-major) and mesh from a k-d tree: what a net must match
+    up to the order of its nodes."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n - 1, 4))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    nodes = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), pts])
+    if kind == "so3":
+        nodes = so3_representative(nodes)
+    points = np.vstack([nodes, -nodes]) if kind == "so3" else nodes
+    chord, idx = cKDTree(points).query(nodes, k=knn + 1)
+    mesh = 2.0 * math.asin(min(1.0, float(np.max(chord[:, 1])) / 2.0))
+    own, other = np.repeat(np.arange(n), knn), idx[:, 1:].ravel() % n
+    pairs = np.unique(np.minimum(own, other) * n + np.maximum(own, other))
+    return nodes, pairs // n, pairs % n, mesh
+
+
+def node_permutation(net, nodes):
+    """The permutation ``perm`` with ``net.nodes == nodes[perm]``."""
+    drawn, built = np.lexsort(nodes.T[::-1]), np.lexsort(net.nodes.T[::-1])
+    assert np.array_equal(nodes[drawn], net.nodes[built])
+    perm = np.empty(net.n_nodes, dtype=np.int64)
+    perm[built] = drawn
+    return perm
 
 
 def graph_diameter_reference(net, spec):
@@ -378,7 +433,20 @@ class TestNet:
         lead[lead == 0] = 1.0
         net = ls.build_net(so3, 500, 8, seed=4)
         assert np.all(net.nodes[:, 0] >= 0)
-        assert np.array_equal(net.nodes, draw * np.sign(lead))
+        # The same nodes, the identity first and the others in Morton order.
+        assert node_permutation(net, draw * np.sign(lead))[0] == 0
+
+    def test_nodes_follow_a_morton_curve(self, su2, so3):
+        for entry in (su2, so3):
+            net = ls.build_net(entry, 500, 8, seed=5)
+            assert np.array_equal(net.nodes[0], [1.0, 0.0, 0.0, 0.0])
+            # 2^16 cells per coordinate; a code takes bit b of coordinate a
+            # to bit 4 b + a.
+            cells = np.minimum(((net.nodes[1:] + 1.0) * 2 ** 15).astype(np.int64),
+                               2 ** 16 - 1)
+            codes = [sum(((int(c[a]) >> b) & 1) << (4 * b + a)
+                         for b in range(16) for a in range(4)) for c in cells]
+            assert codes == sorted(codes)
 
     def test_so3_net_respects_identification(self, so3):
         net = ls.build_net(so3, 500, 8, seed=1)
@@ -421,21 +489,11 @@ class TestNet:
             ref = reference_symmetric(net.n_nodes, rows, cols, np.ones(rows.size))
             assert np.array_equal(net.indptr, ref.indptr)
             assert np.array_equal(net.edge_cols, ref.indices)
-            assert (net.rows.dtype == net.cols.dtype == net.indptr.dtype
-                    == net.edge_cols.dtype == np.int32)
-            entry_rows = net_entry_rows(net)
-            assert np.all(entry_rows != net.edge_cols)
-            # Row-major and sorted within each row: the flat keys ascend strictly.
-            assert np.all(np.diff(entry_rows * net.n_nodes + net.edge_cols) > 0)
+            check_symmetric_layout(net)
 
     def test_edge_ids_name_each_upper_edge_twice(self, small_net, so3_small_net):
         for net in (small_net, so3_small_net):
-            assert net.edge.dtype == np.int32
-            n_edges = net.edge_logs.shape[0]
-            assert net.edge.size == 2 * n_edges
-            rows, cols = net_entry_rows(net), net.edge_cols
-            for side in (rows < cols, rows > cols):
-                assert np.array_equal(np.sort(net.edge[side]), np.arange(n_edges))
+            check_symmetric_layout(net)
             # Ids number the upper edges in row-major order, and each log is
             # that of its upper appearance.
             up_rows, up_cols = upper_appearances(net)
@@ -445,19 +503,55 @@ class TestNet:
                            so3=net.kind == "so3")
             assert np.max(np.abs(net.edge_logs - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["su2", "so3"])
+    @pytest.mark.parametrize("n_nodes, knn, seed", [
+        (20000, 12, 0), (2000, 12, 3), (500, 8, 1),
+        (100, 99, 2), (100, 60, 2), (150, 6, 2), (300, 40, 2)])
+    def test_matches_the_draw_order_construction(self, kind, n_nodes, knn, seed):
+        # Relabelled to the drawn order, a net has the same knn pairs, mesh
+        # and straightened edges as the drawn nodes, and each log is that of
+        # its edge, negated where the relabelling reverses the edge.  The knn
+        # adjacency arrives with unsorted rows, nearly full near knn = n, and
+        # on so3 from queries over both signs of every node.
+        net = ls.build_net(ls.entry_from_key(kind), n_nodes, knn, seed)
+        nodes, rows, cols, mesh = draw_order_knn(kind, n_nodes, knn, seed)
+        perm = node_permutation(net, nodes)
+        assert perm[0] == 0
+        label = np.argsort(perm)
+
+        def relabelled(rows, cols):
+            """Flat keys of the pairs in net labels, each as row < col, and
+            whether the relabelling reverses it."""
+            r, c = label[rows], label[cols]
+            return np.minimum(r, c) * n_nodes + np.maximum(r, c), r > c
+
+        assert net.mesh == mesh
+        keys, _ = relabelled(rows, cols)
+        assert np.array_equal(net.rows.astype(np.int64) * n_nodes + net.cols, np.sort(keys))
+        ref_rows, ref_cols, ref_logs = straightened_reference(kind, nodes, rows, cols)
+        keys, reversed_ = relabelled(ref_rows, ref_cols)
+        order = np.argsort(keys)
+        up_rows, up_cols = upper_appearances(net)
+        assert np.array_equal(up_rows * n_nodes + up_cols, keys[order])
+        logs = ref_logs[order]
+        assert np.array_equal(net.edge_logs, np.where(reversed_[order, None], -logs, logs))
+        check_symmetric_layout(net)
+
     def test_build_memory(self, su2):
-        # The default net's build peaks at about 34.4 MiB, while the symmetric
-        # structure is summed from the numbered upper edges and their
-        # transpose; the log pass peaks at 34.2 MiB.  Interleaving the
-        # symmetric rows by hand, with int64 knn pairs, peaked at 37.9 MiB,
-        # and an intp edge map at 42.4.
+        # The default net's build peaks at about 31.6 MiB, in the log pass,
+        # while the finished symmetric structure and the upper edges are
+        # held; the sorted pattern and its masks are released before it.
+        # Log chunks of 2^16 edges instead of 2^14 peaked at 38.6 MiB.
+        # Summing the symmetric structure from the numbered upper edges and
+        # their transpose peaked at 34.4 MiB, interleaving the symmetric rows
+        # by hand, with int64 knn pairs, at 37.9, and an intp edge map at 42.4.
         tracemalloc.start()
         try:
             ls.build_net(su2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20
+        assert peak <= 36 * 2 ** 20
 
     def test_arrays_are_read_only(self, small_net):
         with pytest.raises(ValueError):

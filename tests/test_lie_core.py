@@ -1,9 +1,12 @@
 """Catalog, brackets, generated subalgebras, quaternion helpers."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import liespec as ls
 from liespec import lie_core
@@ -16,6 +19,57 @@ PAULI = [np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[0, -1j], [1j, 0]], dtype=complex),
          np.array([[1, 0], [0, -1]], dtype=complex)]
 SPIN_HALF = [-1j * s for s in PAULI]
+
+
+# The quaternion helpers in vector form, as they were before they were
+# written component by component: the oracle for every bit they return.
+def quat_mul_vector_form(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    w = a[..., :1] * b[..., :1] - np.sum(a[..., 1:] * b[..., 1:], axis=-1, keepdims=True)
+    v = (a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
+         + np.cross(a[..., 1:], b[..., 1:]))
+    return np.concatenate([w, v], axis=-1)
+
+
+def quat_conj_vector_form(q):
+    q = np.asarray(q, dtype=float)
+    return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+
+
+def quat_log_vector_form(q, so3=False):
+    q = so3_representative(q) if so3 else np.asarray(q, dtype=float)
+    w = q[..., 0]
+    u = q[..., 1:]
+    s = np.linalg.norm(u, axis=-1)
+    theta = np.arctan2(s, w)
+    fac = np.where(s > 1e-15, theta / np.maximum(s, 1e-300), 0.0)
+    v = fac[..., None] * u
+    antipodal = (s <= 1e-15) & (w < 0)
+    if np.any(antipodal):
+        v[antipodal] = np.array([math.pi, 0.0, 0.0])
+    return v
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Components that hit the branches of the helpers: signed zeros, the unit
+# real parts of the identity and the antipode, and |u| on either side of
+# the 1e-15 cut of quat_log.
+EDGE_COMPONENTS = (0.0, -0.0, 1.0, -1.0, 1e-15, -1e-15, math.nextafter(1e-15, 1.0),
+                   math.nextafter(1e-15, 0.0), 6e-16, 1e-300, 0.5)
+COMPONENTS = st.one_of(st.floats(-2.0, 2.0, allow_subnormal=False),
+                       st.sampled_from(EDGE_COMPONENTS))
+
+
+@st.composite
+def quaternion_pairs(draw):
+    """Two quaternion arrays of mutually broadcastable leading shapes."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4))
+    return tuple(draw(hnp.arrays(float, shape + (4,), elements=COMPONENTS))
+                 for shape in shapes.input_shapes)
 
 
 def exact_closure_dim(entry, vectors):
@@ -347,6 +401,21 @@ class TestGroupArithmetic:
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         prod = quat_mul(a, quat_conj(a))
         assert np.allclose(prod[:, 0], 1.0) and np.allclose(prod[:, 1:], 0.0)
+
+    @given(pair=quaternion_pairs())
+    @example(pair=(np.array([1.0, 0.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 0.0])))
+    @example(pair=(np.array([[1.0, -0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -0.0]]),
+                   np.array([[-0.0, 0.0, -0.0, 0.0], [-1.0, -0.0, 0.0, -0.0]])))
+    @example(pair=(np.array([[-0.5, 1e-15, 0.0, 0.0], [-0.5, 6e-16, -6e-16, 6e-16]]),
+                   np.array([[-1.0, math.nextafter(1e-15, 1.0), 0.0, 0.0]])))
+    def test_helpers_match_the_vector_form_bit_for_bit(self, pair):
+        a, b = pair
+        assert same_bits(quat_mul(a, b), quat_mul_vector_form(a, b))
+        assert same_bits(quat_mul(b, a), quat_mul_vector_form(b, a))
+        for q in (a, b):
+            assert same_bits(quat_conj(q), quat_conj_vector_form(q))
+            for so3 in (False, True):
+                assert same_bits(quat_log(q, so3=so3), quat_log_vector_form(q, so3=so3))
 
     def test_so3_stored_with_nonnegative_real_part(self):
         q = so3_representative(np.array([-1e-15, 0.6, 0.8, 0.0]))
