@@ -604,10 +604,11 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
 def _edge_weights(net: Net, spec: MetricSpec) -> np.ndarray:
     """Metric length |log(p^-1 q)|_g of each upper edge of the net.
 
-    |v|_g^2 = v^t gram v = |L^t v|^2 with gram = L L^t, so a chunk of edges
-    costs one 3 x 3 by 3 x chunk GEMM and a column sum of squares.
+    In the metric's principal frame |v|_g = |diag(1 / sigma) P_sort^t v|, so
+    nothing is factored here and a chunk of edges costs one 3 x 3 by 3 x chunk
+    GEMM and a column sum of squares.
     """
-    lt = np.linalg.cholesky(spec.gram).T
+    lt = (spec.P_sort / spec.sigma).T
     w = np.empty(net.edge_logs.shape[0])
     for start in range(0, w.size, _LOG_CHUNK):
         y = lt @ net.edge_logs[start:start + _LOG_CHUNK].T

@@ -1,10 +1,10 @@
 """Left-invariant metrics parameterised by invertible matrices.
 
 The metric attached to an invertible A has Gram matrix (A A^t)^{-1} in the
-reference basis; its scale parameters sigma_k are the descending square roots
-of the eigenvalues of A A^t.  Right-multiplying A by an orthogonal matrix
-leaves the metric unchanged, so every metric has a canonical presentation
-A = P_sort * diag(sigma).
+reference basis.  One SVD A = U diag(sigma) V^t gives all of it: the
+descending scale parameters sigma_k, the canonical presentation
+A = P_sort * diag(sigma) with P_sort = U (right-multiplying A by an
+orthogonal matrix leaves the metric unchanged), and the Gram matrix.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ class MatrixFormatError(ValueError):
 class MetricSpec:
     """An invertible matrix together with the cached metric data derived from it.
 
-    ``sigma`` is descending, ``AAt = P_sort diag(sigma^2) P_sort^t`` (each
-    column of ``P_sort`` has its largest-magnitude entry positive) and
-    ``gram = (AAt)^{-1}`` is the Gram matrix of the metric in the reference
-    basis.
+    ``A = P_sort diag(sigma) V^t`` is the SVD, ``sigma`` descending and each
+    column of ``P_sort`` with its largest-magnitude entry positive, so
+    ``AAt = P_sort diag(sigma^2) P_sort^t`` and ``gram = (AAt)^{-1}``, the
+    Gram matrix of the metric in the reference basis, is
+    ``P_sort diag(sigma^-2) P_sort^t``.
     """
 
     A: np.ndarray
@@ -79,8 +80,7 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     sigma_m <= 1e-10 sigma_1, a test of conditioning alone, so a homothety
     changes it only by rounding (LAPACK's SVD scales an A whose entries would
     over- or underflow), and when double precision cannot hold A A^t: an
-    entry overflows or its smallest eigenvalue falls below the smallest
-    normal double.
+    entry overflows or sigma_m^2 falls below the smallest normal double.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -88,29 +88,26 @@ def metric_from_matrix(A: np.ndarray) -> MetricSpec:
     if not np.isfinite(A).all():
         raise MatrixFormatError("matrix entries must be finite")
     m = A.shape[0]
-    sv = np.linalg.svd(A, compute_uv=False)  # descending
-    if not sv[-1] > 1e-10 * sv[0]:
+    U, sigma, _ = np.linalg.svd(A)  # A = U diag(sigma) V^t, sigma descending
+    if not sigma[-1] > 1e-10 * sigma[0]:
         raise SingularMatrixError("matrix is singular or too ill-conditioned")
     with np.errstate(over="ignore"):  # refused just below
         AAt = A @ A.T
     if not np.isfinite(AAt).all():
         raise SingularMatrixError("A A^t overflows double precision")
-    vals, vecs = np.linalg.eigh(AAt)
-    # Descending; ties keep eigh's column order, so the identity keeps
-    # P_sort = I.
-    order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    # Sign convention: the largest-magnitude entry of each column (the first
-    # on a tie) is positive, whatever signs LAPACK returned; adding 0.0 turns
-    # -0 into 0.
-    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(m)]
-    vecs = vecs * np.sign(lead) + 0.0
+    vals = sigma ** 2  # the eigenvalues of A A^t
     if not vals[-1] >= _TINY:
         raise SingularMatrixError("A A^t has an eigenvalue below the smallest normal double")
-    sigma = np.sqrt(vals)
-    gram = (vecs * (1.0 / vals)) @ vecs.T  # V diag(1 / vals) V^t
+    # Sign convention: the largest-magnitude entry of each column is positive,
+    # whatever signs LAPACK returned; entries within a few ulps of the largest
+    # tie, and the first of them leads.  Adding 0.0 turns -0 into 0.
+    mag = np.abs(U)
+    tied = mag >= (1.0 - 8 * np.finfo(float).eps) * mag.max(axis=0)
+    lead = U[tied.argmax(axis=0), np.arange(m)]
+    U = U * np.sign(lead) + 0.0
+    gram = (U * (1.0 / vals)) @ U.T  # U diag(sigma^-2) U^t
     gram = 0.5 * (gram + gram.T)
-    spec = MetricSpec(A=A, AAt=AAt, sigma=sigma, P_sort=vecs, gram=gram)
+    spec = MetricSpec(A=A, AAt=AAt, sigma=sigma, P_sort=U, gram=gram)
     _check_spec(spec)
     return spec
 
@@ -120,7 +117,7 @@ def _check_spec(spec: MetricSpec) -> None:
     # against sigma_1^2 cannot overflow where A A^t does not.
     recon = (spec.P_sort * spec.sigma ** 2) @ spec.P_sort.T
     if not np.abs(spec.AAt - recon).max() <= 1e-10 * spec.sigma[0] ** 2:
-        raise AssertionError("eigendecomposition reconstruction failed")
+        raise AssertionError("A A^t is not P_sort diag(sigma^2) P_sort^t")
     # The inverse residual of a double-precision inverse floors out at
     # roughly eps * cond, so the fixed gate only binds at desk-scale
     # conditioning.

@@ -203,6 +203,19 @@ class TestSigma:
         assert code == 0 and err == ""
         assert "sigma= 1e+80 1e+80 1e+80" in out
 
+    def test_thin_direction_from_file(self, capsys, tmp_path):
+        # sigma_3 = 1e-6 against sigma_1 = 1e3: sigma_3^2 = 1e-12 is a normal
+        # double, so the metric is accepted and sigma_3 read from the SVD.
+        rng = np.random.default_rng(0)
+        R1, R2 = random_rotation(3, rng), random_rotation(3, rng)
+        path = tmp_path / "thin.mat"
+        ls.write_matrix(str(path), R1 @ np.diag([1e3, 1e3, 1e-6]) @ R2)
+        code, out, err = run(capsys, "sigma", "--group", "su2", "--matrix", str(path))
+        assert code == 0 and err == ""
+        sigma = [float(x) for x in out.splitlines()[1].split()[1:]]
+        assert sigma[:2] == [1e3, 1e3]
+        assert sigma[2] == pytest.approx(1e-6, rel=1e-6)
+
     def test_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "a.mat"
         ls.write_matrix(str(path), np.diag([3.0, 2.0, 1.0]))

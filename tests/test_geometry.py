@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from liespec.metric_space import random_rotation
 # FCC-type lattice: its Voronoi cell has many vertices at the covering
 # radius, so many grid points tie for the maximum.
 FCC = np.sqrt(0.5) * np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+# Scale parameters with sigma_1 / sigma_3 = 1e6.
+ANISOTROPIC_SIGMAS = [(1.0, 1e-3, 1e-6), (1e3, 1.0, 1e-3), (1.0, 1.0, 1e-6),
+                      (1e6, 1.0, 1.0), (5.0, 0.2, 5e-6)]
 # Hexagonal lattice basis: every Voronoi vertex of the plane lattice ties.
 HEX = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
 
@@ -613,12 +617,45 @@ class TestGraphDiameter:
 
     def test_matches_reference_weights(self, su2, so3, small_net):
         so3_net = ls.build_net(so3, 2000, 12, seed=0)
+        rng = np.random.default_rng(0)
+        # sigma_1 / sigma_3 = 1e6, where a Cholesky factor of gram is
+        # ill-conditioned.
+        thin = [ls.metric_from_matrix(random_rotation(3, rng) @ np.diag(sig)
+                                      @ random_rotation(3, rng))
+                for sig in ANISOTROPIC_SIGMAS]
         for entry, net in ((su2, small_net), (so3, so3_net)):
-            for seed in range(20):
-                spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+            specs = [ls.sample_metric(entry, 0.2, 5.0, seed=seed) for seed in range(20)]
+            for spec in specs + thin:
                 est = ls.graph_diameter(entry, spec, net)
                 assert est.value == pytest.approx(graph_diameter_reference(net, spec),
                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", ANISOTROPIC_SIGMAS)
+    def test_weights_match_exact_under_anisotropy(self, small_net, sigma):
+        # |v|_g^2 = v^t (A A^t)^-1 v for the stored A and logs, in exact
+        # rational arithmetic (the adjugate over the determinant).  The
+        # weight's condition number in A is sigma_1 / sigma_3, so a backward
+        # stable double computation is good to about eps * sigma_1 / sigma_3
+        # relative and no better.  Weighing with a Cholesky factor of gram
+        # misses by 1.7e-6 to 6.2e-5 relative on these metrics.
+        rng = np.random.default_rng(1)
+        A = random_rotation(3, rng) @ np.diag(sigma) @ random_rotation(3, rng)
+        spec = ls.metric_from_matrix(A)
+        idx = np.linspace(0, small_net.edge_logs.shape[0] - 1, 300).astype(int)
+        w = _edge_weights(small_net, spec)[idx]
+        a = [[Fraction(x) for x in row] for row in A.tolist()]
+        g = [[sum(a[i][k] * a[j][k] for k in range(3)) for j in range(3)] for i in range(3)]
+        adj = [[g[(j + 1) % 3][(i + 1) % 3] * g[(j + 2) % 3][(i + 2) % 3]
+                - g[(j + 1) % 3][(i + 2) % 3] * g[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        det = sum(g[0][k] * adj[k][0] for k in range(3))
+        exact = []
+        for v in small_net.edge_logs[idx].tolist():
+            v = [Fraction(x) for x in v]
+            q = sum(v[i] * adj[i][j] * v[j] for i in range(3) for j in range(3)) / det
+            exact.append(math.sqrt(q))
+        tol = 2 * np.finfo(float).eps * max(sigma) / min(sigma)
+        assert np.allclose(w, exact, rtol=tol, atol=0.0)
 
     def test_matches_fresh_symmetric_graph(self, su2, so3, small_net, so3_small_net):
         # Directed Dijkstra on the upper edges and their transpose, built

@@ -46,7 +46,7 @@ class TestMetricFromMatrix:
 
     def test_tiny_offdiagonal_reconstruction(self):
         # Off-diagonal mass near the cancellation floor of a norm-difference
-        # test must still be resolved by the eigendecomposition.
+        # test must still be resolved by the decomposition.
         rng = np.random.default_rng(2)
         sig = np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3))
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -94,8 +94,28 @@ class TestMetricFromMatrix:
             if refused:
                 with pytest.raises(ls.SingularMatrixError, match="ill-conditioned"):
                     ls.metric_from_matrix(A)
-            else:  # sigma from eigh(A A^t) resolves sigma_3 to about 1e-4 here
-                assert np.allclose(ls.metric_from_matrix(A).sigma, sigma, rtol=1e-3, atol=0.0)
+            else:  # the SVD of A resolves sigma_3 to about 1e-10 relative here
+                assert np.allclose(ls.metric_from_matrix(A).sigma, sigma, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("sigma", [(1.0, 1.0, 1e-9), (1.0, 1.0, 1e-8),
+                                       (1e3, 1e3, 1e-6), (1.0,) * 5 + (1e-9,)])
+    def test_thin_direction_resolved(self, sigma):
+        # sigma comes from the SVD of A, good to about eps * sigma_1 absolute,
+        # and sigma_3^2 = 1e-12 for (1e3, 1e3, 1e-6) is a normal double.
+        rng = np.random.default_rng(0)
+        m = len(sigma)
+        R1, R2 = random_rotation(m, rng), random_rotation(m, rng)
+        spec = ls.metric_from_matrix(R1 @ np.diag(sigma) @ R2)
+        assert spec.sigma[-1] == pytest.approx(sigma[-1], rel=1e-6)
+        assert np.allclose(spec.sigma[:-1], sigma[:-1], rtol=1e-12, atol=0.0)
+
+    def test_subnormal_sigma_squared_refused(self):
+        # Well conditioned, but sigma_3^2 = 2.5e-321 is subnormal.
+        rng = np.random.default_rng(0)
+        R1, R2 = random_rotation(3, rng), random_rotation(3, rng)
+        with pytest.raises(ls.SingularMatrixError,
+                           match="below the smallest normal double"):
+            ls.metric_from_matrix(R1 @ np.diag([1e-160, 1e-160, 0.5e-160]) @ R2)
 
     @pytest.mark.parametrize("key, c", [("su2xsu2", 1e60), ("su2xsu2", 1e-60),
                                         ("su2", 1e-110), ("t4", 1e-90)])
