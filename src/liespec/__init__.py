@@ -2,9 +2,9 @@
 
 Supported groups: flat tori T^m, SU(2), SO(3), and su2 x su2.  The package
 computes certified first Laplace eigenvalues through representation theory,
-diameters through exact lattice covering radii (tori), closed forms
-(bi-invariant metrics) and geodesic-graph estimates (SU(2)/SO(3)), and drives
-ratio scans and degeneration experiments over the metric space.
+diameters through bracketed grid maxima of lattice covering radii (tori),
+closed forms (bi-invariant metrics) and geodesic-graph estimates (SU(2)/SO(3)),
+and drives ratio scans and degeneration experiments over the metric space.
 """
 
 from __future__ import annotations

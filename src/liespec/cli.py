@@ -10,7 +10,9 @@ missing or unwritable paths, non-finite values and metrics whose spectral
 operator overflows), 3 a ``verify`` run with a failed check.  Every
 ``lambda1`` result is certified.  An internal failure (a broken ``scan
 --jobs`` worker pool, say) is not caught and ends in a traceback, exit 1.  All
-randomness sits behind explicit seeds (default 0); every net is seeded 0.
+randomness sits behind explicit seeds (default 0).  The diameter estimators
+run at the fixed settings of ``DiamConfig()`` (a 20000-node net with knn 12,
+seeded 0, and the torus grid 64), so a scan record is its inputs alone.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ def _matrix_arg(entry: LieGroupCatalogEntry, text: Optional[str]) -> np.ndarray:
             raise MatrixFormatError(f"no such matrix file: {text!r} "
                                     "(nor is it inline matrix entries)") from None
         raise
-
-
-def _diam_config(args) -> DiamConfig:
-    return DiamConfig(net_size=args.net_size, knn=args.knn,
-                      grid_resolution=args.grid_resolution)
 
 
 def _write(args, text: str) -> None:
@@ -110,7 +107,7 @@ def _cmd_diam(entry: LieGroupCatalogEntry, args) -> int:
                      "lower_source": b.lower_source, "upper_source": b.upper_source},
               lines)
         return 0
-    est = _compute_diameter(entry, spec, _diam_config(args), net=None)
+    est = _compute_diameter(entry, spec, DiamConfig(), net=None)
     lines = [f"diam={est.value:.12g} lower={est.lower:.12g} upper={est.upper:.12g} "
              f"method={est.method}"]
     _emit(args, {"method": est.method, "value": est.value, "lower": est.lower,
@@ -130,8 +127,7 @@ def _cmd_ell(entry: LieGroupCatalogEntry, args) -> int:
 
 def _cmd_scan(entry: LieGroupCatalogEntry, args) -> int:
     records, summary = scan(entry, args.samples, lo=args.sigma_lo, hi=args.sigma_hi,
-                            diam_config=_diam_config(args), base_seed=args.seed,
-                            jobs=args.jobs)
+                            base_seed=args.seed, jobs=args.jobs)
     if args.format == "json":
         text = scan_to_json(records, summary)
     else:
@@ -145,8 +141,7 @@ def _cmd_scan(entry: LieGroupCatalogEntry, args) -> int:
 
 def _cmd_degenerate(entry: LieGroupCatalogEntry, args) -> int:
     s_values = [float(t) for t in args.s_values.replace(",", " ").split()]
-    report = degeneration_experiment(entry, args.kind, s_values,
-                                     diam_config=_diam_config(args))
+    report = degeneration_experiment(entry, args.kind, s_values)
     lines = [f"kind={report.kind} group={report.group}"]
     keys = list(report.rows[0].tracked.keys())
     header = "s sigma lambda1 diam " + " ".join(keys)
@@ -197,16 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to this file")
 
-    # Where the estimator options act; elsewhere they are accepted and inert.
-    on_net = "acts only on su2/so3 metrics that are not homotheties"
-    on_grid = "acts only on torus metrics that are not homotheties"
-
-    def net_flags(p, on_net=on_net, on_grid=on_grid):
-        d = DiamConfig()
-        for flag, default, scope in (("--net-size", d.net_size, on_net), ("--knn", d.knn, on_net),
-                                     ("--grid-resolution", d.grid_resolution, on_grid)):
-            p.add_argument(flag, type=type(default), default=default, help=scope)
-
     p = sub.add_parser("sigma", help="metric scale parameters")
     common(p)
     p.set_defaults(fn=_cmd_sigma)
@@ -220,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "bounds"), default="auto",
                    help="auto: the estimate the metric allows; bounds: the "
                         "closed-form interval")
-    net_flags(p)
     p.set_defaults(fn=_cmd_diam)
 
     p = sub.add_parser("ell", help="bracket-generating index of a rotation")
@@ -238,16 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, capped at the sample and CPU counts; "
                         "the output does not depend on it")
-    net_flags(p)
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("degenerate", help="degeneration sweep")
-    sweep_net = "acts only with --group su2 --kind shrink-transverse"
     common(p, matrix=False)
     p.add_argument("--kind", required=True, choices=DEGENERATION_KINDS)
     p.add_argument("--s-values", required=True, help="comma separated list")
-    net_flags(p, on_net=sweep_net,
-              on_grid="acts only with --group t2 --kind torus-dense-line")
     p.set_defaults(fn=_cmd_degenerate)
 
     p = sub.add_parser("verify", help="randomized verification suite")

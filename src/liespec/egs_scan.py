@@ -65,13 +65,18 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 @dataclass(frozen=True)
 class DiamConfig:
-    """Settings of the diameter estimators in scans and experiments."""
+    """Settings of the diameter estimators in scans and experiments.
+
+    Every scan record is read with these settings, so none is a CLI option.
+    ``net_size`` stays a field because the verification suite checks
+    fixed-net monotonicity on a 2000-node net; the rest are constants.
+    """
 
     net_size: int = DEFAULT_NET_SIZE
-    knn: int = DEFAULT_KNN
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION
-    net_seed: ClassVar[int] = 0  # every net is the seed-0 net; not a field
-    eps_net: ClassVar[float] = DEFAULT_EPS_NET  # the fixed net allowance, not a field
+    knn: ClassVar[int] = DEFAULT_KNN
+    grid_resolution: ClassVar[int] = DEFAULT_GRID_RESOLUTION
+    net_seed: ClassVar[int] = 0
+    eps_net: ClassVar[float] = DEFAULT_EPS_NET  # the fixed net allowance
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,6 @@ DEGENERATION_KINDS = tuple(dict.fromkeys(kind for kind, _ in _SWEEPS))
 
 def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
                             s_values: Sequence[float],
-                            diam_config: DiamConfig = DiamConfig(),
                             net: Optional[Net] = None) -> DegenerationReport:
     """Sweep a one-parameter family of metrics and track the relevant product.
 
@@ -355,8 +359,8 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
     enlarge-generating: a bracket-generating pair gets expensive (s up) on
     su2 x su2; the gap divided by sigma_4^2 blows up.  torus-dense-line: the
     direction of a dense line gets expensive on T^2; diam * sigma_2 collapses.
-    Diameters appear only where an estimator exists (graph for su2, lattice
-    for tori).
+    Diameters appear only where an estimator exists (graph for su2, on
+    ``net`` or else the default net, lattice for tori).
     """
     if kind not in DEGENERATION_KINDS:
         raise ValueError(f"unknown degeneration kind {kind!r}")
@@ -374,7 +378,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
         raise ValueError(f"{kind} runs on {groups}")
     make, want_diam, formulas = sweep
 
-    net = _net_for(entry, diam_config, net) if want_diam else net
+    net = _net_for(entry, DiamConfig(), net) if want_diam else net
 
     rows = []
     for s in s_values:
@@ -382,7 +386,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
         res = lambda1_certified(entry, spec)
         diam = None
         if want_diam:
-            diam = _compute_diameter(entry, spec, diam_config, net)
+            diam = _compute_diameter(entry, spec, DiamConfig(), net)
         tracked = {key: f(s, spec.sigma, res.lambda1, diam) for key, f in formulas.items()}
         rows.append(DegenerationRow(
             s=s, sigma=tuple(float(x) for x in spec.sigma),

@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -52,17 +51,25 @@ def run_isolated(*argv, timeout=30):
     ("scan", "--group", "t2", "--samples", "1", "--format", "table"),
     # Every gap is certified, so no walk takes a Casimir cap.
     ("lambda1", "--group", "su2xsu2", "--window-cap", "10"),
+    # The estimators run at fixed settings, so a scan record is its inputs.
+    *[(command, *args, flag, value)
+      for command, *args in (("diam", "--group", "su2"),
+                             ("scan", "--group", "su2", "--samples", "1"),
+                             ("degenerate", "--group", "su2", "--kind", "shrink-transverse",
+                              "--s-values", "1,0.5"))
+      for flag, value in (("--net-size", "500"), ("--knn", "8"),
+                          ("--grid-resolution", "32"))],
 ])
-def test_options_without_effect_rejected(argv):
+def test_options_without_effect_rejected(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))
     assert e.value.code == 2
+    assert argv[-2] in capsys.readouterr().err  # the refusal names the option
 
 
 @pytest.mark.parametrize("argv", [
-    ("scan", "--group", "t2", "--samples", "3", "--grid-resolution", "32"),
-    ("scan", "--group", "t2", "--samples", "3", "--grid-resolution", "32",
-     "--format", "json"),
+    ("scan", "--group", "t2", "--samples", "3"),
+    ("scan", "--group", "t2", "--samples", "3", "--format", "json"),
     ("verify", "--group", "t2", "--trials", "2"),
     ("verify", "--group", "t2", "--trials", "2", "--format", "json"),
 ])
@@ -75,40 +82,13 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     assert path.read_bytes() == out.encode("utf-8")
 
 
-NET_SCOPE = "acts only on su2/so3 metrics that are not homotheties"
-GRID_SCOPE = "acts only on torus metrics that are not homotheties"
-
-
-@pytest.mark.parametrize("command, net_scope, grid_scope", [
-    ("diam", NET_SCOPE, GRID_SCOPE),
-    ("scan", NET_SCOPE, GRID_SCOPE),
-    ("degenerate", "acts only with --group su2 --kind shrink-transverse",
-     "acts only with --group t2 --kind torus-dense-line"),
-])
-def test_help_says_where_estimator_flags_act(capsys, monkeypatch, command, net_scope,
-                                             grid_scope):
-    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping, which may split at a hyphen
-    with pytest.raises(SystemExit) as e:
-        main([command, "--help"])
-    assert e.value.code == 0
-    options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
-    # Each entry reads "--flag METAVAR help"; a help text may name other
-    # flags, but never followed by a metavar.
-    helps = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ (.*?)(?= --[a-z-]+ [A-Z_{]|$)", options))
-    for flag in ("--net-size", "--knn"):
-        assert helps[flag].endswith(net_scope), flag
-    assert helps["--grid-resolution"].endswith(grid_scope)
-    assert "net" not in helps.get("--seed", "")
-
-
 @pytest.mark.parametrize("group", ["su2", "so3"])
 def test_scan_record_reproduces_from_its_seed(capsys, group):
     # The net does not depend on the base seed, so sample seed 7 reads the
     # same record in a scan from seed 5 as in a scan from seed 7.
-    net = ("--net-size", "500")
-    code, out, _ = run(capsys, "scan", "--group", group, "--seed", "5", "--samples", "3", *net)
+    code, out, _ = run(capsys, "scan", "--group", group, "--seed", "5", "--samples", "3")
     assert code == 0
-    code, alone, _ = run(capsys, "scan", "--group", group, "--seed", "7", "--samples", "1", *net)
+    code, alone, _ = run(capsys, "scan", "--group", group, "--seed", "7", "--samples", "1")
     assert code == 0
     third = out.splitlines()[3]
     assert third.startswith("7,") and third == alone.splitlines()[1]
@@ -132,8 +112,8 @@ def test_net_allowance_is_not_an_option(capsys, argv):
     (("scan", "--group", "t2", "--samples", "2", "--jobs", "0"), "need jobs >= 1"),
     (("degenerate", "--group", "t2", "--kind", "torus-dense-line", "--s-values", "1,-1"),
      "s values must be finite and positive"),
-    (("diam", "--group", "su2", "--matrix", "3,0,0,0,2,0,0,0,1", "--net-size", "100",
-      "--knn", "200"), "need 6 <= knn < n_nodes"),
+    (("degenerate", "--group", "t2", "--kind", "torus-dense-line", "--s-values", "1"),
+     "need at least two distinct s values"),
     # Scales whose A A^t double precision cannot hold.
     (("sigma", "--group", "su2", "--matrix", "1e160,0,0,0,1e160,0,0,0,1e160"),
      "A A^t overflows double precision"),
@@ -320,34 +300,28 @@ class TestDiam:
         est = json.loads(out)
         assert est["value"] == est["lower"] == est["upper"] == math.pi / 2
 
-    def test_graph_small_net(self, capsys):
-        code, out, _ = run(capsys, "diam", "--group", "su2", "--matrix", SU2_SKEW,
-                           "--net-size", "500", "--knn", "8")
+    def test_graph_default_net(self, capsys):
+        code, out, _ = run(capsys, "diam", "--group", "su2", "--matrix", SU2_SKEW)
         assert code == 0
-        assert "method=GeodesicGraph" in out
+        assert out == ("diam=1.23331320362 lower=1.10998188325 upper=1.23331320362 "
+                       "method=GeodesicGraph\n")
 
     def test_disconnected_net_exit_2(self, capsys, disconnected_knn):
         code, out, err = run(capsys, "diam", "--group", "su2",
-                             "--matrix", "1,0,0,0,2,0,0,0,3", "--net-size", "200")
+                             "--matrix", "1,0,0,0,2,0,0,0,3")
         assert code == 2
         assert out == ""
         assert "2 components" in err
 
     def test_json_params_keys(self, capsys):
         code, out, _ = run(capsys, "diam", "--group", "su2", "--matrix", SU2_SKEW,
-                           "--net-size", "500", "--knn", "8", "--format", "json")
+                           "--format", "json")
         assert code == 0
         params = json.loads(out)["params"]
-        assert params == {"net_size": 500, "knn": 8, "eps_net": 0.1, "seed": 0}
+        assert params == {"net_size": 20000, "knn": 12, "eps_net": 0.1, "seed": 0}
         code, out, _ = run(capsys, "diam", "--group", "t2", "--matrix", T2_SKEW,
-                           "--grid-resolution", "16", "--format", "json")
-        assert json.loads(out)["params"] == {"grid_resolution": 16}
-
-    def test_oversized_grid_exit_2(self, capsys):
-        code, _, err = run(capsys, "diam", "--group", "t2", "--matrix", T2_SKEW,
-                           "--grid-resolution", "100000")
-        assert code == 2
-        assert "grid points" in err
+                           "--format", "json")
+        assert json.loads(out)["params"] == {"grid_resolution": 64}
 
 
 class TestEll:
@@ -380,8 +354,7 @@ class TestScan:
     def test_csv_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
         code, _, _ = run(capsys, "scan", "--group", "t2", "--samples", "10",
-                         "--sigma-lo", "0.1", "--sigma-hi", "10",
-                         "--grid-resolution", "32", "--out", str(out_path))
+                         "--sigma-lo", "0.1", "--sigma-hi", "10", "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("seed,group,m,sigma_1,sigma_2,lambda1")
@@ -391,13 +364,12 @@ class TestScan:
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            run(capsys, "scan", "--group", "t2", "--samples", "5",
-                "--grid-resolution", "32", "--out", str(path))
+            run(capsys, "scan", "--group", "t2", "--samples", "5", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "scan", "--group", "t2", "--samples", "3",
-                           "--grid-resolution", "32", "--format", "json")
+                           "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["schema_version"] == 1
@@ -455,8 +427,7 @@ class TestDegenerate:
     def test_su2_table(self, capsys):
         code, out, _ = run(capsys, "degenerate", "--group", "su2",
                            "--kind", "shrink-transverse",
-                           "--s-values", "1,0.5,0.25",
-                           "--net-size", "500", "--knn", "8")
+                           "--s-values", "1,0.5,0.25")
         assert code == 0
         assert "monotone[lambda1_over_sigma1_sq]=decreasing" in out
         assert "monotone[diam_times_sigma1]=increasing" in out

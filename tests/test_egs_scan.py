@@ -19,7 +19,6 @@ from liespec.egs_scan import (CHECK_NAMES, DiamConfig, egs_ratio,
                               scan_csv_text, scan_to_json)
 from liespec.rep_theory import biinvariant_lambda1
 
-T2_CONFIG = DiamConfig(grid_resolution=32)
 SMALL_NET_CONFIG = DiamConfig(net_size=2000)
 
 
@@ -36,8 +35,16 @@ def test_net_seed_is_a_constant():
     with pytest.raises(TypeError):
         DiamConfig(net_seed=1)
     assert DiamConfig().net_seed == 0
-    assert [f.name for f in dataclasses.fields(DiamConfig)] == [
-        "net_size", "knn", "grid_resolution"]
+    assert [f.name for f in dataclasses.fields(DiamConfig)] == ["net_size"]
+
+
+def test_knn_and_grid_are_constants():
+    # A scan record is its inputs: no config reads another knn or torus grid.
+    with pytest.raises(TypeError):
+        DiamConfig(knn=8)
+    with pytest.raises(TypeError):
+        DiamConfig(grid_resolution=32)
+    assert (DiamConfig().knn, DiamConfig().grid_resolution) == (12, 64)
 
 
 class TestEgsRatio:
@@ -50,13 +57,13 @@ class TestEgsRatio:
         assert all(dict(rec.checks)[k] for k in CHECK_NAMES)
 
     def test_t2_identity_ratio(self, t2):
-        rec = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)), T2_CONFIG)
+        rec = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)))
         assert rec.ratio == pytest.approx(2 * math.pi ** 2, rel=5e-3)
         assert dict(rec.checks)["li_ok"]
 
     def test_homothety_invariance(self, t2, su2, small_net):
-        base = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)), T2_CONFIG)
-        scaled = egs_ratio(t2, ls.metric_from_matrix(3.0 * np.eye(2)), T2_CONFIG)
+        base = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)))
+        scaled = egs_ratio(t2, ls.metric_from_matrix(3.0 * np.eye(2)))
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-9)
         a = ls.sample_metric(su2, 0.5, 2.0, seed=11)
         ra = egs_ratio(su2, a, SMALL_NET_CONFIG, net=small_net)
@@ -65,7 +72,7 @@ class TestEgsRatio:
         assert rb.ratio == pytest.approx(ra.ratio, rel=1e-9)
 
     def test_checks_frozen_and_picklable(self, t2):
-        rec = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)), T2_CONFIG)
+        rec = egs_ratio(t2, ls.metric_from_matrix(np.eye(2)))
         assert [k for k, _ in rec.checks] == list(CHECK_NAMES)
         with pytest.raises(TypeError):
             rec.checks["li_ok"] = False
@@ -101,23 +108,19 @@ class TestEgsRatio:
 
 class TestScan:
     def test_single_sample_matches_ratio(self, t2):
-        recs, summary = scan(t2, 1, lo=0.5, hi=2.0, diam_config=T2_CONFIG,
-                             base_seed=7)
-        direct = egs_ratio(t2, ls.sample_metric(t2, 0.5, 2.0, seed=7),
-                           T2_CONFIG, seed=7)
+        recs, summary = scan(t2, 1, lo=0.5, hi=2.0, base_seed=7)
+        direct = egs_ratio(t2, ls.sample_metric(t2, 0.5, 2.0, seed=7), seed=7)
         assert recs[0] == direct
         assert summary.n_samples == 1
 
     def test_deterministic_csv(self, t2):
-        a, _ = scan(t2, 20, lo=0.1, hi=10.0, diam_config=T2_CONFIG, base_seed=0)
-        b, _ = scan(t2, 20, lo=0.1, hi=10.0, diam_config=T2_CONFIG, base_seed=0)
+        a, _ = scan(t2, 20, lo=0.1, hi=10.0, base_seed=0)
+        b, _ = scan(t2, 20, lo=0.1, hi=10.0, base_seed=0)
         assert scan_csv_text(a) == scan_csv_text(b)
 
     def test_parallel_equals_serial(self, t2):
-        a, sa = scan(t2, 16, lo=0.2, hi=5.0, diam_config=T2_CONFIG, base_seed=3,
-                     jobs=1)
-        b, sb = scan(t2, 16, lo=0.2, hi=5.0, diam_config=T2_CONFIG, base_seed=3,
-                     jobs=2)
+        a, sa = scan(t2, 16, lo=0.2, hi=5.0, base_seed=3, jobs=1)
+        b, sb = scan(t2, 16, lo=0.2, hi=5.0, base_seed=3, jobs=2)
         assert scan_csv_text(a) == scan_csv_text(b)
         assert sa.violation_counts == sb.violation_counts
 
@@ -135,19 +138,16 @@ class TestScan:
             return real(*args)
 
         monkeypatch.setattr(egs_scan, "sample_metric", sample_metric)
-        config = DiamConfig(grid_resolution=16)
         keys = ("t1", "t2")
         with ThreadPoolExecutor(max_workers=2) as ex:
-            futures = [ex.submit(scan, ls.entry_from_key(k), 40, diam_config=config)
-                       for k in keys]
+            futures = [ex.submit(scan, ls.entry_from_key(k), 40) for k in keys]
             results = [f.result(timeout=120)[0] for f in futures]
         for key, recs in zip(keys, results):
             assert [r.group for r in recs] == [key] * 40
             assert [r.seed for r in recs] == list(range(40))
 
     def test_t2_no_violations(self, t2):
-        recs, summary = scan(t2, 1000, lo=0.1, hi=10.0, diam_config=T2_CONFIG,
-                             base_seed=0)
+        recs, summary = scan(t2, 1000, lo=0.1, hi=10.0, base_seed=0)
         assert sum(summary.violation_counts.values()) == 0
         assert math.isfinite(summary.max_ratio)
         assert summary.argmax_seed in {r.seed for r in recs}
@@ -161,12 +161,12 @@ class TestScan:
         assert summary.violation_counts["urakawa_ok"] == 0
 
     def test_sample_seeds_offset(self, t2):
-        recs, _ = scan(t2, 3, base_seed=100, diam_config=T2_CONFIG)
+        recs, _ = scan(t2, 3, base_seed=100)
         assert [r.seed for r in recs] == [100, 101, 102]
 
     def test_rejects_empty(self, t2):
         with pytest.raises(ValueError):
-            scan(t2, 0, diam_config=T2_CONFIG)
+            scan(t2, 0)
 
     def test_workers_capped_by_samples(self, t2, monkeypatch):
         # A process pool starts all its workers at the first submit, so a
@@ -191,16 +191,16 @@ class TestScan:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(egs_scan, "_WORKER", {})
-        serial, _ = scan(t2, 3, diam_config=T2_CONFIG, jobs=1)
+        serial, _ = scan(t2, 3, jobs=1)
         assert requested == []
-        pooled, _ = scan(t2, 3, diam_config=T2_CONFIG, jobs=10_000)
+        pooled, _ = scan(t2, 3, jobs=10_000)
         assert requested == [3]
         assert scan_csv_text(pooled) == scan_csv_text(serial)
 
     def test_rejects_jobs_below_one(self, t2):
         for jobs in (0, -3):
             with pytest.raises(ValueError, match="need jobs >= 1"):
-                scan(t2, 2, diam_config=T2_CONFIG, jobs=jobs)
+                scan(t2, 2, jobs=jobs)
 
 
 class TestDegeneration:
@@ -217,8 +217,7 @@ class TestDegeneration:
         assert abs(ratios[-1] / ratios[-2] - 1.0) < 0.25
 
     def test_torus_dense_line(self, t2):
-        rep = ls.degeneration_experiment(t2, "torus-dense-line", [1.0, 4.0, 16.0],
-                                         diam_config=T2_CONFIG)
+        rep = ls.degeneration_experiment(t2, "torus-dense-line", [1.0, 4.0, 16.0])
         tracked = [r.tracked["diam_times_sigma2"] for r in rep.rows]
         assert all(b < a for a, b in zip(tracked, tracked[1:]))
         assert rep.monotone["diam_times_sigma2"] == "decreasing"
@@ -253,8 +252,7 @@ class TestDegeneration:
         for s_values in ([1.0, -1.0], [1.0, math.nan], [1.0, 0.0], [math.inf, 1.0],
                          [-4.0, -1.0]):
             with pytest.raises(ValueError, match="^s values must be finite and positive$"):
-                ls.degeneration_experiment(t2, "torus-dense-line", s_values,
-                                           diam_config=T2_CONFIG)
+                ls.degeneration_experiment(t2, "torus-dense-line", s_values)
 
 
 class TestPropertySuite:
@@ -305,7 +303,7 @@ class TestPropertySuite:
 
 class TestReporting:
     def test_csv_column_order(self, t2):
-        recs, _ = scan(t2, 2, diam_config=T2_CONFIG)
+        recs, _ = scan(t2, 2)
         header = scan_csv_text(recs).splitlines()[0].split(",")
         assert header == ["seed", "group", "m", "sigma_1", "sigma_2", "lambda1",
                           "lambda1_certified", "lambda1_witness", "diam_lower",
@@ -313,7 +311,7 @@ class TestReporting:
                           *CHECK_NAMES]
 
     def test_json_mirror(self, t2):
-        recs, summary = scan(t2, 3, diam_config=T2_CONFIG)
+        recs, summary = scan(t2, 3)
         payload = json.loads(scan_to_json(recs, summary))
         assert payload["schema_version"] == 1
         assert len(payload["records"]) == 3
@@ -322,7 +320,7 @@ class TestReporting:
         assert rec == record_to_dict(recs[0])
 
     def test_record_flags_reproducible(self, t2):
-        recs, summary = scan(t2, 5, diam_config=T2_CONFIG, base_seed=40)
+        recs, summary = scan(t2, 5, base_seed=40)
         for rec in recs:
             assert rec.ratio > 0
             li = rec.lambda1 * rec.diam_lower ** 2 >= math.pi ** 2 / 4 - 1e-6
@@ -333,15 +331,14 @@ class TestReportsImmutable:
     """Report containers refuse mutation, so a report cannot change after the fact."""
 
     def test_scan_summary(self, t2):
-        _, summary = scan(t2, 3, diam_config=T2_CONFIG)
+        _, summary = scan(t2, 3)
         with pytest.raises(TypeError):
             summary.violation_counts["li_ok"] = 1
         with pytest.raises(AttributeError):
             summary.violations.append((0, "li_ok"))
 
     def test_degeneration_report(self, t2):
-        rep = ls.degeneration_experiment(t2, "torus-dense-line", [1.0, 4.0],
-                                         diam_config=T2_CONFIG)
+        rep = ls.degeneration_experiment(t2, "torus-dense-line", [1.0, 4.0])
         with pytest.raises(AttributeError):
             rep.rows.append(rep.rows[0])
         with pytest.raises(TypeError):

@@ -287,6 +287,15 @@ class TestTorusDiameter:
         with pytest.raises(ValueError, match="grid points"):
             ls.torus_diameter(ls.metric_from_matrix(np.eye(2)), grid_resolution=5000)
 
+    def test_pinned_grid_37(self):
+        # An odd grid misses the deep hole (1/2, 1/2, 1/2): the value reads
+        # below the covering radius sqrt(1/9 + 1/4 + 1) / 2 = 0.583333333333
+        # that grid 64 hits, and the upper end holds it.
+        est = ls.torus_diameter(ls.metric_from_matrix(np.diag([3.0, 2.0, 1.0])),
+                                grid_resolution=37)
+        assert [f"{x:.12g}" for x in (est.value, est.lower, est.upper)] == [
+            "0.582405935347", "0.582405935347", "0.583333333333"]
+
     def test_matches_full_grid_sweep(self):
         # t3 seeds 14 and 34 (full-grid screen) and 215 (half-grid screen
         # without re-scoring) pick a different grid maximum than the direct
@@ -592,6 +601,11 @@ class TestGraphDiameter:
         assert est.lower <= est.value <= est.upper
         assert est.lower == pytest.approx(est.value * 0.9)
         assert (dict(est.params)["knn"], dict(est.params)["seed"]) == (12, 0)
+
+    def test_pinned_so3_small_net(self, so3, so3_small_net):
+        est = ls.graph_diameter(so3, ls.metric_from_matrix(np.diag([3.0, 2.0, 1.0])),
+                                so3_small_net)
+        assert f"{est.value:.12g}" == "1.1006487511"
 
     def test_homothety_exact_on_fixed_net(self, su2, small_net):
         base = ls.graph_diameter(su2, ls.metric_from_matrix(np.eye(3)), small_net)
