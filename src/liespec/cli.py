@@ -11,8 +11,8 @@ operator overflows), 3 a ``verify`` run with a failed check.  Every
 ``lambda1`` result is certified.  An internal failure (a broken ``scan
 --jobs`` worker pool, say) is not caught and ends in a traceback, exit 1.  All
 randomness sits behind explicit seeds (default 0).  The diameter estimators
-run at the fixed settings of ``DiamConfig()`` (a 20000-node net with knn 12,
-seeded 0, and the torus grid 64), so a scan record is its inputs alone.
+run at their defaults in ``geometry`` (a 20000-node net with knn 12, seeded
+0, and the torus grid 64), so a scan record is its inputs alone.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ import numpy as np
 
 from . import startup_self_test
 from .egs_scan import (DEFAULT_SIGMA_HI, DEFAULT_SIGMA_LO, DEFAULT_TRIALS,
-                       DEGENERATION_KINDS, SCHEMA_VERSION, DiamConfig,
-                       _compute_diameter, _to_json_data,
-                       degeneration_experiment, property_suite, scan,
-                       scan_csv_text, scan_to_json)
+                       DEGENERATION_KINDS, SCHEMA_VERSION, _compute_diameter,
+                       _to_json_data, degeneration_experiment, property_suite,
+                       scan, scan_csv_text, scan_to_json)
 from .geometry import paper_diameter_bounds
 from .lie_core import (LieGroupCatalogEntry, ell_index, entry_from_key,
                        prefix_subalgebra_dims)
@@ -107,7 +106,7 @@ def _cmd_diam(entry: LieGroupCatalogEntry, args) -> int:
                      "lower_source": b.lower_source, "upper_source": b.upper_source},
               lines)
         return 0
-    est = _compute_diameter(entry, spec, DiamConfig(), net=None)
+    est = _compute_diameter(entry, spec, net=None)
     lines = [f"diam={est.value:.12g} lower={est.lower:.12g} upper={est.upper:.12g} "
              f"method={est.method}"]
     _emit(args, {"method": est.method, "value": est.value, "lower": est.lower,

@@ -49,10 +49,11 @@ LI_TOL = 1e-6
 EXACT_TOL = 1e-9
 
 # Defaults of scans and of the verification suite: the log-uniform sigma
-# range and the number of trials.
+# range, the number of trials and the node count of the suite's fixed net.
 DEFAULT_SIGMA_LO = 0.2
 DEFAULT_SIGMA_HI = 5.0
 DEFAULT_TRIALS = 25
+SUITE_NET_SIZE = 2000
 
 # Version of every JSON report's layout, scan and CLI alike.
 SCHEMA_VERSION = 1
@@ -65,14 +66,14 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 @dataclass(frozen=True)
 class DiamConfig:
-    """Settings of the diameter estimators in scans and experiments.
+    """The settings every diameter of a scan or experiment is read at.
 
-    Every scan record is read with these settings, so none is a CLI option.
-    ``net_size`` stays a field because the verification suite checks
-    fixed-net monotonicity on a 2000-node net; the rest are constants.
+    A read-only record with no field: each setting is a class constant, its
+    estimator's default in ``geometry``.  It stays only because the benchmark
+    reads these constants and passes ``DiamConfig()`` positionally.
     """
 
-    net_size: int = DEFAULT_NET_SIZE
+    net_size: ClassVar[int] = DEFAULT_NET_SIZE
     knn: ClassVar[int] = DEFAULT_KNN
     grid_resolution: ClassVar[int] = DEFAULT_GRID_RESOLUTION
     net_seed: ClassVar[int] = 0
@@ -119,21 +120,20 @@ class ScanSummary:
         object.__setattr__(self, "violations", tuple(map(tuple, self.violations)))
 
 
-def _net_for(entry: LieGroupCatalogEntry, config: DiamConfig,
-             net: Optional[Net]) -> Optional[Net]:
-    """``net``, else the net ``config`` describes on su2/so3; None elsewhere."""
+def _net_for(entry: LieGroupCatalogEntry, net: Optional[Net]) -> Optional[Net]:
+    """``net``, else the default net on su2/so3; None elsewhere."""
     if net is None and entry.kind in ("su2", "so3"):
-        net = build_net(entry, config.net_size, config.knn)
+        net = build_net(entry)
     return net
 
 
 def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
-                      config: DiamConfig, net: Optional[Net]) -> DiameterEstimate:
+                      net: Optional[Net]) -> DiameterEstimate:
     """The diameter by the one method the input allows.
 
     Homotheties A A^t = c^2 I (sigma_1 = sigma_m within 1e-12 relative) take
     the closed form d0 / c on every group, tori the lattice covering radius,
-    su2/so3 the geodesic graph on ``net`` (built from ``config`` when None).
+    su2/so3 the geodesic graph on ``net`` (the default net when None).
     """
     s1, sm = spec.sigma[0], spec.sigma[-1]
     if s1 - sm <= 1e-12 * s1:
@@ -141,9 +141,9 @@ def _compute_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec,
         return DiameterEstimate(value=d0.value / s1, lower=d0.value / s1,
                                 upper=d0.value / sm, method=d0.method)
     if entry.kind == "torus":
-        return torus_diameter(spec, grid_resolution=config.grid_resolution)
+        return torus_diameter(spec)
     if entry.kind in ("su2", "so3"):
-        return graph_diameter(entry, spec, _net_for(entry, config, net))
+        return graph_diameter(entry, spec, _net_for(entry, net))
     raise ValueError(f"no diameter estimator for {entry.name} off homotheties")
 
 
@@ -190,9 +190,10 @@ def egs_ratio(entry: LieGroupCatalogEntry, spec: MetricSpec,
     """One ratio record: certified gap, diameter estimate, check flags.
 
     The diameter comes first, so a metric without an estimator fails before
-    the gap is paid for.
+    the gap is paid for.  Nothing reads ``diam_config``: it stays only for
+    the benchmark's positional ``DiamConfig()``, which ROADMAP item 1 removes.
     """
-    diam = _compute_diameter(entry, spec, diam_config, net)
+    diam = _compute_diameter(entry, spec, net)
     res = lambda1_certified(entry, spec)
     checks = _run_checks(entry, spec, res.lambda1, diam)
     return ScanRecord(
@@ -203,8 +204,8 @@ def egs_ratio(entry: LieGroupCatalogEntry, spec: MetricSpec,
 
 
 def _sample_record(entry: LieGroupCatalogEntry, lo: float, hi: float,
-                   config: DiamConfig, net: Optional[Net], seed: int) -> ScanRecord:
-    return egs_ratio(entry, sample_metric(entry, lo, hi, seed), config, seed=seed, net=net)
+                   net: Optional[Net], seed: int) -> ScanRecord:
+    return egs_ratio(entry, sample_metric(entry, lo, hi, seed), seed=seed, net=net)
 
 
 # Set once in each pool worker, so that the net crosses once per worker.
@@ -228,14 +229,14 @@ def scan(entry: LieGroupCatalogEntry, n_samples: int, lo: float = DEFAULT_SIGMA_
     Output is independent of ``jobs``: records are always ordered by index and
     aggregation is order-free.  At most min(jobs, n_samples, CPU count)
     worker processes run, all started at once.  A scan reads only its
-    arguments, so threads may scan at once.
+    arguments, so threads may scan at once.  As in ``egs_ratio``, nothing
+    reads ``diam_config``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if jobs < 1:
         raise ValueError("need jobs >= 1")
-    sample = functools.partial(_sample_record, entry, lo, hi, diam_config,
-                               _net_for(entry, diam_config, net))
+    sample = functools.partial(_sample_record, entry, lo, hi, _net_for(entry, net))
     seeds = [base_seed + i for i in range(n_samples)]
     workers = min(jobs, n_samples, os.cpu_count() or 1)
     if workers == 1:
@@ -350,8 +351,7 @@ DEGENERATION_KINDS = tuple(dict.fromkeys(kind for kind, _ in _SWEEPS))
 
 
 def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
-                            s_values: Sequence[float],
-                            net: Optional[Net] = None) -> DegenerationReport:
+                            s_values: Sequence[float]) -> DegenerationReport:
     """Sweep a one-parameter family of metrics and track the relevant product.
 
     shrink-transverse: directions transverse to a maximal-dimension subgroup
@@ -359,8 +359,8 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
     enlarge-generating: a bracket-generating pair gets expensive (s up) on
     su2 x su2; the gap divided by sigma_4^2 blows up.  torus-dense-line: the
     direction of a dense line gets expensive on T^2; diam * sigma_2 collapses.
-    Diameters appear only where an estimator exists (graph for su2, on
-    ``net`` or else the default net, lattice for tori).
+    Diameters appear only where an estimator exists (graph for su2 on the
+    default net, lattice for tori).
     """
     if kind not in DEGENERATION_KINDS:
         raise ValueError(f"unknown degeneration kind {kind!r}")
@@ -378,7 +378,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
         raise ValueError(f"{kind} runs on {groups}")
     make, want_diam, formulas = sweep
 
-    net = _net_for(entry, DiamConfig(), net) if want_diam else net
+    net = _net_for(entry, None)  # one net for the whole sweep
 
     rows = []
     for s in s_values:
@@ -386,7 +386,7 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
         res = lambda1_certified(entry, spec)
         diam = None
         if want_diam:
-            diam = _compute_diameter(entry, spec, DiamConfig(), net)
+            diam = _compute_diameter(entry, spec, net)
         tracked = {key: f(s, spec.sigma, res.lambda1, diam) for key, f in formulas.items()}
         rows.append(DegenerationRow(
             s=s, sigma=tuple(float(x) for x in spec.sigma),
@@ -437,7 +437,7 @@ def _loewner_bump(spec: MetricSpec, rng: np.random.Generator) -> MetricSpec:
 
 
 def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
-                   seed: int = 0, net: Optional[Net] = None) -> PropertyReport:
+                   seed: int = 0) -> PropertyReport:
     """Randomized checks of the structural identities behind the estimates.
 
     Covers: metric invariance under right orthogonal factors, Loewner
@@ -510,8 +510,8 @@ def property_suite(entry: LieGroupCatalogEntry, n_trials: int = DEFAULT_TRIALS,
         return None
     record("mixed_casimir_assembly_identity", mixed_casimir_identity)
 
-    local_net = _net_for(entry, DiamConfig(net_size=2000), net)
-    if local_net is not None:
+    if entry.kind in ("su2", "so3"):
+        local_net = build_net(entry, SUITE_NET_SIZE)
 
         def diam_monotonicity(t):
             a, b = specs[t], bumped[t]

@@ -149,9 +149,9 @@ def test_criterion_7_restricted_spectrum(su2):
     report("7 (restricted spectrum)", "value 8 at k=2, infinite at k=3, 50 sandwiches")
 
 
-def test_criterion_8_degeneration_trends(su2, t2, big_net):
+def test_criterion_8_degeneration_trends(su2, t2):
     rep = ls.degeneration_experiment(su2, "shrink-transverse",
-                                     [1.0, 0.5, 0.25, 0.125], net=big_net)
+                                     [1.0, 0.5, 0.25, 0.125])
     lams = [r.lambda1 for r in rep.rows]
     assert all(b < a for a, b in zip(lams, lams[1:])), "gap not strictly decreasing"
     ratios = [r.tracked["lambda1_over_s_sq"] for r in rep.rows]

@@ -149,6 +149,8 @@ def test_net_allowance_is_not_an_option(capsys, argv):
     # Only the tori t1..t4 that the help names: a larger one would first ask
     # for its N^4 Jacobi check.
     (("sigma", "--group", "t5"), "error: unknown group key: 't5'"),
+    (("degenerate", "--group", "t2", "--kind", "torus-dense-line", "--s-values", "1,0.5,2"),
+     "error: s values must be monotone"),
 ])
 def test_out_of_range_inputs_exit_2(capsys, argv, message):
     # A refusal is its error line alone, with no numpy warning before it.
@@ -230,6 +232,13 @@ class TestSigma:
 
 
 class TestLambda1:
+    @pytest.mark.parametrize("header", ["2.5", "3 3", "0"])
+    def test_matrix_file_header_must_be_the_dimension(self, capsys, tmp_path, header):
+        path = tmp_path / "a.mat"
+        path.write_text(f"{header}\n1 0\n0 1\n")
+        code, out, err = run(capsys, "lambda1", "--group", "t2", "--matrix", str(path))
+        assert (code, out, err) == (2, "", "error: first line must be the dimension\n")
+
     def test_su2_identity(self, capsys):
         code, out, _ = run(capsys, "lambda1", "--group", "su2")
         assert code == 0

@@ -19,8 +19,6 @@ from liespec.egs_scan import (CHECK_NAMES, DiamConfig, egs_ratio,
                               scan_csv_text, scan_to_json)
 from liespec.rep_theory import biinvariant_lambda1
 
-SMALL_NET_CONFIG = DiamConfig(net_size=2000)
-
 
 def test_net_allowance_is_a_constant():
     # Not a field: a config cannot set it, and it reads the fixed 10%.
@@ -35,22 +33,25 @@ def test_net_seed_is_a_constant():
     with pytest.raises(TypeError):
         DiamConfig(net_seed=1)
     assert DiamConfig().net_seed == 0
-    assert [f.name for f in dataclasses.fields(DiamConfig)] == ["net_size"]
+    assert [f.name for f in dataclasses.fields(DiamConfig)] == []
 
 
 def test_knn_and_grid_are_constants():
-    # A scan record is its inputs: no config reads another knn or torus grid.
+    # A scan record is its inputs: no config reads another net size, knn or
+    # torus grid.
     with pytest.raises(TypeError):
         DiamConfig(knn=8)
     with pytest.raises(TypeError):
         DiamConfig(grid_resolution=32)
+    with pytest.raises(TypeError):
+        DiamConfig(net_size=2000)
     assert (DiamConfig().knn, DiamConfig().grid_resolution) == (12, 64)
+    assert DiamConfig().net_size == 20000
 
 
 class TestEgsRatio:
     def test_su2_identity(self, su2, small_net):
-        rec = egs_ratio(su2, ls.metric_from_matrix(np.eye(3)),
-                        SMALL_NET_CONFIG, net=small_net)
+        rec = egs_ratio(su2, ls.metric_from_matrix(np.eye(3)), net=small_net)
         assert rec.lambda1 == pytest.approx(3.0, abs=1e-12)
         assert math.pi / 2 * 0.95 <= rec.diam_value <= math.pi * 1.05
         assert rec.ratio == pytest.approx(3.0 * rec.diam_value ** 2)
@@ -66,9 +67,8 @@ class TestEgsRatio:
         scaled = egs_ratio(t2, ls.metric_from_matrix(3.0 * np.eye(2)))
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-9)
         a = ls.sample_metric(su2, 0.5, 2.0, seed=11)
-        ra = egs_ratio(su2, a, SMALL_NET_CONFIG, net=small_net)
-        rb = egs_ratio(su2, ls.metric_from_matrix(2.0 * a.A),
-                       SMALL_NET_CONFIG, net=small_net)
+        ra = egs_ratio(su2, a, net=small_net)
+        rb = egs_ratio(su2, ls.metric_from_matrix(2.0 * a.A), net=small_net)
         assert rb.ratio == pytest.approx(ra.ratio, rel=1e-9)
 
     def test_checks_frozen_and_picklable(self, t2):
@@ -83,7 +83,7 @@ class TestEgsRatio:
     def test_no_estimator_for_products(self, su2xsu2):
         skew = ls.metric_from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="no diameter estimator"):
-            egs_ratio(su2xsu2, skew, DiamConfig())
+            egs_ratio(su2xsu2, skew)
 
     @pytest.mark.parametrize("key, ratio", [
         ("su2", 3.0), ("so3", 2.0), ("t1", 1.0), ("t2", 2.0), ("t3", 3.0),
@@ -153,9 +153,7 @@ class TestScan:
         assert summary.argmax_seed in {r.seed for r in recs}
 
     def test_su2_scan_checks(self, su2, mid_net):
-        recs, summary = scan(su2, 25, lo=0.2, hi=5.0,
-                             diam_config=DiamConfig(net_size=4000),
-                             base_seed=0, net=mid_net)
+        recs, summary = scan(su2, 25, lo=0.2, hi=5.0, base_seed=0, net=mid_net)
         assert summary.violation_counts["remark_lambda_ok"] == 0
         assert summary.violation_counts["remark_diam_ok"] == 0
         assert summary.violation_counts["urakawa_ok"] == 0
@@ -204,9 +202,9 @@ class TestScan:
 
 
 class TestDegeneration:
-    def test_su2_shrink_transverse(self, su2, small_net):
+    def test_su2_shrink_transverse(self, su2):
         rep = ls.degeneration_experiment(su2, "shrink-transverse",
-                                         [1.0, 0.5, 0.25, 0.125], net=small_net)
+                                         [1.0, 0.5, 0.25, 0.125])
         lams = [r.lambda1 for r in rep.rows]
         diams = [r.diam_value for r in rep.rows]
         assert all(b < a for a, b in zip(lams, lams[1:]))
@@ -247,6 +245,13 @@ class TestDegeneration:
             ls.degeneration_experiment(su2, "shrink-transverse", [1.0, 1.0])
         with pytest.raises(ValueError):
             ls.degeneration_experiment(su2xsu2, "enlarge-generating", [1.0])
+        with pytest.raises(ValueError, match="^s values must be monotone$"):
+            ls.degeneration_experiment(t2, "torus-dense-line", [1.0, 0.5, 2.0])
+
+    def test_monotone_tags(self):
+        assert egs_scan._monotone_tag([1.0, 2.0, 4.0]) == "increasing"
+        assert egs_scan._monotone_tag([4.0, 2.0, 1.0]) == "decreasing"
+        assert egs_scan._monotone_tag([1.0, 2.0, 1.0]) == "mixed"
 
     def test_s_values_finite_and_positive(self, t2):
         for s_values in ([1.0, -1.0], [1.0, math.nan], [1.0, 0.0], [math.inf, 1.0],
@@ -264,10 +269,19 @@ class TestPropertySuite:
         assert "spectral_gap_loewner_monotonicity" in names
         assert "mixed_casimir_assembly_identity" in names
 
-    def test_su2_all_pass_with_net(self, su2, small_net):
-        rep = property_suite(su2, n_trials=6, seed=1, net=small_net)
+    @pytest.mark.parametrize("key", ["su2", "so3"])
+    def test_all_pass_on_own_net(self, key, monkeypatch):
+        # The suite reads its fixed-net diameters on one net of its own size.
+        sizes = []
+
+        def counted(entry, n_nodes, *args):
+            sizes.append(n_nodes)
+            return ls.build_net(entry, n_nodes, *args)
+        monkeypatch.setattr(egs_scan, "build_net", counted)
+        rep = property_suite(ls.entry_from_key(key), n_trials=6, seed=1)
         assert rep.all_passed
         assert any(c.name == "diameter_loewner_monotonicity" for c in rep.checks)
+        assert sizes == [egs_scan.SUITE_NET_SIZE] == [2000]
 
     def test_one_gap_per_metric(self, t2, monkeypatch):
         calls = []

@@ -706,6 +706,10 @@ class TestGraphDiameter:
         with pytest.raises(ValueError):
             ls.graph_diameter(so3, ls.metric_from_matrix(np.eye(3)), small_net)
 
+    def test_metric_of_another_dimension_rejected(self, su2, small_net):
+        with pytest.raises(ValueError, match="^graph diameter expects a 3-dimensional metric$"):
+            ls.graph_diameter(su2, ls.metric_from_matrix(np.eye(2)), small_net)
+
 
 class TestClosedFormBounds:
     def test_su2_so3(self, su2, so3):

@@ -701,6 +701,10 @@ class TestCertifiedGap:
         assert res.witness == "spin(1/2)"
         assert 2.0 < res.lambda1 <= 8.0
 
+    def test_metric_of_another_dimension_rejected(self, su2):
+        with pytest.raises(ValueError, match="^metric and group have different dimensions$"):
+            ls.lambda1_certified(su2, ls.metric_from_matrix(np.eye(2)))
+
     def test_so3_identity(self, so3):
         res = ls.lambda1_certified(so3, ls.metric_from_matrix(np.eye(3)))
         assert res.certified
@@ -1017,6 +1021,20 @@ class TestSpinBounds:
         assert [(r.lambda1, r.witness) for r in plain] == [(r.lambda1, r.witness)
                                                             for r in bounded]
         assert sum(r.evaluations for r in plain) > sum(r.evaluations for r in bounded)
+
+    def test_table_past_the_cell_limit_gives_no_bounds(self, su2xsu2, monkeypatch):
+        # The pool's largest table has 231 cells; at a limit of one cell
+        # every table is refused, and the walk runs on the stop rule alone.
+        specs = [ls.sample_metric(su2xsu2, 0.2, 5.0, seed=s) for s in range(16)]
+        bounded = [ls.lambda1_certified(su2xsu2, spec) for spec in specs]
+        monkeypatch.setattr(rep_theory, "_TABLE_CELLS", 1)
+        assert rep_theory._pair_bounds(su2xsu2, specs[0], bounded[0].lambda1) is None
+        plain = [ls.lambda1_certified(su2xsu2, spec) for spec in specs]
+        assert [(r.lambda1, r.witness) for r in plain] == [(r.lambda1, r.witness)
+                                                            for r in bounded]
+        assert all(p.window >= b.window and p.evaluations >= b.evaluations
+                   for p, b in zip(plain, bounded))
+        assert plain[0].evaluations > bounded[0].evaluations
 
     def test_split_that_overflows_is_dropped(self, su2xsu2):
         # Q12 Q22^-1 Q21 / (1 - 0.99) overflows at theta = 0.99; the other
