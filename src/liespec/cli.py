@@ -162,7 +162,7 @@ def _cmd_verify(entry: LieGroupCatalogEntry, args) -> int:
         status = "pass" if not c.failures else f"FAIL({len(c.failures)})"
         lines.append(f"{c.name}: {status}")
         for f in c.failures[:3]:
-            lines.append(f"  counterexample: {f}")
+            lines.append(f"  counterexample: {_to_json_data(f)}")
     lines.append("all_passed=" + ("true" if report.all_passed else "false"))
     _emit(args, {**_to_json_data(report), "all_passed": report.all_passed}, lines)
     return 0 if report.all_passed else 3

@@ -301,23 +301,15 @@ def two_generator_rotation_su2xsu2() -> np.ndarray:
     """Orthogonal P whose first two columns already bracket-generate su2+su2.
 
     Columns 1-2 span a generic two-generator pair (asymmetric mixing angles
-    keep the pair out of every automorphism graph); the rest is a Gram-Schmidt
-    completion.
+    keep the pair out of every automorphism graph); the rest completes them
+    by the QR factorisation of [y1, y2, e1, e2, e3, e4], its columns signed
+    so that R has a positive diagonal.
     """
     beta = math.pi / 5
     y1 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
     y2 = np.array([0.0, math.cos(beta), 0.0, 0.0, math.sin(beta), 0.0])
-    cols = [y1, y2]
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = 1.0
-        v = e - sum(np.dot(e, c) * c for c in cols)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-9:
-            cols.append(v / nrm)
-        if len(cols) == 6:
-            break
-    return np.stack(cols, axis=1)
+    P, R = np.linalg.qr(np.column_stack([y1, y2, np.eye(6)[:, :4]]))
+    return P * np.sign(np.diag(R))
 
 
 def dense_line_rotation_t2() -> np.ndarray:
@@ -405,6 +397,11 @@ def degeneration_experiment(entry: LieGroupCatalogEntry, kind: str,
 # Randomized verification suite
 # ---------------------------------------------------------------------------
 
+def _freeze(x):
+    """Nested lists and tuples as nested tuples."""
+    return tuple(map(_freeze, x)) if isinstance(x, (list, tuple)) else x
+
+
 @dataclass(frozen=True)
 class PropertyCheck:
     name: str
@@ -412,8 +409,8 @@ class PropertyCheck:
     failures: tuple[Mapping, ...]  # read-only; one counterexample per failed trial
 
     def __post_init__(self):
-        object.__setattr__(self, "failures",
-                           tuple(MappingProxyType(dict(f)) for f in self.failures))
+        object.__setattr__(self, "failures", tuple(
+            MappingProxyType({k: _freeze(v) for k, v in f.items()}) for f in self.failures))
 
 
 @dataclass(frozen=True)

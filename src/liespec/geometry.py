@@ -123,12 +123,14 @@ class PaperBounds:
 class _Reduced(NamedTuple):
     """A gram form reduced once for every closest-vector pass of a sweep.
 
-    ``U`` is the ``greedy_reduce`` basis as floats, ``Qp = U^t gram U`` the
+    ``U`` is the ``greedy_reduce`` basis as floats, ``to_basis`` its inverse,
+    which takes a point to reduced coordinates, ``Qp = U^t gram U`` the
     reduced form, and ``offsets`` the polish offsets kept from the
     [-2, 2]^m box (as floats, the origin among them).
     """
 
     U: np.ndarray
+    to_basis: np.ndarray
     Qp: np.ndarray
     offsets: np.ndarray
 
@@ -181,7 +183,7 @@ def _reduce(gram: np.ndarray) -> _Reduced:
     reach = np.maximum(np.abs(box @ Qp).sum(axis=1), np.abs(box @ Qp.T).sum(axis=1))
     q = float(np.abs(Qp).sum())
     keep = c - reach <= _KEEP_EPS * np.finfo(float).eps * (c + reach + q)
-    return _Reduced(U, Qp, box[keep])
+    return _Reduced(U, np.linalg.inv(U), Qp, box[keep])
 
 
 def _closest_lattice_distances(points: np.ndarray, reduced: _Reduced) -> np.ndarray:
@@ -194,7 +196,7 @@ def _closest_lattice_distances(points: np.ndarray, reduced: _Reduced) -> np.ndar
     points: an einsum over all offsets at once rounds differently and moves
     some distances by an ulp.
     """
-    U, Qp, offsets = reduced
+    U, _, Qp, offsets = reduced
     T = np.linalg.solve(U, points.T).T
     E = T - np.rint(T)
     best = np.full(points.shape[0], np.inf)
@@ -212,13 +214,11 @@ def _screen(reduced: _Reduced):
     |E - o|^2 = E'QE - 2E'Qo + o'Qo expanded so that a block of points costs
     one matmul against every offset.  The expansion rounds differently from
     the direct form, so its values only screen candidates for an exact
-    re-score.  Returns the screen with ``to_basis``, which takes a point to
-    reduced coordinates.
+    re-score.
     """
-    U, Qp, offsets = reduced
+    _, to_basis, Qp, offsets = reduced
     P = -2.0 * offsets @ Qp
     c = np.einsum("ki,ij,kj->k", offsets, Qp, offsets)[:, None]
-    to_basis = np.linalg.inv(U)
 
     def sq_distances(points: np.ndarray) -> np.ndarray:
         E = to_basis @ points.T
@@ -227,7 +227,7 @@ def _screen(reduced: _Reduced):
         S += c
         return S.min(axis=0) + ((Qp @ E) * E).sum(axis=0)
 
-    return sq_distances, to_basis
+    return sq_distances
 
 
 def _near_max(sq: np.ndarray) -> np.ndarray:
@@ -235,7 +235,7 @@ def _near_max(sq: np.ndarray) -> np.ndarray:
     return np.flatnonzero(sq >= (1.0 - _SCREEN_RTOL) * sq.max())
 
 
-def _coarse_argmax(reduced: _Reduced, screen, res: int):
+def _coarse_argmax(reduced: _Reduced, sq_distances, res: int):
     """First farthest grid point i/res in flat-index order, and its distance.
 
     Z^m = -Z^m, so point i/res ties with its mirror (-i mod res)/res.  Every
@@ -249,8 +249,8 @@ def _coarse_argmax(reduced: _Reduced, screen, res: int):
     so the near-max points and their mirrors re-scored with the direct form,
     are exactly those of a screen of the whole half grid.
 
-    Why no such point is lost.  Let T = ``to_basis`` and Q = ``Qp`` as the
-    screen holds them, in floating point, and let psi(y) be the squared
+    Why no such point is lost.  Let T = ``to_basis`` and Q = ``Qp`` as
+    ``reduced`` holds them, in floating point, and let psi(y) be the squared
     distance from y to Z^m under the symmetric part of Q.  As everywhere in
     the torus code, the polish box around rint(y) holds a closest lattice
     vector, and so do the offsets ``_reduce`` keeps of it, since each one
@@ -292,8 +292,7 @@ def _coarse_argmax(reduced: _Reduced, screen, res: int):
     At grid 64 the t3 pool metrics (``sample_metric`` seeds 0-255) screen
     2-58% of the half grid, 8% in the median, representatives included.
     """
-    sq_distances, to_basis = screen
-    Qp = reduced.Qp
+    _, to_basis, Qp, _ = reduced
     m = Qp.shape[0]
     shape = (res,) * m
     half = np.array((res // 2 + 1,) + shape[1:])
@@ -374,9 +373,8 @@ def torus_diameter(spec: MetricSpec, grid_resolution: int = DEFAULT_GRID_RESOLUT
                          f"{MAX_GRID_POINTS} grid points at m = {m}")
     gram = spec.gram
     reduced = _reduce(gram)
-    screen = _screen(reduced)
-    x0, coarse = _coarse_argmax(reduced, screen, grid_resolution)
-    sq_distances = screen[0]
+    sq_distances = _screen(reduced)
+    x0, coarse = _coarse_argmax(reduced, sq_distances, grid_resolution)
 
     # Refinement: finer sweep of the cell around the argmax.
     h = 1.0 / grid_resolution
@@ -430,10 +428,10 @@ class Net:
 
     Node 0 is the identity, and the other nodes follow a 4-D Morton curve.
     ``rows``/``cols`` (rows < cols, row-major) is the symmetrised knn
-    adjacency and ``mesh`` the largest nearest-neighbour distance.  Shortest
-    paths run over the straightened graph: the adjacency plus every two-hop
-    shortcut, stored as a symmetric CSR structure for directed Dijkstra.  Row i's neighbours
-    are ``edge_cols[indptr[i]:indptr[i + 1]]`` (ascending, never i), and
+    adjacency.  Shortest paths run over the straightened graph: the
+    adjacency plus every two-hop shortcut, stored as a symmetric CSR
+    structure for directed Dijkstra.  Row i's neighbours are
+    ``edge_cols[indptr[i]:indptr[i + 1]]`` (ascending, never i), and
     ``edge[k]`` is the id of the undirected edge behind CSR entry k, so
     every id appears twice, once in each direction.  Ids number the upper
     edges (row < col) in row-major order, and ``edge_logs[e]`` is
@@ -447,7 +445,6 @@ class Net:
     nodes: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    mesh: float
     indptr: np.ndarray
     edge_cols: np.ndarray
     edge: np.ndarray
@@ -481,7 +478,7 @@ def _edge_logs(kind: str, nodes: np.ndarray, rows: np.ndarray,
 
 
 def _knn_adjacency(kind: str, nodes: np.ndarray, k: int):
-    """Symmetrised k-nearest-neighbour adjacency, a boolean CSR matrix, and the mesh.
+    """Symmetrised k-nearest-neighbour adjacency, a boolean CSR matrix.
 
     Chordal distance in R^4 is monotone in the geodesic angle on S^3, so a
     k-d tree over the nodes finds the geodesic neighbours of SU(2).  On SO(3)
@@ -493,16 +490,10 @@ def _knn_adjacency(kind: str, nodes: np.ndarray, k: int):
 
     n = nodes.shape[0]
     points = np.vstack([nodes, -nodes]) if kind == "so3" else nodes
-    chord, idx = cKDTree(points).query(nodes, k=k + 1)
-    mesh = 2.0 * math.asin(min(1.0, float(np.max(chord[:, 1])) / 2.0))
+    idx = cKDTree(points).query(nodes, k=k + 1)[1]
     query = csr_matrix((np.ones(n * k, dtype=bool), idx[:, 1:].ravel() % n,
                         np.arange(0, n * k + 1, k)), shape=(n, n))
-    return query + query.T, mesh
-
-
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
-    """Row index of each entry of a CSR structure, int32."""
-    return np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+    return query + query.T
 
 
 def _morton_order(points: np.ndarray) -> np.ndarray:
@@ -565,9 +556,7 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     del pts
 
     n = nodes.shape[0]
-    sym, mesh = _knn_adjacency(entry.kind, nodes, knn)
-    if mesh <= 0:
-        raise ValueError("duplicate nodes in net")
+    sym = _knn_adjacency(entry.kind, nodes, knn)
     ncomp, _ = connected_components(sym, directed=False)
     if ncomp != 1:
         raise ValueError(f"knn graph of the net has {ncomp} components; "
@@ -579,7 +568,7 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
                         shape=(n, n)))
     del sym, square
     two = two.T.tocsr()
-    entry_rows = _row_ids(two.indptr)
+    entry_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(two.indptr))
     upper = two.indices > entry_rows
     up_rows, up_cols = entry_rows[upper], two.indices[upper]
     knn_edge = two.data[upper] >= 2
@@ -597,7 +586,7 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     del two, upper, knn_edge, off
     edge += csr_matrix((edge, edge_cols, indptr), shape=(n, n)).T.tocsr().data
     edge_logs = _edge_logs(entry.kind, nodes, up_rows, up_cols)
-    return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols, mesh=mesh,
+    return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols,
                indptr=indptr, edge_cols=edge_cols, edge=edge,
                edge_logs=edge_logs, knn=knn, seed=seed)
 

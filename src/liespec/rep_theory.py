@@ -336,14 +336,6 @@ def enumerate_irreps(entry: LieGroupCatalogEntry, casimir_cutoff: float) -> list
 # Operator assembly and eigenvalues
 # ---------------------------------------------------------------------------
 
-def _minus_CA(irrep: Irrep, Q: np.ndarray, blocks: dict) -> np.ndarray:
-    """-C_A of the irrep under the metric Q = A A^t; a pair assembles from
-    its factors (``_pair_minus_CA``)."""
-    if not irrep.factors:
-        return _stack_minus_CA(irrep.generators, Q)
-    return _pair_minus_CA(*irrep.factors, Q, blocks)
-
-
 def _pair_minus_CA(a: Irrep, b: Irrep, Q: np.ndarray, blocks: dict) -> np.ndarray:
     """-C_A of the pair (a, b) from its factors.
 
@@ -386,7 +378,9 @@ def assemble_minus_CA(irrep: Irrep, spec: MetricSpec) -> np.ndarray:
     """
     if sum(f.generators.shape[0] for f in irrep.factors or (irrep,)) != spec.m:
         raise ValueError("irrep and metric have different dimensions")
-    return _minus_CA(irrep, spec.AAt, {})
+    if not irrep.factors:
+        return _stack_minus_CA(irrep.generators, spec.AAt)
+    return _pair_minus_CA(*irrep.factors, spec.AAt, {})
 
 
 def _hermitian(M: np.ndarray) -> tuple[np.ndarray, float]:
@@ -488,11 +482,6 @@ def _spin_floor(n: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 _SPLIT_THETAS = (1e-3, 0.03, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 _THETA = np.array(_SPLIT_THETAS)[:, None, None]
-# Flat indices into a 6 x 6 Q of [[Q22, Q11], [Q12^t, Q12]]: the blocks that the
-# two Schur complements invert, and the blocks across which they are taken.
-_Q_INDEX = np.arange(36).reshape(6, 6)
-_SCHUR_BLOCKS = np.array([[_Q_INDEX[3:, 3:], _Q_INDEX[:3, :3]],
-                          [_Q_INDEX[:3, 3:].T, _Q_INDEX[:3, 3:]]])
 _TABLE_CELLS = 1 << 18  # the most pairs a bound table holds, 4 MiB
 
 
@@ -581,7 +570,8 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     when no Schur split is kept or the table would pass ``_TABLE_CELLS``:
     the stop rule alone then ends the walk."""
     Q = spec.AAt
-    inv, cross = Q.take(_SCHUR_BLOCKS)  # (Q22, Q11) and (Q12^t, Q12)
+    inv = np.stack([Q[3:, 3:], Q[:3, :3]])  # Q22 and Q11, which the complements invert
+    cross = np.stack([Q[:3, 3:].T, Q[:3, 3:]])  # Q12^t and Q12
     P = cross[::-1] @ np.linalg.solve(inv, cross)  # Q12 Q22^-1 Q21 and Q21 Q11^-1 Q12
     diag = inv[::-1, None]  # Q11 and Q22, against theta
     schur, scaled = diag - P[:, None] / (1.0 - _THETA), _THETA * diag  # factor, theta, block
@@ -694,8 +684,8 @@ def _spin_lambda1_certified(entry: LieGroupCatalogEntry, spec: MetricSpec) -> Sp
     """
     step = 1 if entry.kind == "su2" else 2  # so3 has integer spins only
     with np.errstate(over="ignore", invalid="ignore"):  # refused by lambda_min_hermitian
-        gaps = [(lambda_min_hermitian(_minus_CA(irrep, spec.AAt, {})), irrep.label)
-                for irrep in map(_spin_irrep, range(step, 3, step))]
+        gaps = [(lambda_min_hermitian(_stack_minus_CA(irrep.generators, spec.AAt)),
+                 irrep.label) for irrep in map(_spin_irrep, range(step, 3, step))]
     lam, witness = min(gaps, key=lambda gap: gap[0])
     n = 2 + step
     return SpectralResult(lambda1=lam, witness=witness, certified=True,

@@ -65,7 +65,7 @@ def disconnected_knn(monkeypatch):
         rows = np.array([i for i in range(n - 1) if i != n // 2 - 1])
         chains = csr_matrix((np.ones(rows.size, dtype=bool), (rows, rows + 1)),
                             shape=(n, n))
-        return chains + chains.T, 0.1
+        return chains + chains.T
     monkeypatch.setattr(ls.geometry, "_knn_adjacency", two_chains)
 
 

@@ -333,6 +333,10 @@ class TestReporting:
         assert list(rec) == scan_csv_text(recs).splitlines()[0].split(",")
         assert rec == record_to_dict(recs[0])
 
+    def test_no_records_refused(self):
+        with pytest.raises(ValueError, match="no records to write"):
+            scan_csv_text([])
+
     def test_record_flags_reproducible(self, t2):
         recs, summary = scan(t2, 5, base_seed=40)
         for rec in recs:
@@ -370,5 +374,7 @@ class TestReportsImmutable:
         check = egs_scan.PropertyCheck(name="c", trials=1, failures=[{"A": [[1.0]]}])
         with pytest.raises(TypeError):
             check.failures[0]["A"] = [[2.0]]
+        with pytest.raises(TypeError):
+            check.failures[0]["A"][0][0] = 5.0
         assert egs_scan._to_json_data(check) == {
             "name": "c", "trials": 1, "failures": [{"A": [[1.0]]}]}

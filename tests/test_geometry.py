@@ -59,8 +59,8 @@ def check_kept_offsets(gram, rng):
     assert np.any(np.all(reduced.offsets == 0, axis=1))
     assert len(reduced.offsets) <= 5 ** m
     pts = np.vstack([rng.uniform(-1.0, 2.0, (100, m)), grid_points(4, m)])
-    kept_sq = geometry._screen(reduced)[0](pts)
-    assert kept_sq.tobytes() == geometry._screen(whole)[0](pts).tobytes()
+    kept_sq = geometry._screen(reduced)(pts)
+    assert kept_sq.tobytes() == geometry._screen(whole)(pts).tobytes()
     got = _closest_lattice_distances(pts, reduced)
     assert got.tobytes() == _closest_lattice_distances(pts, whole).tobytes()
     T = np.linalg.solve(reduced.U, pts.T).T
@@ -88,7 +88,7 @@ def torus_diameter_reference(spec, res):
 def half_grid_candidates(gram, res):
     """Flat indices of the near-max points of a screen of the whole half
     grid and of their mirrors, ascending."""
-    sq_distances = geometry._screen(geometry._reduce(gram))[0]
+    sq_distances = geometry._screen(geometry._reduce(gram))
     shape = (res,) * gram.shape[0]
     idx = np.stack(np.unravel_index(np.arange((res // 2 + 1) * res ** (len(shape) - 1)),
                                     shape), axis=1)
@@ -99,7 +99,7 @@ def half_grid_candidates(gram, res):
 
 
 def dense_knn_reference(kind, nodes, k):
-    """knn pairs (rows < cols) and mesh from dense geodesic angles."""
+    """knn pairs (rows < cols) from dense geodesic angles."""
     n = nodes.shape[0]
     dots = nodes @ nodes.T
     if kind == "so3":
@@ -107,10 +107,9 @@ def dense_knn_reference(kind, nodes, k):
     d = np.arccos(np.clip(dots, -1.0, 1.0))
     np.fill_diagonal(d, np.inf)
     idx = np.argpartition(d, k, axis=1)[:, :k]
-    mesh = float(np.max(np.min(np.take_along_axis(d, idx, axis=1), axis=1)))
     own = np.repeat(np.arange(n), k)
     pairs = np.unique(np.minimum(own, idx.ravel()) * n + np.maximum(own, idx.ravel()))
-    return pairs // n, pairs % n, mesh
+    return pairs // n, pairs % n
 
 
 def straightened_reference(kind, nodes, rows, cols):
@@ -184,7 +183,7 @@ def check_symmetric_layout(net):
 
 def draw_order_knn(kind, n, knn, seed):
     """The nodes of a net in the order they are drawn, and their knn pairs
-    (rows < cols, row-major) and mesh from a k-d tree: what a net must match
+    (rows < cols, row-major) from a k-d tree: what a net must match
     up to the order of its nodes."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n - 1, 4))
@@ -193,11 +192,10 @@ def draw_order_knn(kind, n, knn, seed):
     if kind == "so3":
         nodes = so3_representative(nodes)
     points = np.vstack([nodes, -nodes]) if kind == "so3" else nodes
-    chord, idx = cKDTree(points).query(nodes, k=knn + 1)
-    mesh = 2.0 * math.asin(min(1.0, float(np.max(chord[:, 1])) / 2.0))
+    idx = cKDTree(points).query(nodes, k=knn + 1)[1]
     own, other = np.repeat(np.arange(n), knn), idx[:, 1:].ravel() % n
     pairs = np.unique(np.minimum(own, other) * n + np.maximum(own, other))
-    return nodes, pairs // n, pairs % n, mesh
+    return nodes, pairs // n, pairs % n
 
 
 def node_permutation(net, nodes):
@@ -282,6 +280,10 @@ class TestTorusDiameter:
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
             ls.torus_diameter(ls.metric_from_matrix(np.eye(4)))
+
+    def test_grid_too_coarse(self):
+        with pytest.raises(ValueError, match="grid resolution too small"):
+            ls.torus_diameter(ls.metric_from_matrix(np.eye(3)), grid_resolution=3)
 
     def test_grid_point_cap(self):
         with pytest.raises(ValueError, match="grid points"):
@@ -369,13 +371,13 @@ class TestTorusDiameter:
         screen = geometry._screen
 
         def counting_screen(reduced):
-            sq_distances, *rest = screen(reduced)
+            sq_distances = screen(reduced)
 
             def counted(points):
                 screened.append(len(points))
                 return sq_distances(points)
 
-            return (counted, *rest)
+            return counted
 
         monkeypatch.setattr(geometry, "_screen", counting_screen)
         ls.torus_diameter(ls.sample_metric(t3, 0.2, 5.0, seed=0), grid_resolution=64)
@@ -422,11 +424,6 @@ class TestNet:
         assert np.all(small_net.rows < small_net.cols)
         enc = small_net.rows * small_net.n_nodes + small_net.cols
         assert np.unique(enc).size == enc.size
-
-    def test_mesh_decreases_with_size(self, su2):
-        coarse = ls.build_net(su2, 500, 8, seed=0)
-        fine = ls.build_net(su2, 4000, 8, seed=0)
-        assert fine.mesh < coarse.mesh
 
     def test_edge_logs_are_exact_distances(self, su2, small_net):
         rows, cols = upper_appearances(small_net)
@@ -489,10 +486,9 @@ class TestNet:
         for entry in (su2, so3):
             for seed in range(3):
                 net = ls.build_net(entry, 2000, 12, seed=seed)
-                rows, cols, mesh = dense_knn_reference(entry.kind, net.nodes, 12)
+                rows, cols = dense_knn_reference(entry.kind, net.nodes, 12)
                 assert np.array_equal(net.rows, rows)
                 assert np.array_equal(net.cols, cols)
-                assert net.mesh == pytest.approx(mesh, rel=1e-12)
 
     def test_straightened_edges_match_reference(self, small_net, so3_small_net):
         # The reference edges plus their transpose, exactly: sorted within
@@ -521,13 +517,13 @@ class TestNet:
         (20000, 12, 0), (2000, 12, 3), (500, 8, 1),
         (100, 99, 2), (100, 60, 2), (150, 6, 2), (300, 40, 2)])
     def test_matches_the_draw_order_construction(self, kind, n_nodes, knn, seed):
-        # Relabelled to the drawn order, a net has the same knn pairs, mesh
-        # and straightened edges as the drawn nodes, and each log is that of
+        # Relabelled to the drawn order, a net has the same knn pairs and
+        # straightened edges as the drawn nodes, and each log is that of
         # its edge, negated where the relabelling reverses the edge.  The knn
         # adjacency arrives with unsorted rows, nearly full near knn = n, and
         # on so3 from queries over both signs of every node.
         net = ls.build_net(ls.entry_from_key(kind), n_nodes, knn, seed)
-        nodes, rows, cols, mesh = draw_order_knn(kind, n_nodes, knn, seed)
+        nodes, rows, cols = draw_order_knn(kind, n_nodes, knn, seed)
         perm = node_permutation(net, nodes)
         assert perm[0] == 0
         label = np.argsort(perm)
@@ -538,7 +534,6 @@ class TestNet:
             r, c = label[rows], label[cols]
             return np.minimum(r, c) * n_nodes + np.maximum(r, c), r > c
 
-        assert net.mesh == mesh
         keys, _ = relabelled(rows, cols)
         assert np.array_equal(net.rows.astype(np.int64) * n_nodes + net.cols, np.sort(keys))
         ref_rows, ref_cols, ref_logs = straightened_reference(kind, nodes, rows, cols)

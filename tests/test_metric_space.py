@@ -135,6 +135,10 @@ class TestMetricFromMatrix:
         with pytest.raises(ls.MatrixFormatError):
             ls.metric_from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="A must be square"):
+            ls.metric_from_matrix(np.ones((2, 3)))
+
 
 class TestCanonicalForm:
     def test_roundtrip(self):

@@ -522,6 +522,13 @@ class TestIrreps:
         assert out.returncode == 0, out.stderr
         assert out.stdout == "refused\n"
 
+    def test_infinite_cutoff_refused_before_listing(self, monkeypatch):
+        # A stream that fails at once, so a missed refusal cannot list forever.
+        monkeypatch.setattr(rep_theory, "_irrep_stream",
+                            lambda *args: pytest.fail("the catalog was listed"))
+        with pytest.raises(ValueError, match="Casimir cutoff must be finite"):
+            ls.enumerate_irreps(ls.entry_from_key("su2"), math.inf)
+
     @pytest.mark.parametrize("key", ["su2", "so3"])
     def test_spin_stream_matches_fraction_reference(self, key):
         # Twice-spins up to 40: labels, Casimirs and generator bytes as the
@@ -937,7 +944,7 @@ class TestSpinBounds:
             floor = rep_theory._spin_floor(n, np.linalg.eigvalsh(D)[::-1])
             for twice, F in zip(n, floor):
                 irrep = ls.spin_irrep(Fraction(int(twice), 2))
-                lam = ls.lambda_min_hermitian(rep_theory._minus_CA(irrep, D, {}))
+                lam = ls.lambda_min_hermitian(rep_theory._stack_minus_CA(irrep.generators, D))
                 scale = 1e-12 * max(1.0, float(np.abs(D).max())) * (1 + irrep.casimir)
                 if twice <= 2:
                     assert F == pytest.approx(lam, abs=scale), twice
@@ -1167,6 +1174,8 @@ class TestInvariantDim:
     def test_zero_subspace_rejected(self):
         with pytest.raises(ValueError):
             ls.invariant_dim(ls.spin_irrep("1"), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="H must contain at least one vector"):
+            ls.invariant_dim(ls.spin_irrep(1), np.zeros((0, 3)))
 
     def test_stack_that_vanishes_up_to_rounding_has_rank_zero(self):
         # On the line (1, 1)/sqrt 2 the character (1, -1) has the stack
