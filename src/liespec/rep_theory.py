@@ -57,9 +57,15 @@ On a product the walk also skips, and stops before, the pairs that the
 factor spin bounds put above the running minimum.  For v in a pair,
 <v, -C_A v> = sum_ij Q_ij <pi(X_i) v, pi(X_j) v> with Q = A A^t, so -C_A is
 monotone in Q (Loewner).  A split Q >= blockdiag(D1, D2) thus puts
-pair(j1, j2) above its value on blockdiag(D1, D2), a Kronecker sum, hence at
-or above F(j1, D1) + F(j2, D2), F the spin floor.  ``_PairBounds`` takes the
-largest such bound over a few splits and derives the rounding they need.
+pair(j1, j2) above its value on blockdiag(D1, D2), a Kronecker sum, which
+is E(j1, D1) + E(j2, D2): E(j, D) is the smallest eigenvalue of 4 (q1 Jx^2 +
+q2 Jy^2 + q3 Jz^2) on spin j, q the eigenvalues of D (``_spin_minima``), and
+E >= F, the spin floor, with equality up to spin 1.  ``_PairBounds`` tables
+the largest F(j1, D1) + F(j2, D2) over a few splits, which also sets where
+the walk stops.  A pair that the table cannot exclude and that has a spin
+of 3/2 or more gets the sharper E(j1, D1) + E(j2, D2), each E solved once
+per walk, factor and spin over all the splits.  ``_PairBounds`` derives the
+rounding both need.
 """
 
 from __future__ import annotations
@@ -480,6 +486,28 @@ def _spin_floor(n: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(n == 1, q1 + q2 + q3, 4.0 * j * (q2 + j * q3))
 
 
+# F on spins 0, 1/2 and 1 as weights of (q1, q2, q3): 0, q1 + q2 + q3, 4 (q2 + q3).
+_LOW_SPINS = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 4.0, 4.0]])
+
+
+def _spin_minima(n: int, q: np.ndarray) -> np.ndarray:
+    """E: lambda_min(-C_A) on spin n/2 for each block of eigenvalues q.
+
+    ``q`` has shape (k, 3), descending on its last axis.  E is the smallest
+    eigenvalue of 4 (q1 Jx^2 + q2 Jy^2 + q3 Jz^2) (module docstring).  In
+    the Jz basis of ``_spin_irrep`` each 4 J_i^2 = -G_i G_i is real, so the
+    operators are the real symmetric q @ K, solved in one batched eigvalsh.
+    Up to spin 1 E is the spin floor F, q @ _LOW_SPINS[n].  Like F, E grows
+    with each of q1, q2, q3 (each J_i^2 >= 0), and lowering the block by
+    s I lowers it by exactly s n (n + 2), the Casimir.
+    """
+    if n <= 2:
+        return q @ _LOW_SPINS[n]
+    G = _spin_irrep(n).generators
+    K = -(G @ G).real
+    return np.linalg.eigvalsh((q @ K.reshape(3, -1)).reshape(-1, n + 1, n + 1))[:, 0]
+
+
 _SPLIT_THETAS = (1e-3, 0.03, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 _THETA = np.array(_SPLIT_THETAS)[:, None, None]
 _TABLE_CELLS = 1 << 18  # the most pairs a bound table holds, 4 MiB
@@ -505,10 +533,11 @@ class _PairBounds:
         s = max(0, -r) + 2^-35 N,   r = eigvalsh(fl(Q - blockdiag(D1, D2)))[0],
 
     with N = ||Q||_inf + ||blockdiag(D1, D2)||_inf.  A split is kept only
-    when every figure of it is finite and both lowered blocks are positive
-    definite.  Let u be the unit roundoff and eps = 2u, and take a pair of
-    order d < 16000 and Casimir C >= 3 whose computed bound exceeds the
-    running minimum:
+    when every figure of it is finite, both blocks are positive definite
+    before the lowering, and both lowered blocks pass the extent rule below.
+    Let u be the unit roundoff and eps = 2u, and take a pair of order d <
+    16000 and Casimir C >= 3 whose computed bound exceeds the running
+    minimum:
 
     * Shift.  Lowering both blocks by s I lowers the bound by exactly s C
       (``_spin_floor``).
@@ -532,13 +561,55 @@ class _PairBounds:
     complex operator of order 16000 takes 4 GiB.  The isotropic split is
     not lowered: its bound is the stop rule of a walk without spin bounds.
 
-    The table holds the bound of every pair with twice-spins up to floor(t)
-    + 1 per factor, lam the first minimum and t the smallest of sqrt(lam /
-    sigma_m^2) and, over the kept splits, min(lam / (2 q2), sqrt(lam / q3))
-    for that factor: past t, the split that attains it gives 4 j (q2 + j q3)
-    > lam, so a pair outside the table lies above lam and every later
-    minimum.  On an so3 factor odd twice-spins name no irrep; their bound is
-    inf.
+    Extent.  Write n for a twice-spin, S = sqrt(lam / sigma_m^2), lam the
+    first minimum, and q for the eigenvalues of a lowered block, descending.
+    From spin 1 on F is the parabola 2 n q2 + n^2 q3.  The table holds the
+    bound of every pair with twice-spins up to floor(t) + 1 per factor, t
+    the smallest of S and, over the kept splits, that factor's extent:
+
+    * q3 > 0: min(lam / (2 q2), sqrt(lam / q3)), past which F > lam.
+    * q3 <= 0: the parabola is concave.  With w = q2 + sqrt(q2^2 + q3 lam)
+      it exceeds lam between its roots lam / w and w / -q3, and it stays
+      nonnegative up to 2 q2 / -q3, past the upper root.  The extent is the
+      lower root.  Such a block is kept only when q2 > 0 and both roots
+      exist with the upper one past 2 S; twice S, so that rounding the
+      roots and S cannot matter.  w is computed as q2 (1 + sqrt(1 + (q3 /
+      q2) (lam / q2))), which does not overflow; a NaN drops the split.
+
+    A pair outside the table has a twice-spin n > t + 1 in one factor, say
+    the first, and m in the other.  When n or m passes S, the pair's
+    Casimir exceeds lam / sigma_m^2.  Otherwise the split that attains t
+    gives F(n) > lam, n lying past the extent and below 2 S, and F(m) >= 0,
+    m lying below S (below 2 q2 / -q3 when q3 <= 0; at m = 1, q1 + q2 + q3
+    >= 2 q2 + q3).  So the pair lies above lam and every later minimum, by
+    the rounding note.  On an so3 factor odd twice-spins name no irrep;
+    their bound is inf.
+
+    Exact minima.  F is exact only up to spin 1.  ``excludes`` tests a pair
+    that the table keeps once more when one of its spins is 3/2 or more and
+    its order d = d1 d2 has d + 3 max(d1, d2) < 16000: its bound is then the
+    largest E(j1, D1) + E(j2, D2) over the kept lowered splits, E the exact
+    minimum (``_spin_minima``).  E >= F, and E has the three properties of F
+    that the rounding note uses: it depends only on the block's eigenvalues,
+    grows with each, and lowering the block by s lowers it by exactly s
+    times the Casimir.  So the Shift, Split and Blocks bullets hold for E,
+    bar the 16 u N C of rounding F, which two terms replace:
+
+    * Each lowered eigenvalue has |q_i| < 2.5 N.  A factor's operator 4 (q1
+      Jx^2 + q2 Jy^2 + q3 Jz^2) has its spectrum in [q3 C_f, q1 C_f], C_f
+      the factor's Casimir, so its 2-norm is below 2.5 N C_f.  Its assembly
+      fl(q @ K) is taken to err by at most 8 d_f u times that norm, as the
+      pair's assembly is, and eigvalsh errs by as much (p(d) u = 4 d eps).
+      So each E errs by at most 40 d_f u N C_f, and their sum by at most 40
+      max(d1, d2) u N C, as C_1 + C_2 = C.
+    * Rounding q - s, the sum and the maximum adds at most 8 u N C.
+
+    With the walk's 16 d u N C the total is (32 + 40 max(d1, d2) + 16 d) u N
+    C, and 16 d + 48 max(d1, d2) < 256000 keeps it below the remaining
+    (2^-35 - 2^-46) N C = 262016 u N C.  Each E is solved on first use, once
+    per walk, factor and twice-spin, over all the kept splits at once.
+    ``stop`` reads the table alone, so the window and the evaluations are
+    those of the table.
 
     The floors of all kept splits enter the table in blocked broadcasts: a
     block of splits sums its two factors' floor vectors into one (split, j1,
@@ -547,17 +618,32 @@ class _PairBounds:
     split-by-split one.
     """
 
-    def __init__(self, casimir: np.ndarray, bound: np.ndarray):
+    def __init__(self, casimir: np.ndarray, bound: np.ndarray, q: np.ndarray):
         self.casimir = casimir  # (rows, cols) by twice-spins (2 j1, 2 j2)
         self.bound = bound      # the pair bounds, isotropic split included
+        self.q = q              # (factor, split, 3): the kept lowered eigenvalues
+        self.minima: dict = {}  # E over the splits by (factor, twice-spin)
 
     def excludes(self, a: Irrep, b: Irrep, lam: float) -> bool:
         """True when the bound of the pair (a, b) lies strictly above lam.
 
-        A spin's dimension is its twice-spin plus one, so it indexes the table.
+        A spin's dimension is its twice-spin plus one, so it indexes the
+        table; a pair the table keeps may still fall to the exact minima.
         """
         rows, cols = self.bound.shape
-        return a.dim > rows or b.dim > cols or bool(self.bound[a.dim - 1, b.dim - 1] > lam)
+        if a.dim > rows or b.dim > cols or self.bound[a.dim - 1, b.dim - 1] > lam:
+            return True
+        big = max(a.dim, b.dim)
+        if big < 4 or a.dim * b.dim + 3 * big >= 16000:
+            return False
+        return bool((self._minima(0, a.dim - 1) + self._minima(1, b.dim - 1)).max() > lam)
+
+    def _minima(self, factor: int, n: int) -> np.ndarray:
+        """E of the factor's twice-spin n over the kept splits, solved once."""
+        key = (factor, n)
+        if key not in self.minima:
+            self.minima[key] = _spin_minima(n, self.q[factor])
+        return self.minima[key]
 
     def stop(self, lam: float) -> float:
         """The largest Casimir of a pair whose bound does not exceed lam."""
@@ -585,18 +671,23 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     if not keep.any():
         return None
     q = np.linalg.eigvalsh(D[:, keep])[..., ::-1]  # descending
-    pd = (q[..., 2] > 0).all(axis=0)  # lowering by s > 0 keeps no other split
+    pd = (q[..., 2] > 0).all(axis=0)  # positive definite before the lowering
     if not pd.any():
         return None
     keep[keep] = pd
     s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
     q = q[:, pd] - s[:, None]  # lowered
-    q = q[:, (q[..., 2] > 0).all(axis=0)]
-    if not q.shape[1]:
-        return None
     sm2 = spec.sigma[-1] ** 2
-    top = np.minimum(lam / (2.0 * q[..., 1]), np.sqrt(lam / q[..., 2])).min(axis=1)
-    rows, cols = (math.floor(min(t, math.sqrt(lam / sm2))) + 2 for t in top)
+    reach = math.sqrt(lam / sm2)  # S
+    q2, q3 = q[..., 1], q[..., 2]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # NaN drops a split
+        w = q2 * (1.0 + np.sqrt(1.0 + (q3 / q2) * (lam / q2)))
+        extent = np.where(q3 > 0, np.minimum(lam / (2.0 * q2), np.sqrt(lam / q3)), lam / w)
+        fits = ((q3 > 0) | ((q2 > 0) & (w > -2.0 * reach * q3))).all(axis=0)
+    if not fits.any():
+        return None
+    q = q[:, fits]
+    rows, cols = (math.floor(min(t, reach)) + 2 for t in extent[:, fits].min(axis=1))
     if rows * cols > _TABLE_CELLS:
         return None
     n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
@@ -610,7 +701,7 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
         bound[1::2] = math.inf
     if entry.factors[1].kind == "so3":
         bound[:, 1::2] = math.inf
-    return _PairBounds(casimir, bound)
+    return _PairBounds(casimir, bound, q)
 
 
 # ---------------------------------------------------------------------------

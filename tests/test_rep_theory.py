@@ -165,11 +165,19 @@ def pair_bounds_table_reference(entry, spec, lam):
     N = np.abs(Q).sum(1).max() + np.abs(D).sum(3).max(axis=(0, 2))
     keep = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(N)
     s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
-    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1] - s[:, None]
-    q = q[:, np.all(q[..., 2] > 0, axis=0)]
+    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1]
+    pd = np.all(q[..., 2] > 0, axis=0)  # positive definite before the lowering
+    q = q[:, pd] - s[pd, None]
     sm2 = spec.sigma[-1] ** 2
-    top = np.minimum(lam / (2.0 * q[..., 1]), np.sqrt(lam / q[..., 2])).min(axis=1)
-    rows, cols = (math.floor(min(t, math.sqrt(lam / sm2))) + 2 for t in top)
+    reach = math.sqrt(lam / sm2)
+    q2, q3 = q[..., 1], q[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Concave blocks (q3 <= 0): F = lam at lam / w and w / -q3.
+        w = q2 + np.sqrt(q2 * q2 + q3 * lam)
+        extent = np.where(q3 > 0, np.minimum(lam / (2.0 * q2), np.sqrt(lam / q3)), lam / w)
+        fits = np.all((q3 > 0) | ((q2 > 0) & (w / -q3 > 2.0 * reach)), axis=0)
+    q = q[:, fits]
+    rows, cols = (math.floor(min(t, reach)) + 2 for t in extent[:, fits].min(axis=1))
     n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
     casimir = (n1 * (n1 + 2.0))[:, None] + (n2 * (n2 + 2.0))[None, :]
     bound = sm2 * casimir
@@ -987,6 +995,137 @@ class TestSpinBounds:
                 casimir, bound = pair_bounds_table_reference(entry, spec, lam)
                 assert np.array_equal(bounds.casimir, casimir), seed
                 assert np.array_equal(bounds.bound, bound), seed
+
+    @pytest.mark.parametrize("t", [6e-6, 5e-6, 3e-6, 1e-7])
+    def test_concave_blocks_keep_their_splits(self, su2xsu2, t):
+        # On diag(1, 1, 1, 1, 1, t) lowering by 2^-35 N pushes the thin
+        # block's q3 = t^2 below 0.  Its floor is then a concave parabola,
+        # the split stays, and the table still matches the reference.
+        for A in (np.diag([1.0] * 5 + [t]), np.diag([t] + [1.0] * 5)):
+            spec = ls.metric_from_matrix(A)
+            lam = 2.0 + t * t
+            bounds = rep_theory._pair_bounds(su2xsu2, spec, lam)
+            assert (bounds.q[..., 2] <= 0).any()
+            casimir, bound = pair_bounds_table_reference(su2xsu2, spec, lam)
+            assert np.array_equal(bounds.casimir, casimir)
+            assert np.array_equal(bounds.bound, bound)
+
+    @pytest.mark.parametrize("x", [1e-3, 3.2e-3])
+    def test_concave_blocks_without_reach_are_dropped(self, su2xsu2, x):
+        # On diag(1, 1, 1, 1, x, 1e-6) every lowered split of the thin block
+        # is a concave parabola with q2 > 0.  At x = 1e-3 it never reaches
+        # lam; at x = 3.2e-3 it falls back below lam short of twice S.  Such
+        # a split bounds no pair past the table, so none is kept.
+        spec = ls.metric_from_matrix(np.diag([1.0] * 4 + [x, 1e-6]))
+        first = ls.enumerate_irreps(su2xsu2, 3.0)[0]
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(first, spec))
+        assert rep_theory._pair_bounds(su2xsu2, spec, lam) is None
+
+    def test_thin_block_metrics_end(self):
+        # Without the concave blocks no split was kept, and the stop rule
+        # alone needed a Casimir near 2 / t^2: the walk did not end.
+        out = run_isolated(
+            "e = ls.entry_from_key('su2xsu2')\n"
+            "for t in (6e-6, 5e-6, 3e-6, 1e-7):\n"
+            "    for A in (np.diag([1.0] * 5 + [t]), np.diag([t] + [1.0] * 5)):\n"
+            "        r = ls.lambda1_certified(e, ls.metric_from_matrix(A))\n"
+            "        print(repr(r.lambda1 / (2 + t * t) - 1), r.witness, r.evaluations)\n")
+        assert out.returncode == 0, out.stderr
+        rows = [line.split() for line in out.stdout.splitlines()]
+        assert [w for _, w, _ in rows] == ["pair(spin(0),spin(1/2))",
+                                           "pair(spin(1/2),spin(0))"] * 4
+        assert all(abs(float(rel)) <= 1e-15 and int(n) == 2 for rel, _, n in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.lists(st.lists(st.floats(-2.0, 5.0), min_size=3, max_size=3),
+                      min_size=1, max_size=4),
+           n=st.integers(0, 16))
+    def test_spin_minima_are_exact(self, q, n):
+        # E against a dense eigensolve of -C_A on diag(q), blocks with q3 <= 0
+        # included: the exact minimum, at or above the spin floor F, and F
+        # up to spin 1, to rounding.
+        q = -np.sort(-np.array(q), axis=1)  # descending
+        E = rep_theory._spin_minima(n, q)
+        F = rep_theory._spin_floor(np.array([n]), q)[:, 0]
+        G = rep_theory._spin_irrep(n).generators
+        for qk, e, f in zip(q, E, F):
+            exact = np.linalg.eigvalsh(rep_theory._stack_minus_CA(G, np.diag(qk)))[0]
+            scale = 1e-12 * max(1.0, float(np.abs(qk).max())) * (1.0 + n * (n + 2.0))
+            assert abs(e - exact) <= scale, (qk, n)
+            assert e >= f - scale, (qk, n)
+        if n <= 2:
+            assert np.allclose(E, F, rtol=1e-15, atol=1e-15)
+
+    def test_exact_minima_pair_the_factors_split_by_split(self):
+        # Two splits that favour opposite factors, under a table that
+        # excludes nothing: a pair's bound is the larger E1 + E2 of one
+        # split, not the larger E1 plus the larger E2, and spins up to 1
+        # are left to the table.
+        big, small = [4.0, 3.0, 2.0], [0.1, 0.1, 0.1]
+        q = np.array([[big, small], [small, big]])  # (factor, split, 3)
+        bounds = rep_theory._PairBounds(np.zeros((8, 8)), np.zeros((8, 8)), q)
+        E1, E2 = rep_theory._spin_minima(3, q[0]), rep_theory._spin_minima(4, q[1])
+        best = (E1 + E2).max()
+        assert best < E1.max() + E2.max()
+        a, b = rep_theory._spin_irrep(3), rep_theory._spin_irrep(4)
+        assert bounds.excludes(a, b, best * (1 - 1e-12))
+        assert not bounds.excludes(a, b, best)
+        low = rep_theory._spin_irrep(2)
+        assert not bounds.excludes(low, low, 0.0)
+
+    def test_every_exclusion_lies_above_the_minimum(self, su2xsu2, monkeypatch):
+        # Each pair that ``excludes`` skips, by the table or by the exact
+        # minima, has an assembled minimum above the running minimum it was
+        # tested against, and above the bound that skipped it (none for a
+        # pair past the table); sample seeds past the benchmark pool.
+        skipped = []
+        real = rep_theory._PairBounds.excludes
+
+        def spy(self, a, b, lam):
+            out = real(self, a, b, lam)
+            if out:
+                rows, cols = self.bound.shape
+                if a.dim > rows or b.dim > cols:
+                    bound, table = -math.inf, True
+                elif self.bound[a.dim - 1, b.dim - 1] > lam:
+                    bound, table = self.bound[a.dim - 1, b.dim - 1], True
+                else:
+                    bound = (self._minima(0, a.dim - 1) + self._minima(1, b.dim - 1)).max()
+                    table = False
+                skipped.append((a, b, lam, bound, table))
+            return out
+
+        monkeypatch.setattr(rep_theory._PairBounds, "excludes", spy)
+        exact = 0
+        for seed in range(64, 112):
+            spec = ls.sample_metric(su2xsu2, 0.2, 5.0, seed=seed)
+            del skipped[:]
+            ls.lambda1_certified(su2xsu2, spec)
+            for a, b, lam, bound, table in skipped:
+                M = ls.assemble_minus_CA(pair_irrep(a, b), spec)
+                lm = ls.lambda_min_hermitian(M)
+                assert lm > lam, (seed, a.label, b.label)
+                assert bound <= lm * (1 + 1e-12), (seed, a.label, b.label)
+                exact += not table
+        assert exact > 100
+
+    def test_exact_minima_cut_the_pool_screens(self, su2xsu2, monkeypatch):
+        # The benchmark's 64 pool metrics: the exact minima leave at most 800
+        # pairs to assemble and screen (1118 on the table alone), and the
+        # walks end with the same lambda1, witness, window and evaluations as
+        # with the refinement patched off.
+        assembled = []
+        real = rep_theory._pair_minus_CA
+        monkeypatch.setattr(rep_theory, "_pair_minus_CA",
+                            lambda a, b, *args: assembled.append(a) or real(a, b, *args))
+        specs = [ls.sample_metric(su2xsu2, 0.2, 5.0, seed=s) for s in range(64)]
+        sharp = [bookkeeping(ls.lambda1_certified(su2xsu2, spec)) for spec in specs]
+        screened = len(assembled)
+        monkeypatch.setattr(rep_theory, "_spin_minima", lambda n, q: np.full(len(q), -np.inf))
+        del assembled[:]
+        table = [bookkeeping(ls.lambda1_certified(su2xsu2, spec)) for spec in specs]
+        assert sharp == table
+        assert screened <= 800 < len(assembled)
 
     def test_table_memory(self, su2xsu2, monkeypatch):
         # The first minimum on this metric sizes a 2 x 95240 table.  Adding
