@@ -10,17 +10,16 @@ per edge otherwise; the fixed net allowance of 10% (``DEFAULT_EPS_NET``)
 absorbs the discretisation bias.
 
 ``build_net`` does all the work that depends only on the net, once: the knn
-search (a k-d tree) and the straightened two-hop graph, stored as one
-symmetric CSR structure whose entries map to the logs of the upper edges.
+search (a k-d tree) and the straightened two-hop graph, stored once as the
+upper triangle of a CSR structure whose entries line up with the edge logs.
 Every graph is scipy sparse algebra on the knn adjacency: a sum with the
-transpose, a product, and transposes, which scipy returns with sorted rows.
+transpose, a product, and a transpose, which scipy returns with sorted rows.
 The nodes after the identity follow a 4-D Morton curve, so that the
 neighbours of a node mostly have nearby ids.  The default net (20000 nodes,
 knn 12) takes about 0.12 s to build (0.3 s for the first build in a
-process, which also imports scipy) and peaks at 31.6 MiB traced, so nets
-are not cached across runs.  Each metric then pays for one weight per edge,
-a gather of those weights into both directions and one directed Dijkstra,
-about 13 ms.
+process, which also imports scipy) and peaks at 22.5 MiB traced, so nets
+are not cached across runs.  Each metric then pays for one weight per edge
+and one undirected Dijkstra over the upper edges, about 13 ms.
 
 The torus grid sweep reduces the metric form once per call and keeps only
 the closest-vector polish offsets that can beat the origin in the reduced
@@ -413,8 +412,8 @@ def biinvariant_diameter(entry: LieGroupCatalogEntry) -> DiameterEstimate:
 # Quaternion nets
 # ---------------------------------------------------------------------------
 
-# Edges per chunk when weighing the edge logs and gathering the weights;
-# bounds the temporaries of each metric.
+# Edges per chunk when weighing the edge logs; bounds the temporaries of
+# each metric.
 _LOG_CHUNK = 1 << 16
 # Edges per chunk of the quaternion products behind the edge logs; bounds
 # their temporaries, about 160 bytes an edge, which would otherwise set the
@@ -429,15 +428,14 @@ class Net:
     Node 0 is the identity, and the other nodes follow a 4-D Morton curve.
     ``rows``/``cols`` (rows < cols, row-major) is the symmetrised knn
     adjacency.  Shortest paths run over the straightened graph: the
-    adjacency plus every two-hop shortcut, stored as a symmetric CSR
-    structure for directed Dijkstra.  Row i's neighbours are
-    ``edge_cols[indptr[i]:indptr[i + 1]]`` (ascending, never i), and
-    ``edge[k]`` is the id of the undirected edge behind CSR entry k, so
-    every id appears twice, once in each direction.  Ids number the upper
-    edges (row < col) in row-major order, and ``edge_logs[e]`` is
-    log(p^-1 q) for upper edge e from p to q; reversing an edge only flips
-    the sign of the log, so a metric supplies one weight per edge and the
-    logs are stored once.  ``knn`` and ``seed`` are the build arguments.
+    adjacency plus every two-hop shortcut, each edge stored once as the
+    upper triangle of a CSR structure for undirected Dijkstra.  Row i's
+    later neighbours are ``edge_cols[indptr[i]:indptr[i + 1]]`` (ascending,
+    all above i), so the edges (row < col) run in row-major order and an
+    edge's id e is its position.  ``edge_logs[e]`` is log(p^-1 q) for edge e
+    from p to q; reversing an edge only flips the sign of the log, so a
+    metric supplies one weight per edge, which serves both directions.
+    ``knn`` and ``seed`` are the build arguments.
     Every array is read-only; the index arrays are int32.
     """
 
@@ -447,7 +445,6 @@ class Net:
     cols: np.ndarray
     indptr: np.ndarray
     edge_cols: np.ndarray
-    edge: np.ndarray
     edge_logs: np.ndarray
     knn: int
     seed: int
@@ -517,7 +514,7 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
 
     The identity is always node 0, and the other nodes follow in the order
     of a 4-D Morton curve, so that neighbours mostly have nearby ids and the
-    k-d tree, the sparse products and each metric's gather and Dijkstra read
+    k-d tree, the sparse products and each metric's weights and Dijkstra read
     memory in order.  It needs 6 <= knn < n_nodes, and a disconnected knn
     graph is refused, both with ``ValueError``.  Everything that depends
     only on the net, the straightened edges with their logs included, is
@@ -532,11 +529,8 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     int8 as 1 on the square plus 2 on ``sym``, so that a knn edge holds 2
     or 3 and any other edge 1.  The pattern is symmetric, so its transpose,
     which scipy converts to CSR with every row sorted, is the same pattern
-    sorted, and every row holds its diagonal once.  Without the diagonal it
-    is the symmetric structure: its upper entries are the edges in row-major
-    order, and the marked ones are ``rows``/``cols``.  The transpose of the
-    structure numbered with the upper ids puts in each lower entry the id of
-    its reverse.
+    sorted.  Its upper entries are the edges in row-major order, their row
+    counts give ``indptr``, and the marked ones are ``rows``/``cols``.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -570,24 +564,17 @@ def build_net(entry: LieGroupCatalogEntry, n_nodes: int = DEFAULT_NET_SIZE,
     two = two.T.tocsr()
     entry_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(two.indptr))
     upper = two.indices > entry_rows
-    up_rows, up_cols = entry_rows[upper], two.indices[upper]
+    edge_rows, edge_cols = entry_rows[upper], two.indices[upper]
     knn_edge = two.data[upper] >= 2
-    rows, cols = up_rows[knn_edge], up_cols[knn_edge]
-    # A connected graph has no isolated node, so every row of the square
-    # holds its diagonal entry once.
-    off = two.indices != entry_rows
-    del entry_rows
-    indptr = two.indptr - np.arange(n + 1, dtype=two.indptr.dtype)
-    edge_cols = two.indices[off]
-    edge = np.zeros(edge_cols.size, dtype=np.int32)
-    edge[upper[off]] = np.arange(up_rows.size, dtype=np.int32)
-    # The pattern and its masks go before the numbering is transposed and
-    # the logs are taken, where the temporaries of a build peak.
-    del two, upper, knn_edge, off
-    edge += csr_matrix((edge, edge_cols, indptr), shape=(n, n)).T.tocsr().data
-    edge_logs = _edge_logs(entry.kind, nodes, up_rows, up_cols)
+    rows, cols = edge_rows[knn_edge], edge_cols[knn_edge]
+    # The pattern and its masks go before the logs are taken, where the
+    # temporaries of a build peak.
+    del two, entry_rows, upper, knn_edge
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(edge_rows, minlength=n), out=indptr[1:])
+    edge_logs = _edge_logs(entry.kind, nodes, edge_rows, edge_cols)
     return Net(kind=entry.kind, nodes=nodes, rows=rows, cols=cols,
-               indptr=indptr, edge_cols=edge_cols, edge=edge,
+               indptr=indptr, edge_cols=edge_cols,
                edge_logs=edge_logs, knn=knn, seed=seed)
 
 
@@ -613,9 +600,10 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
 
     Paths run over the straightened edge set of the net; per-edge weights are
     exact metric norms of the connecting logs, so for a Loewner-larger metric
-    every edge weight dominates and so does the estimate.  The lower bound
-    applies the documented net allowance ``eps_net``, which must lie in
-    [0, 1).
+    every edge weight dominates and so does the estimate.  Each edge is
+    stored once, and undirected Dijkstra walks it both ways with its one
+    weight.  The lower bound applies the documented net allowance
+    ``eps_net``, which must lie in [0, 1).
     """
     if entry.kind != net.kind:
         raise ValueError("net was built for a different group")
@@ -623,22 +611,13 @@ def graph_diameter(entry: LieGroupCatalogEntry, spec: MetricSpec, net: Net,
         raise ValueError(f"eps_net must be in [0, 1), got {eps_net}")
     if spec.m != 3:
         raise ValueError("graph diameter expects a 3-dimensional metric")
-    w = _edge_weights(net, spec)
-    # Gather in chunks: np.take widens an int32 index to intp, and the whole
-    # map would widen to a temporary as large as the gathered weights.  The
-    # ids lie in range by construction, and mode="clip" skips the bounds
-    # pass that the default mode makes over each chunk.
-    w_sym = np.empty(net.edge.size)
-    for start in range(0, net.edge.size, _LOG_CHUNK):
-        stop = start + _LOG_CHUNK
-        np.take(w, net.edge[start:stop], out=w_sym[start:stop], mode="clip")
     # A fresh CSR matrix over the net's read-only structure, never modified.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    g = csr_matrix((w_sym, net.edge_cols, net.indptr),
+    g = csr_matrix((_edge_weights(net, spec), net.edge_cols, net.indptr),
                    shape=(net.n_nodes, net.n_nodes))
-    dist = dijkstra(g, directed=True, indices=0)
+    dist = dijkstra(g, directed=False, indices=0)
     if not np.all(np.isfinite(dist)):
         raise AssertionError("net is not connected")
     value = float(np.max(dist))

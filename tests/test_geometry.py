@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
@@ -146,39 +146,28 @@ def reference_distances(n, rows, cols, w):
     return dijkstra(reference_symmetric(n, rows, cols, w), directed=True, indices=0)
 
 
-def net_entry_rows(net):
-    """Row of each entry of the net's symmetric CSR."""
+def net_edge_rows(net):
+    """Row of each edge of the net's upper CSR, in id order."""
     return np.repeat(np.arange(net.n_nodes), np.diff(net.indptr))
 
 
-def upper_appearances(net):
-    """(rows, cols) of the upper entry of each edge id, in id order."""
-    rows, cols = net_entry_rows(net), net.edge_cols
-    upper = rows < cols
-    order = np.argsort(net.edge[upper])
-    return rows[upper][order], cols[upper][order]
-
-
-def check_symmetric_layout(net):
-    """``indptr``/``edge_cols``/``edge`` as documented: int32, rows sorted
-    and without a diagonal, and each upper edge id once in each direction,
-    numbered in row-major order."""
+def check_upper_layout(net):
+    """``indptr``/``edge_cols`` as documented: int32, each edge once with
+    row < col, row-major and sorted within each row, the knn pairs among
+    the edges, and ``edge_logs[e]`` the log of edge e."""
     assert (net.rows.dtype == net.cols.dtype == net.indptr.dtype
-            == net.edge_cols.dtype == net.edge.dtype == np.int32)
-    entry_rows = net_entry_rows(net)
-    assert np.all(entry_rows != net.edge_cols)
+            == net.edge_cols.dtype == np.int32)
+    assert net.indptr[0] == 0
+    assert net.indptr[-1] == net.edge_cols.size == net.edge_logs.shape[0]
+    edge_rows = net_edge_rows(net)
+    assert np.all(edge_rows < net.edge_cols)
     # Row-major and sorted within each row: the flat keys ascend strictly.
-    assert np.all(np.diff(entry_rows * net.n_nodes + net.edge_cols) > 0)
-    n_edges = net.edge_logs.shape[0]
-    assert net.edge.size == 2 * n_edges
-    for side in (entry_rows < net.edge_cols, entry_rows > net.edge_cols):
-        assert np.array_equal(np.sort(net.edge[side]), np.arange(n_edges))
-    up_rows, up_cols = upper_appearances(net)
-    assert np.all(np.diff(up_rows * net.n_nodes + up_cols) > 0)
-    # Each lower entry names the edge of its reverse.
-    lower = entry_rows > net.edge_cols
-    assert np.array_equal(up_rows[net.edge[lower]], net.edge_cols[lower])
-    assert np.array_equal(up_cols[net.edge[lower]], entry_rows[lower])
+    keys = edge_rows * net.n_nodes + net.edge_cols
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(np.isin(net.rows.astype(np.int64) * net.n_nodes + net.cols, keys))
+    ref = quat_log(quat_mul(quat_conj(net.nodes[edge_rows]), net.nodes[net.edge_cols]),
+                   so3=net.kind == "so3")
+    assert np.max(np.abs(net.edge_logs - ref)) <= 1e-12
 
 
 def draw_order_knn(kind, n, knn, seed):
@@ -426,7 +415,7 @@ class TestNet:
         assert np.unique(enc).size == enc.size
 
     def test_edge_logs_are_exact_distances(self, su2, small_net):
-        rows, cols = upper_appearances(small_net)
+        rows, cols = net_edge_rows(small_net), small_net.edge_cols
         w = np.linalg.norm(small_net.edge_logs, axis=1)
         p, q = small_net.nodes[rows], small_net.nodes[cols]
         ref = np.arccos(np.clip(np.einsum("ni,ni->n", p, q), -1, 1))
@@ -491,26 +480,25 @@ class TestNet:
                 assert np.array_equal(net.cols, cols)
 
     def test_straightened_edges_match_reference(self, small_net, so3_small_net):
-        # The reference edges plus their transpose, exactly: sorted within
-        # each row and without a diagonal.
+        # The upper triangle of the reference edges plus their transpose,
+        # exactly: sorted within each row and without a diagonal.
         for net in (small_net, so3_small_net):
             rows, cols, _ = reference_edges(net)
-            ref = reference_symmetric(net.n_nodes, rows, cols, np.ones(rows.size))
+            ref = triu(reference_symmetric(net.n_nodes, rows, cols, np.ones(rows.size)),
+                       k=1, format="csr")
+            ref.sort_indices()
             assert np.array_equal(net.indptr, ref.indptr)
             assert np.array_equal(net.edge_cols, ref.indices)
-            check_symmetric_layout(net)
+            check_upper_layout(net)
 
-    def test_edge_ids_name_each_upper_edge_twice(self, small_net, so3_small_net):
+    def test_edge_ids_are_upper_positions(self, small_net, so3_small_net):
+        # Ids number the edges in row-major order, and each log is that of
+        # the reference edge with its id.
         for net in (small_net, so3_small_net):
-            check_symmetric_layout(net)
-            # Ids number the upper edges in row-major order, and each log is
-            # that of its upper appearance.
-            up_rows, up_cols = upper_appearances(net)
-            ref_rows, ref_cols, _ = reference_edges(net)
-            assert np.array_equal(up_rows, ref_rows) and np.array_equal(up_cols, ref_cols)
-            ref = quat_log(quat_mul(quat_conj(net.nodes[up_rows]), net.nodes[up_cols]),
-                           so3=net.kind == "so3")
-            assert np.max(np.abs(net.edge_logs - ref)) <= 1e-12
+            ref_rows, ref_cols, ref_logs = reference_edges(net)
+            assert np.array_equal(net_edge_rows(net), ref_rows)
+            assert np.array_equal(net.edge_cols, ref_cols)
+            assert np.max(np.abs(net.edge_logs - ref_logs)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["su2", "so3"])
     @pytest.mark.parametrize("n_nodes, knn, seed", [
@@ -539,27 +527,32 @@ class TestNet:
         ref_rows, ref_cols, ref_logs = straightened_reference(kind, nodes, rows, cols)
         keys, reversed_ = relabelled(ref_rows, ref_cols)
         order = np.argsort(keys)
-        up_rows, up_cols = upper_appearances(net)
-        assert np.array_equal(up_rows * n_nodes + up_cols, keys[order])
+        assert np.array_equal(net_edge_rows(net) * n_nodes + net.edge_cols, keys[order])
         logs = ref_logs[order]
         assert np.array_equal(net.edge_logs, np.where(reversed_[order, None], -logs, logs))
-        check_symmetric_layout(net)
+        check_upper_layout(net)
 
     def test_build_memory(self, su2):
-        # The default net's build peaks at about 31.6 MiB, in the log pass,
-        # while the finished symmetric structure and the upper edges are
-        # held; the sorted pattern and its masks are released before it.
-        # Log chunks of 2^16 edges instead of 2^14 peaked at 38.6 MiB.
-        # Summing the symmetric structure from the numbered upper edges and
-        # their transpose peaked at 34.4 MiB, interleaving the symmetric rows
-        # by hand, with int64 knn pairs, at 37.9, and an intp edge map at 42.4.
+        # The default net's build peaks at about 22.5 MiB, in the log pass,
+        # while the upper edges are held; the sorted pattern and its masks
+        # are released before it.  Storing every edge in both directions,
+        # with a map from each entry to its upper edge, peaked at 31.6 MiB,
+        # and log chunks of 2^16 edges instead of 2^14 added 7 MiB more.
         tracemalloc.start()
         try:
             ls.build_net(su2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 36 * 2 ** 20
+        assert peak <= 26 * 2 ** 20
+
+    def test_default_net_footprint(self, big_net):
+        # Each edge is stored once: the default su2 net's arrays total
+        # 17.65 MiB, 24.48 MiB with every edge in both directions and a map
+        # from each entry to its upper edge.  ``scan --jobs`` ships them to
+        # every worker.
+        arrays = [v for v in vars(big_net).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= 18 * 2 ** 20
 
     def test_arrays_are_read_only(self, small_net):
         with pytest.raises(ValueError):
@@ -666,21 +659,30 @@ class TestGraphDiameter:
         tol = 2 * np.finfo(float).eps * max(sigma) / min(sigma)
         assert np.allclose(w, exact, rtol=tol, atol=0.0)
 
-    def test_matches_fresh_symmetric_graph(self, su2, so3, small_net, so3_small_net):
+    def test_matches_fresh_symmetric_graph(self, su2, so3, small_net, so3_small_net,
+                                           big_net):
         # Directed Dijkstra on the upper edges and their transpose, built
-        # afresh with the same weights, must give the diameter bit for bit.
-        for entry, net in ((su2, small_net), (so3, so3_small_net)):
+        # afresh with the same weights, must give the diameter bit for bit,
+        # on the default net too and on a rotated metric with sigma_1 /
+        # sigma_3 = 25.
+        rng = np.random.default_rng(2)
+        rotated = ls.metric_from_matrix(random_rotation(3, rng) @ np.diag([5.0, 1.0, 0.2])
+                                        @ random_rotation(3, rng))
+        for entry, net, n_seeds in ((su2, small_net, 20), (so3, so3_small_net, 20),
+                                    (su2, big_net, 4)):
             rows, cols, _ = reference_edges(net)
-            for seed in range(20):
-                spec = ls.sample_metric(entry, 0.2, 5.0, seed=seed)
+            specs = [ls.sample_metric(entry, 0.2, 5.0, seed=seed) for seed in range(n_seeds)]
+            for spec in specs + [rotated]:
                 est = ls.graph_diameter(entry, spec, net)
                 dist = reference_distances(net.n_nodes, rows, cols, _edge_weights(net, spec))
                 assert est.value == float(np.max(dist))
 
     def test_call_memory(self, su2, big_net):
-        # On the default net a call allocates about 14.8 MiB: the weights and
-        # their gather into both directions.  Weighing the logs in one product
-        # and reading the upper edges undirected took 25.3 MiB.
+        # On the default net a call allocates about 11.6 MiB: the weights of
+        # the upper edges and the transpose that undirected Dijkstra reads
+        # beside them.  Gathering the weights into both directions for a
+        # directed Dijkstra took 14.8 MiB, and weighing the logs in one
+        # product rather than in chunks 25.3 MiB.
         spec = ls.sample_metric(su2, 0.2, 5.0, seed=0)
         tracemalloc.start()
         try:
@@ -688,7 +690,7 @@ class TestGraphDiameter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= 13 * 2 ** 20
 
     def test_eps_net_outside_unit_interval_rejected(self, su2, small_net):
         spec = ls.metric_from_matrix(np.diag([3.0, 2.0, 1.0]))
