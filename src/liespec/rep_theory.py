@@ -533,8 +533,8 @@ class _PairBounds:
         s = max(0, -r) + 2^-35 N,   r = eigvalsh(fl(Q - blockdiag(D1, D2)))[0],
 
     with N = ||Q||_inf + ||blockdiag(D1, D2)||_inf.  A split is kept only
-    when every figure of it is finite, both blocks are positive definite
-    before the lowering, and both lowered blocks pass the extent rule below.
+    when every figure of it is finite and both lowered blocks pass the
+    extent rule below.
     Let u be the unit roundoff and eps = 2u, and take a pair of order d <
     16000 and Casimir C >= 3 whose computed bound exceeds the running
     minimum:
@@ -563,27 +563,26 @@ class _PairBounds:
 
     Extent.  Write n for a twice-spin, S = sqrt(lam / sigma_m^2), lam the
     first minimum, and q for the eigenvalues of a lowered block, descending.
-    From spin 1 on F is the parabola 2 n q2 + n^2 q3.  The table holds the
-    bound of every pair with twice-spins up to floor(t) + 1 per factor, t
-    the smallest of S and, over the kept splits, that factor's extent:
-
-    * q3 > 0: min(lam / (2 q2), sqrt(lam / q3)), past which F > lam.
-    * q3 <= 0: the parabola is concave.  With w = q2 + sqrt(q2^2 + q3 lam)
-      it exceeds lam between its roots lam / w and w / -q3, and it stays
-      nonnegative up to 2 q2 / -q3, past the upper root.  The extent is the
-      lower root.  Such a block is kept only when q2 > 0 and both roots
-      exist with the upper one past 2 S; twice S, so that rounding the
-      roots and S cannot matter.  w is computed as q2 (1 + sqrt(1 + (q3 /
-      q2) (lam / q2))), which does not overflow; a NaN drops the split.
+    From spin 1 on F is the parabola 2 n q2 + n^2 q3.  A lowered block is
+    kept only when q2 > 0, w = q2 + sqrt(q2^2 + q3 lam) is finite, and,
+    where q3 < 0, the upper root w / -q3 of F = lam lies past 2 S; twice S,
+    so that rounding the roots and S cannot matter.  Its extent is the
+    lower root lam / w.  Past it F > lam: for ever when q3 >= 0, and up to
+    the upper root when q3 < 0.  F stays nonnegative on every spin when q3
+    >= 0, and up to 2 q2 / -q3, past the upper root, when q3 < 0.  w is
+    computed as q2 (1 + sqrt(1 + (q3 / q2) (lam / q2))); a NaN drops the
+    split, and so does an overflow (q2 subnormal), where lam / w would read
+    0.  The table holds the bound of every pair with twice-spins up to
+    floor(t) + 1 per factor, t the smallest of S and, over the kept splits,
+    that factor's extent; the + 1 absorbs the rounding of t.
 
     A pair outside the table has a twice-spin n > t + 1 in one factor, say
     the first, and m in the other.  When n or m passes S, the pair's
     Casimir exceeds lam / sigma_m^2.  Otherwise the split that attains t
     gives F(n) > lam, n lying past the extent and below 2 S, and F(m) >= 0,
-    m lying below S (below 2 q2 / -q3 when q3 <= 0; at m = 1, q1 + q2 + q3
-    >= 2 q2 + q3).  So the pair lies above lam and every later minimum, by
-    the rounding note.  On an so3 factor odd twice-spins name no irrep;
-    their bound is inf.
+    m lying below S (at m = 1, q1 + q2 + q3 >= 2 q2 + q3).  So the pair lies
+    above lam and every later minimum, by the rounding note.  On an so3
+    factor odd twice-spins name no irrep; their bound is inf.
 
     Exact minima.  F is exact only up to spin 1.  ``excludes`` tests a pair
     that the table keeps once more when one of its spins is 3/2 or more and
@@ -668,26 +667,19 @@ def _pair_bounds(entry: LieGroupCatalogEntry, spec: MetricSpec,
     R[:, 3:, 3:] -= D[1]
     N = np.abs(Q).sum(1).max() + np.abs(D).sum(3).max(axis=(0, 2))
     keep = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(N)
-    if not keep.any():
-        return None
-    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1]  # descending
-    pd = (q[..., 2] > 0).all(axis=0)  # positive definite before the lowering
-    if not pd.any():
-        return None
-    keep[keep] = pd
     s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
-    q = q[:, pd] - s[:, None]  # lowered
+    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1] - s[:, None]  # lowered, descending
     sm2 = spec.sigma[-1] ** 2
     reach = math.sqrt(lam / sm2)  # S
     q2, q3 = q[..., 1], q[..., 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # NaN drops a split
         w = q2 * (1.0 + np.sqrt(1.0 + (q3 / q2) * (lam / q2)))
-        extent = np.where(q3 > 0, np.minimum(lam / (2.0 * q2), np.sqrt(lam / q3)), lam / w)
-        fits = ((q3 > 0) | ((q2 > 0) & (w > -2.0 * reach * q3))).all(axis=0)
+        # The extent rule: q2 > 0, w finite, and where q3 < 0 the upper root past 2 S.
+        fits = ((q2 > 0) & (w < math.inf) & (w > -2.0 * reach * q3)).all(axis=0)
     if not fits.any():
         return None
     q = q[:, fits]
-    rows, cols = (math.floor(min(t, reach)) + 2 for t in extent[:, fits].min(axis=1))
+    rows, cols = (math.floor(min(t, reach)) + 2 for t in (lam / w[:, fits]).min(axis=1))
     if rows * cols > _TABLE_CELLS:
         return None
     n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
@@ -839,9 +831,9 @@ def invariant_dim(irrep: Irrep, H) -> int:
         raise ValueError("H must contain at least one vector")
     if not np.any(np.abs(rows) > 0):
         raise ValueError("H must be nonzero")
-    stacked = np.tensordot(rows, irrep.generators, axes=(1, 0))
-    stacked = stacked.reshape(rows.shape[0] * irrep.dim, irrep.dim)
-    scale = float(np.linalg.norm(rows, axis=1).max() * np.abs(irrep.generators).max())
+    G = irrep.generators  # a pair builds its stack on each read
+    stacked = np.tensordot(rows, G, axes=(1, 0)).reshape(rows.shape[0] * irrep.dim, irrep.dim)
+    scale = float(np.linalg.norm(rows, axis=1).max() * np.abs(G).max())
     return irrep.dim - _numerical_rank(np.linalg.svd(stacked, compute_uv=False), scale)
 
 

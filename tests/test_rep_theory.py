@@ -165,17 +165,15 @@ def pair_bounds_table_reference(entry, spec, lam):
     N = np.abs(Q).sum(1).max() + np.abs(D).sum(3).max(axis=(0, 2))
     keep = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(N)
     s = np.maximum(0.0, -np.linalg.eigvalsh(R[keep])[:, 0]) + 2.0 ** -35 * N[keep]
-    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1]
-    pd = np.all(q[..., 2] > 0, axis=0)  # positive definite before the lowering
-    q = q[:, pd] - s[pd, None]
+    q = np.linalg.eigvalsh(D[:, keep])[..., ::-1] - s[:, None]
     sm2 = spec.sigma[-1] ** 2
     reach = math.sqrt(lam / sm2)
     q2, q3 = q[..., 1], q[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Concave blocks (q3 <= 0): F = lam at lam / w and w / -q3.
+        # F = lam at lam / w and, when q3 < 0, at w / -q3.
         w = q2 + np.sqrt(q2 * q2 + q3 * lam)
-        extent = np.where(q3 > 0, np.minimum(lam / (2.0 * q2), np.sqrt(lam / q3)), lam / w)
-        fits = np.all((q3 > 0) | ((q2 > 0) & (w / -q3 > 2.0 * reach)), axis=0)
+        extent = lam / w
+        fits = np.all((q2 > 0) & np.isfinite(w) & ((q3 >= 0) | (w / -q3 > 2.0 * reach)), axis=0)
     q = q[:, fits]
     rows, cols = (math.floor(min(t, reach)) + 2 for t in extent[:, fits].min(axis=1))
     n1, n2 = np.arange(rows, dtype=float), np.arange(cols, dtype=float)
@@ -1036,6 +1034,56 @@ class TestSpinBounds:
                                            "pair(spin(1/2),spin(0))"] * 4
         assert all(abs(float(rel)) <= 1e-15 and int(n) == 2 for rel, _, n in rows)
 
+    @pytest.mark.parametrize("t", [0.012, 0.01, 0.005])
+    def test_rotated_thin_blocks_keep_their_splits(self, su2xsu2, t):
+        # On R1 diag(1, 1, 1, 1, 1, t) R2 every Schur complement is
+        # indefinite, yet a lowered block with q2 > 0 whose upper root lies
+        # past twice S bounds the pairs past its lower root, so its split
+        # stays.
+        rng = np.random.default_rng(0)
+        R1, R2 = random_rotation(6, rng), random_rotation(6, rng)
+        spec = ls.metric_from_matrix(R1 @ np.diag([1.0] * 5 + [t]) @ R2)
+        first = ls.enumerate_irreps(su2xsu2, 3.0)[0]
+        lam = ls.lambda_min_hermitian(ls.assemble_minus_CA(first, spec))
+        bounds = rep_theory._pair_bounds(su2xsu2, spec, lam)
+        assert bounds is not None
+        assert (bounds.q[..., 2] < 0).any(axis=0).all()
+
+    def test_rotated_thin_metrics_end(self):
+        # With no split kept the stop rule alone needs a Casimir near
+        # lam / t^2, and the walk runs for minutes or more.
+        out = run_isolated(
+            "from liespec.metric_space import random_rotation\n"
+            "e = ls.entry_from_key('su2xsu2')\n"
+            "for t in (0.012, 0.01, 0.005, 0.001):\n"
+            "    rng = np.random.default_rng(0)\n"
+            "    R1, R2 = random_rotation(6, rng), random_rotation(6, rng)\n"
+            "    A = R1 @ np.diag([1.0] * 5 + [t]) @ R2\n"
+            "    r = ls.lambda1_certified(e, ls.metric_from_matrix(A))\n"
+            "    print(r.witness, r.certified, r.window, r.evaluations)\n")
+        assert out.returncode == 0, out.stderr
+        rows = [line.split() for line in out.stdout.splitlines()]
+        assert rows[:3] == [["pair(spin(0),spin(1/2))", "True", "8.0", "3"]] * 3
+        assert rows[3][:2] == ["pair(spin(0),spin(1/2))", "True"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_sigma=st.lists(st.floats(math.log(0.2), math.log(5.0)), min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_diagonal_gap_is_the_smaller_factor_gap(self, su2xsu2, log_sigma, seed):
+        # The Laplacian of a product is a sum, so on blockdiag(R1 diag(s1)
+        # R1^t, R2 diag(s2) R2^t) lambda1 is the smaller su2 gap; thin
+        # blocks are left out (ROADMAP item 2).
+        rng = np.random.default_rng(seed)
+        sigma = np.exp(log_sigma)
+        A = np.zeros((6, 6))
+        for k in (0, 3):
+            R = random_rotation(3, rng)
+            A[k:k + 3, k:k + 3] = R @ np.diag(sigma[k:k + 3]) @ R.T
+        res = ls.lambda1_certified(su2xsu2, ls.metric_from_matrix(A))
+        gap = min(su2_gap_oracle(np.sort(sigma[k:k + 3])[::-1]) for k in (0, 3))
+        assert res.certified
+        assert res.lambda1 == pytest.approx(gap, rel=1e-12, abs=0.0)
+
     @settings(max_examples=200, deadline=None)
     @given(q=st.lists(st.lists(st.floats(-2.0, 5.0), min_size=3, max_size=3),
                       min_size=1, max_size=4),
@@ -1111,7 +1159,7 @@ class TestSpinBounds:
 
     def test_exact_minima_cut_the_pool_screens(self, su2xsu2, monkeypatch):
         # The benchmark's 64 pool metrics: the exact minima leave at most 800
-        # pairs to assemble and screen (1118 on the table alone), and the
+        # pairs to assemble and screen (1113 on the table alone), and the
         # walks end with the same lambda1, witness, window and evaluations as
         # with the refinement patched off.
         assembled = []
@@ -1148,8 +1196,9 @@ class TestSpinBounds:
         assert peak <= 10 * 2 ** 20
 
     def test_strongly_coupled_metric_keeps_no_split(self, su2xsu2):
-        # enlarge-generating at s = 100: no Schur split stays positive
-        # definite, so the stop rule alone ends the walk.
+        # enlarge-generating at s = 100: every Schur complement has q2 = 1
+        # and q3 < -1 / lam, so its floor never reaches lam, no split is
+        # kept, and the stop rule alone ends the walk.
         from liespec.egs_scan import two_generator_rotation_su2xsu2
         spec = ls.metric_from_matrix(
             two_generator_rotation_su2xsu2() @ np.diag([100.0] * 3 + [1.0] * 3))
@@ -1169,7 +1218,7 @@ class TestSpinBounds:
         assert sum(r.evaluations for r in plain) > sum(r.evaluations for r in bounded)
 
     def test_table_past_the_cell_limit_gives_no_bounds(self, su2xsu2, monkeypatch):
-        # The pool's largest table has 231 cells; at a limit of one cell
+        # The pool's largest table has 190 cells; at a limit of one cell
         # every table is refused, and the walk runs on the stop rule alone.
         specs = [ls.sample_metric(su2xsu2, 0.2, 5.0, seed=s) for s in range(16)]
         bounded = [ls.lambda1_certified(su2xsu2, spec) for spec in specs]
@@ -1322,6 +1371,11 @@ class TestInvariantDim:
         line = [[1.0, 1.0]] / np.sqrt(2.0)
         assert ls.invariant_dim(ls.character_irrep((1, -1)), line) == 1
         assert ls.invariant_dim(ls.character_irrep((1, 1)), line) == 0
+
+    def test_pair_stack_is_built_once(self, kron_sums_calls):
+        pair = pair_irrep(ls.spin_irrep(1), ls.spin_irrep("1/2"))
+        assert ls.invariant_dim(pair, [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]) == 2
+        assert kron_sums_calls == [("spin(1)", "spin(1/2)")]
 
 
 class TestRestrictedGap:
